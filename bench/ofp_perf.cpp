@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "openflow/channel.hpp"
+#include "openflow/stream_channel.hpp"
 #include "openflow/datapath.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -345,7 +345,7 @@ void BM_DatapathSlowPathRoundTrip(benchmark::State& state) {
   sim::CallbackSink sink([](const Bytes&) {});
   dp.add_port(1, "in", MacAddress::from_index(1), &sink);
   dp.add_port(2, "out", MacAddress::from_index(2), &sink);
-  InProcConnection conn(loop);
+  StreamConnection conn(loop);
   auto& ctl_end = conn.controller_end();
   ctl_end.on_receive([&](const Bytes& encoded) {
     auto env = decode(encoded);

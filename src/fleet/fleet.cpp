@@ -336,11 +336,6 @@ HomeResult FleetRunner::run_life(
     result.frames = static_cast<std::uint64_t>(*frames);
   }
   if (checkpoint_out != nullptr) *checkpoint_out = snaps.last_image();
-  if (config_.image_store != nullptr && snaps.last_image()) {
-    // Deposit the home's latest periodic image into the residency store
-    // (content-addressed, thread-safe) keyed by home id.
-    (void)config_.image_store->put(home_id, *snaps.last_image());
-  }
   result.wall_ms = wall_ms_since(wall_start);
   return result;
 }

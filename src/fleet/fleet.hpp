@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "residency/image_store.hpp"
 #include "residency/profile.hpp"
 #include "sim/fault_injector.hpp"
 #include "snapshot/coordinator.hpp"
@@ -68,12 +67,6 @@ struct FleetConfig {
   /// the resume behavioural rather than bit-exact. Requires checkpoints.
   std::optional<std::size_t> kill_home;
   Timestamp kill_at = 0;
-
-  /// When set (and checkpoints are on), every home's latest periodic image
-  /// is deposited here under its home id as the run finishes — feeding the
-  /// residency plane's content-addressed store (docs/residency.md). The
-  /// store is thread-safe; workers deposit concurrently.
-  residency::ImageStore* image_store = nullptr;
 };
 
 /// Everything harvested from one finished home, on the worker that ran it.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "openflow/stream_channel.hpp"
-
 namespace hw::homework {
 
 /// Counts wireless transmissions (for the Links table's retry signal) on the
@@ -61,16 +59,11 @@ HomeworkRouter::HomeworkRouter(sim::EventLoop& loop, Rng& rng, Config config,
                                             config_.ap_position);
 
   datapath_ = std::make_unique<ofp::Datapath>(loop_, config_.datapath, metrics_);
-  if (config_.transport == Config::Transport::Stream) {
-    ofp::StreamConnection::Config stream;
-    stream.link.latency = config_.channel_latency;
-    stream.link.jitter = config_.channel_jitter;
-    stream.link.mtu = config_.channel_mtu;
-    connection_ = std::make_unique<ofp::StreamConnection>(loop_, stream, &rng_);
-  } else {
-    connection_ =
-        std::make_unique<ofp::InProcConnection>(loop_, config_.channel_latency);
-  }
+  ofp::StreamConnection::Config stream;
+  stream.link.latency = config_.channel_latency;
+  stream.link.jitter = config_.channel_jitter;
+  stream.link.mtu = config_.channel_mtu;
+  connection_ = std::make_unique<ofp::StreamConnection>(loop_, stream, &rng_);
   controller_ = std::make_unique<nox::Controller>(loop_, metrics_);
 
   upstream_ = std::make_unique<Upstream>(loop_, config_.upstream);

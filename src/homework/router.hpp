@@ -26,6 +26,7 @@
 #include "nox/controller.hpp"
 #include "nox/liveness.hpp"
 #include "openflow/datapath.hpp"
+#include "openflow/stream_channel.hpp"
 #include "policy/engine.hpp"
 #include "reconcile/desired_state.hpp"
 #include "reconcile/reconciler.hpp"
@@ -69,13 +70,10 @@ class HomeworkRouter {
     EventExport::Config event_export;
     MetricsExport::Config metrics_export;
     nox::LivenessMonitor::Config liveness;
-    /// Secure-channel transport: InProc delivers whole messages through the
-    /// loop; Stream runs real OpenFlow wire framing over a byte pipe
-    /// (partial/coalesced reads, mid-message cuts on faults).
-    enum class Transport { InProc, Stream };
-    Transport transport = Transport::InProc;
+    /// The controller secure channel runs OpenFlow wire framing over a
+    /// byte pipe (partial/coalesced reads, mid-message cuts on faults).
     Duration channel_latency = 100;  // controller channel, microseconds
-    /// Extra per-send jitter on the Stream transport (0 on InProc).
+    /// Extra per-send jitter on the controller channel.
     Duration channel_jitter = 0;
     /// Max bytes per stream read (0 = unbounded); small values force the
     /// framer to reassemble messages from partial reads.
@@ -131,7 +129,7 @@ class HomeworkRouter {
   // -- Subsystem access --------------------------------------------------------
   [[nodiscard]] sim::EventLoop& loop() { return loop_; }
   [[nodiscard]] ofp::Datapath& datapath() { return *datapath_; }
-  [[nodiscard]] ofp::SecureLink& connection() { return *connection_; }
+  [[nodiscard]] ofp::StreamConnection& connection() { return *connection_; }
   [[nodiscard]] nox::Controller& controller() { return *controller_; }
   [[nodiscard]] nox::LivenessMonitor& liveness() { return *liveness_; }
   [[nodiscard]] hwdb::Database& db() { return *db_; }
@@ -194,7 +192,7 @@ class HomeworkRouter {
   std::unique_ptr<policy::PolicyEngine> policy_;
   std::unique_ptr<WirelessMap> wireless_;
   std::unique_ptr<ofp::Datapath> datapath_;
-  std::unique_ptr<ofp::SecureLink> connection_;
+  std::unique_ptr<ofp::StreamConnection> connection_;
   std::unique_ptr<nox::Controller> controller_;
   std::unique_ptr<Upstream> upstream_;
 

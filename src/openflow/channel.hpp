@@ -1,13 +1,12 @@
 // The "secure channel" of the paper's OpenFlow switch description: a
 // bidirectional ordered byte-message pipe between datapath and controller.
-// Messages are always the encoded wire form; an in-process implementation
-// with optional latency stands in for the TCP/TLS transport.
+// Messages are always the encoded wire form. ChannelEndpoint is one end of
+// it; StreamChannel (stream_channel.hpp) implements it by framing those
+// messages over a simulated byte stream that stands in for TCP/TLS.
 #pragma once
 
 #include <functional>
-#include <memory>
 
-#include "sim/event_loop.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/bytes.hpp"
 
@@ -23,7 +22,7 @@ class ChannelEndpoint {
   virtual void send(const Bytes& encoded) = 0;
   void on_receive(Handler handler) { handler_ = std::move(handler); }
   /// Observation tap: sees every delivered message (after reassembly, before
-  /// the handler). Tests compare delivered sequences across transports.
+  /// the handler). Tests observe the delivered messages through it.
   void set_tap(Handler tap) { tap_ = std::move(tap); }
   [[nodiscard]] bool connected() const { return connected_; }
 
@@ -66,43 +65,6 @@ class ChannelEndpoint {
     telemetry::Counter rx_bytes{"openflow.channel.rx_bytes"};
     telemetry::Counter tx_dropped{"openflow.channel.tx_dropped"};
   } metrics_;
-};
-
-/// A secure-channel transport joining a datapath endpoint to a controller
-/// endpoint, with connection-loss fault hooks. Implementations: the
-/// whole-message InProcConnection below and the byte-stream StreamConnection
-/// (stream_channel.hpp).
-class SecureLink {
- public:
-  virtual ~SecureLink() = default;
-  virtual ChannelEndpoint& datapath_end() = 0;
-  virtual ChannelEndpoint& controller_end() = 0;
-  /// Simulates connection loss: subsequent sends are dropped.
-  virtual void disconnect() = 0;
-  /// Re-establishes a severed connection. Messages dropped during the outage
-  /// stay lost (TCP would have reset); the endpoints must re-handshake.
-  virtual void reconnect() = 0;
-  [[nodiscard]] virtual bool connected() const = 0;
-};
-
-/// An in-process connection joining two endpoints through the event loop,
-/// preserving ordering and (optionally) modelling channel latency.
-class InProcConnection final : public SecureLink {
- public:
-  explicit InProcConnection(sim::EventLoop& loop, Duration latency = 0);
-
-  ~InProcConnection() override;
-  ChannelEndpoint& datapath_end() override;
-  ChannelEndpoint& controller_end() override;
-
-  void disconnect() override;
-  void reconnect() override;
-  [[nodiscard]] bool connected() const override;
-
- private:
-  class End;
-  std::unique_ptr<End> a_;
-  std::unique_ptr<End> b_;
 };
 
 }  // namespace hw::ofp

@@ -1,7 +1,7 @@
 // OpenFlow 1.0 (wire version 0x01) protocol messages. The secure channel in
 // Figure 5 carries exactly these messages between ovs-vswitchd and NOX; our
-// Datapath and Controller always serialize/parse through this codec so the
-// byte stream is faithful to the spec even for in-process connections.
+// Datapath and Controller always serialize/parse through this codec, and the
+// framed secure channel carries the encoded bytes as a stream.
 #pragma once
 
 #include <cstdint>

@@ -3,9 +3,9 @@
 // from partial reads, splits coalesced reads, and rejects short-header,
 // bad-version and oversized frames without desyncing the stream; a
 // StreamChannel binds a framer to one end of a StreamLink behind the
-// ChannelEndpoint interface; a StreamConnection packages the pair as a
-// SecureLink so HomeworkRouter and the fleet can swap it in for
-// InProcConnection.
+// ChannelEndpoint interface; a StreamConnection joins a datapath-side and a
+// controller-side channel over one link. It is the only secure-channel
+// implementation: HomeworkRouter, the fleets and the benches all use it.
 #pragma once
 
 #include <functional>
@@ -102,11 +102,13 @@ class StreamChannel final : public ChannelEndpoint {
   StreamFramer framer_;
 };
 
-/// SecureLink over a byte stream: the drop-in replacement for
-/// InProcConnection with real wire framing underneath. disconnect() cuts
-/// the stream (in-flight bytes are lost, possibly mid-message); reconnect()
-/// restores it as a fresh connection with both framers reset.
-class StreamConnection final : public SecureLink {
+/// The secure channel joining a datapath endpoint to a controller endpoint
+/// over one byte-stream link, with connection-loss fault hooks.
+/// disconnect() cuts the stream (in-flight bytes are lost, possibly
+/// mid-message); reconnect() restores it as a fresh connection with both
+/// framers reset. Messages dropped during the outage stay lost (TCP would
+/// have reset); the endpoints must re-handshake.
+class StreamConnection final {
  public:
   struct Config {
     sim::StreamLink::Config link;
@@ -115,14 +117,14 @@ class StreamConnection final : public SecureLink {
 
   explicit StreamConnection(sim::EventLoop& loop, Config config = {},
                             Rng* rng = nullptr);
-  ~StreamConnection() override;
+  ~StreamConnection();
 
-  ChannelEndpoint& datapath_end() override;
-  ChannelEndpoint& controller_end() override;
+  ChannelEndpoint& datapath_end();
+  ChannelEndpoint& controller_end();
 
-  void disconnect() override;
-  void reconnect() override;
-  [[nodiscard]] bool connected() const override;
+  void disconnect();
+  void reconnect();
+  [[nodiscard]] bool connected() const;
 
   /// The underlying byte pipe, for fault injection beyond sever/restore
   /// (stall mid-frame, per-byte mangling).

@@ -90,7 +90,7 @@ class FaultInjector {
   void add_link(const std::string& name, DuplexLink& link);
   void add_channel(const std::string& name, LinkChannel& channel);
 
-  /// Controller-channel severance hooks (e.g. InProcConnection::disconnect /
+  /// Controller-channel severance hooks (e.g. StreamConnection::disconnect /
   /// reconnect). `restore` runs when the outage window closes.
   void set_controller_channel(std::function<void()> sever,
                               std::function<void()> restore);

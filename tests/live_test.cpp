@@ -124,6 +124,37 @@ TEST(LiveFleet, CheckpointReplayBitIdentical) {
   }
 }
 
+// A fault injected after the checkpoint severs one home's framed secure
+// channel mid-stream; the replay tail re-applies it and lands on the same
+// telemetry as the live run, at 1, 2 and 8 worker threads.
+TEST(LiveFleet, InjectedControllerOutageReplaysBitIdentical) {
+  const LiveConfig cfg = attack_config(2, 2);
+  LiveFleet fleet(cfg);
+  fleet.start();
+  fleet.advance_to(4 * kSecond);
+  fleet.submit(checkpoint());
+  fleet.advance_to(5 * kSecond + kBootSettle);
+  ASSERT_EQ(fleet.checkpoints().size(), 1u);
+
+  fleet.submit(inject_fault(1, "controller-outage", 0.0,
+                            130 * kMillisecond, 4 * kSecond));
+  fleet.advance_to(11 * kSecond);
+
+  EXPECT_EQ(fleet.scalars(1).at("sim.fault.controller_outages"), 1.0);
+  EXPECT_EQ(fleet.scalars(0).at("sim.fault.controller_outages"), 0.0);
+  EXPECT_GE(fleet.scalars(1).at("nox.channel.reconnects"), 1.0);
+
+  const auto live_fp = fleet.fingerprint();
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    auto replayed = LiveFleet::replay_fingerprint(
+        cfg, fleet.checkpoints()[0], fleet.log(), fleet.now(), threads);
+    ASSERT_TRUE(replayed.ok()) << replayed.error().message;
+    EXPECT_TRUE(replayed.value() == live_fp)
+        << "replay tail diverged at " << threads
+        << " threads:\n" << diff_maps(replayed.value(), live_fp);
+  }
+}
+
 // Time travel as a what-if instrument: re-run the tail with an *earlier*
 // quarantine than the live run had, and the attack is measurably blunted.
 TEST(LiveFleet, WhatIfEarlierQuarantineDiverges) {

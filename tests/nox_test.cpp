@@ -7,6 +7,7 @@
 #include "nox/controller.hpp"
 #include "nox/liveness.hpp"
 #include "openflow/datapath.hpp"
+#include "openflow/stream_channel.hpp"
 
 namespace hw::nox {
 namespace {
@@ -109,7 +110,7 @@ struct HandshakeFixture : ::testing::Test {
   sim::EventLoop loop;
   Collector sink, sink2;
   ofp::Datapath dp;
-  ofp::InProcConnection conn;
+  ofp::StreamConnection conn;
   Controller ctl;
   std::vector<std::string> log;
 };

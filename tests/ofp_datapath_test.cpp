@@ -6,7 +6,7 @@
 
 #include "net/checksum.hpp"
 #include "net/packet.hpp"
-#include "openflow/channel.hpp"
+#include "openflow/stream_channel.hpp"
 #include "openflow/datapath.hpp"
 
 namespace hw::ofp {
@@ -74,7 +74,7 @@ struct DatapathFixture : ::testing::Test {
   Collector port1_out;
   Collector port2_out;
   Datapath dp;
-  InProcConnection conn;
+  StreamConnection conn;
   FakeController controller;
 };
 
@@ -561,7 +561,7 @@ TEST_F(DatapathFixture, ExpiryInvalidatesMicroflowCache) {
 TEST(DatapathTableFull, RejectedAddAnswersWithError) {
   sim::EventLoop loop;
   Datapath dp(loop, {.datapath_id = 1, .table_capacity = 1});
-  InProcConnection conn(loop);
+  StreamConnection conn(loop);
   FakeController controller(conn.controller_end());
   dp.connect(conn.datapath_end());
   loop.run_for(kMillisecond);

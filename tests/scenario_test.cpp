@@ -7,7 +7,7 @@
 #include <string>
 
 #include "net/packet.hpp"
-#include "openflow/channel.hpp"
+#include "openflow/stream_channel.hpp"
 #include "openflow/datapath.hpp"
 #include "openflow/flow_table.hpp"
 #include "scenario/dhcp_starvation.hpp"
@@ -207,7 +207,7 @@ TEST(TableFullProperty, CapacityHoldsUnderHostileInterleavings) {
 TEST(TableFullProperty, EveryRejectionAnswersAllTablesFull) {
   sim::EventLoop loop;
   ofp::Datapath dp(loop, {.datapath_id = 1, .table_capacity = 8});
-  ofp::InProcConnection conn(loop);
+  ofp::StreamConnection conn(loop);
   std::vector<ofp::Envelope> received;
   conn.controller_end().on_receive([&](const Bytes& encoded) {
     auto env = ofp::decode(encoded);
@@ -245,7 +245,7 @@ TEST(TableFullProperty, EveryRejectionAnswersAllTablesFull) {
 TEST(TableFullProperty, MicroflowNeverServesEvictedFlow) {
   sim::EventLoop loop;
   ofp::Datapath dp(loop, {.datapath_id = 1, .table_capacity = 4});
-  ofp::InProcConnection conn(loop);
+  ofp::StreamConnection conn(loop);
   std::vector<ofp::Envelope> received;
   conn.controller_end().on_receive([&](const Bytes& encoded) {
     auto env = ofp::decode(encoded);
