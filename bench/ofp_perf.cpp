@@ -185,7 +185,7 @@ BENCHMARK(BM_DatapathFastPath);
 
 void BM_DatapathFastPathNoRewrite(benchmark::State& state) {
   // Output-only rule: isolates the lookup+forward cost from the MAC/IP
-  // rewrite (which re-serializes the frame).
+  // rewrite (which copies the frame once and patches the copy in place).
   sim::EventLoop loop;
   Datapath dp(loop, {});
   sim::CallbackSink sink([](const Bytes&) {});

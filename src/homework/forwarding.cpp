@@ -202,7 +202,10 @@ void Forwarding::handle_ipv4(const nox::PacketInEvent& ev) {
       // buffered in the datapath until the verdict arrives.
       metrics_.reverse_lookups_triggered.inc();
       const auto dpid = ev.dpid;
-      const auto packet = ev.packet;  // copy: event dies with this frame
+      // The event dies with its frame. Header fields copy by value, but the
+      // payload is a view into that frame: keep the headers only.
+      auto packet = ev.packet;
+      packet.l4_payload = {};
       const auto in_port = ev.msg.in_port;
       const auto buffer_id = ev.msg.buffer_id;
       dns_->reverse_lookup(dpid, src_mac, ip.dst,

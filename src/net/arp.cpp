@@ -4,7 +4,7 @@ namespace hw::net {
 namespace {
 
 Result<MacAddress> read_mac(ByteReader& r) {
-  auto raw = r.raw(6);
+  auto raw = r.view(6);
   if (!raw) return raw.error();
   std::array<std::uint8_t, 6> octets{};
   std::copy(raw.value().begin(), raw.value().end(), octets.begin());

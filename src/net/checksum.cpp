@@ -23,6 +23,16 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
   return fold(sum_words(data, 0));
 }
 
+std::uint16_t checksum_adjust(std::uint16_t sum, std::uint32_t old_value,
+                              std::uint32_t new_value) {
+  std::uint32_t acc = static_cast<std::uint16_t>(~sum);
+  acc += static_cast<std::uint16_t>(~(old_value >> 16));
+  acc += static_cast<std::uint16_t>(~old_value);
+  acc += new_value >> 16;
+  acc += new_value & 0xffff;
+  return fold(acc);
+}
+
 std::uint16_t l4_checksum(Ipv4Address src, Ipv4Address dst, std::uint8_t protocol,
                           std::span<const std::uint8_t> segment) {
   std::uint32_t acc = 0;

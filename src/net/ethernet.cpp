@@ -3,9 +3,9 @@
 namespace hw::net {
 
 Result<EthernetHeader> EthernetHeader::parse(ByteReader& r) {
-  auto dst = r.raw(6);
+  auto dst = r.view(6);
   if (!dst) return dst.error();
-  auto src = r.raw(6);
+  auto src = r.view(6);
   if (!src) return src.error();
   auto ethertype = r.u16();
   if (!ethertype) return ethertype.error();

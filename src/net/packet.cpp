@@ -46,18 +46,18 @@ Result<ParsedPacket> ParsedPacket::parse(std::span<const std::uint8_t> frame) {
       const std::size_t payload_len = p.udp->length > kUdpHeaderSize
                                           ? p.udp->length - kUdpHeaderSize
                                           : 0;
-      auto payload = r.raw(std::min(payload_len, r.remaining()));
+      auto payload = r.view(std::min(payload_len, r.remaining()));
       if (!payload) return payload.error();
-      p.l4_payload = std::move(payload).take();
+      p.l4_payload = payload.value();
       break;
     }
     case IpProto::Tcp: {
       auto tcp = TcpHeader::parse(r);
       if (!tcp) return tcp.error();
       p.tcp = tcp.value();
-      auto payload = r.raw(r.remaining());
+      auto payload = r.view(r.remaining());
       if (!payload) return payload.error();
-      p.l4_payload = std::move(payload).take();
+      p.l4_payload = payload.value();
       break;
     }
     case IpProto::Icmp: {

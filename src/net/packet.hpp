@@ -4,6 +4,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "net/arp.hpp"
@@ -32,6 +33,11 @@ struct FiveTuple {
 };
 
 /// Dissected frame: layers are present as far as parsing succeeded.
+///
+/// Parsing allocates nothing. Header fields are copied out by value, but
+/// `l4_payload` is a view into the parsed frame's bytes, so a ParsedPacket
+/// is valid only while that frame lives and is not modified: parse, use,
+/// drop. Keep the frame (not the ParsedPacket) to look at it later.
 struct ParsedPacket {
   EthernetHeader eth;
   std::optional<ArpMessage> arp;
@@ -39,8 +45,8 @@ struct ParsedPacket {
   std::optional<UdpHeader> udp;
   std::optional<TcpHeader> tcp;
   std::optional<IcmpHeader> icmp;
-  /// L4 payload (UDP data / TCP segment data), view into the original frame.
-  Bytes l4_payload;
+  /// L4 payload (UDP data / TCP segment data), view into the parsed frame.
+  std::span<const std::uint8_t> l4_payload;
   std::size_t frame_size = 0;
 
   /// Dissects as deep as the frame allows; the Ethernet layer must parse or

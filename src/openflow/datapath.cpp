@@ -1,7 +1,10 @@
 #include "openflow/datapath.hpp"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 
+#include "net/checksum.hpp"
 #include "net/packet.hpp"
 #include "util/logging.hpp"
 
@@ -10,45 +13,42 @@ namespace {
 
 constexpr std::string_view kLog = "datapath";
 
-/// Re-serializes a frame after header rewrites. Returns the original frame
-/// if it cannot be parsed (rewrite actions then have no effect).
-Bytes rewrite_frame(const Bytes& frame, const std::function<void(net::ParsedPacket&)>& edit) {
-  auto parsed = net::ParsedPacket::parse(frame);
-  if (!parsed) return frame;
-  auto p = std::move(parsed).take();
-  edit(p);
+/// Where set-field actions write, found from the frame's one parse. A frame
+/// that does not parse takes no rewrites; a layer it lacks takes none of
+/// that layer's.
+struct FieldOffsets {
+  bool parsed = false;
+  std::size_t ip = 0;  // IPv4 header; 0 when the frame has none
+  std::size_t l4 = 0;  // UDP/TCP header; 0 when the frame has neither
+};
 
-  // Rebuild from the parsed layers.
-  if (p.arp) {
-    return net::build_ethernet(p.eth.src, p.eth.dst,
-                               static_cast<net::EtherType>(p.eth.ethertype),
-                               [&] {
-                                 ByteWriter w;
-                                 p.arp->serialize(w);
-                                 return std::move(w).take();
-                               }());
-  }
-  if (p.ip) {
-    ByteWriter w(frame.size());
-    p.eth.serialize(w);
-    if (p.udp) {
-      p.ip->serialize(w, net::kUdpHeaderSize + p.l4_payload.size());
-      p.udp->length = 0;  // recompute
-      p.udp->serialize(w, p.l4_payload.size());
-      w.raw(p.l4_payload);
-    } else if (p.tcp) {
-      p.ip->serialize(w, net::kTcpMinHeaderSize + p.l4_payload.size());
-      p.tcp->serialize(w);
-      w.raw(p.l4_payload);
-    } else if (p.icmp) {
-      p.ip->serialize(w, 8);
-      p.icmp->serialize(w);
-    } else {
-      p.ip->serialize(w, 0);
-    }
-    return std::move(w).take();
-  }
-  return frame;
+FieldOffsets field_offsets(const net::ParsedPacket& p, const Bytes& frame) {
+  FieldOffsets at{.parsed = true};
+  if (!p.ip) return at;
+  at.ip = net::kEthernetHeaderSize;
+  if (p.udp || p.tcp) at.l4 = at.ip + (frame[at.ip] & 0x0fu) * 4u;  // IHL
+  return at;
+}
+
+void store_u16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+}
+
+/// Writes an IPv4 address field at `field` and adjusts the header checksum
+/// at `ip + 10` for it (RFC 1624), leaving every other byte as it was.
+void patch_nw(Bytes& frame, std::size_t ip, std::size_t field, Ipv4Address addr) {
+  std::uint8_t* f = frame.data() + field;
+  const std::uint32_t old_value = (std::uint32_t{f[0]} << 24) |
+                                  (std::uint32_t{f[1]} << 16) |
+                                  (std::uint32_t{f[2]} << 8) | f[3];
+  const std::uint32_t v = addr.value();
+  store_u16(f, static_cast<std::uint16_t>(v >> 16));
+  store_u16(f + 2, static_cast<std::uint16_t>(v));
+  std::uint8_t* sum = frame.data() + ip + 10;
+  store_u16(sum, net::checksum_adjust(
+                     static_cast<std::uint16_t>((sum[0] << 8) | sum[1]),
+                     old_value, v));
 }
 
 }  // namespace
@@ -181,8 +181,7 @@ void Datapath::process_frame(std::uint16_t in_port, const Bytes& frame) {
   // Tier 1: the exact-match microflow cache. A hit skips the classifier
   // entirely; only the first packet of a flow (or the first after a table
   // mutation) pays the tuple-space search.
-  const FlowKey key =
-      FlowKey::from_match(Match::from_packet(parsed.value(), in_port));
+  const FlowKey key = FlowKey::from_packet(parsed.value(), in_port);
   const std::uint64_t generation = table_.generation();
   const MicroflowCache::Probe cached = microflow_.probe(key, generation);
   if (cached.flushed) metrics_.microflow_invalidations.inc();
@@ -200,50 +199,66 @@ void Datapath::process_frame(std::uint16_t in_port, const Bytes& frame) {
                    config_.miss_send_len);
     return;
   }
-  apply_actions(entry->actions, in_port, frame);
+  apply_actions(entry->actions, in_port, frame, &parsed.value());
 }
 
 void Datapath::apply_actions(const ActionList& actions, std::uint16_t in_port,
-                             Bytes frame) {
+                             const Bytes& frame, const net::ParsedPacket* parsed) {
   if (actions.empty()) return;  // drop
+
+  // Copy on first write: outputs forward the caller's bytes until a
+  // set-field action changes them. That action takes the one private copy;
+  // it and every later one patch header fields in place.
+  Bytes copy;
+  const Bytes* current = &frame;
+  std::optional<FieldOffsets> offsets;
+  const auto at = [&]() -> const FieldOffsets& {
+    if (!offsets) {
+      if (parsed != nullptr) {
+        offsets = field_offsets(*parsed, frame);
+      } else {
+        auto p = net::ParsedPacket::parse(frame);
+        offsets = p ? field_offsets(p.value(), frame) : FieldOffsets{};
+      }
+    }
+    return *offsets;
+  };
+  const auto writable = [&]() -> Bytes& {
+    if (current != &copy) {
+      copy = frame;
+      current = &copy;
+    }
+    return copy;
+  };
 
   for (const auto& action : actions) {
     std::visit(
         [&](const auto& a) {
           using T = std::decay_t<decltype(a)>;
           if constexpr (std::is_same_v<T, ActionOutput>) {
-            output(a.port, in_port, frame, a.max_len);
+            output(a.port, in_port, *current, a.max_len);
           } else if constexpr (std::is_same_v<T, ActionSetDlSrc>) {
-            frame = rewrite_frame(frame, [&](net::ParsedPacket& p) { p.eth.src = a.mac; });
+            if (at().parsed) std::copy_n(a.mac.octets().data(), 6, writable().data() + 6);
           } else if constexpr (std::is_same_v<T, ActionSetDlDst>) {
-            frame = rewrite_frame(frame, [&](net::ParsedPacket& p) { p.eth.dst = a.mac; });
+            if (at().parsed) std::copy_n(a.mac.octets().data(), 6, writable().data());
           } else if constexpr (std::is_same_v<T, ActionSetNwSrc>) {
-            frame = rewrite_frame(frame, [&](net::ParsedPacket& p) {
-              if (p.ip) p.ip->src = a.addr;
-            });
+            if (at().ip != 0) patch_nw(writable(), at().ip, at().ip + 12, a.addr);
           } else if constexpr (std::is_same_v<T, ActionSetNwDst>) {
-            frame = rewrite_frame(frame, [&](net::ParsedPacket& p) {
-              if (p.ip) p.ip->dst = a.addr;
-            });
+            if (at().ip != 0) patch_nw(writable(), at().ip, at().ip + 16, a.addr);
           } else if constexpr (std::is_same_v<T, ActionSetTpSrc>) {
-            frame = rewrite_frame(frame, [&](net::ParsedPacket& p) {
-              if (p.udp) p.udp->src_port = a.port;
-              if (p.tcp) p.tcp->src_port = a.port;
-            });
+            if (at().l4 != 0) store_u16(writable().data() + at().l4, a.port);
           } else if constexpr (std::is_same_v<T, ActionSetTpDst>) {
-            frame = rewrite_frame(frame, [&](net::ParsedPacket& p) {
-              if (p.udp) p.udp->dst_port = a.port;
-              if (p.tcp) p.tcp->dst_port = a.port;
-            });
+            if (at().l4 != 0) store_u16(writable().data() + at().l4 + 2, a.port);
           } else if constexpr (std::is_same_v<T, ActionEnqueue>) {
+            const Bytes& out = *current;
             auto it = queues_.find({a.port, a.queue_id});
             if (it == queues_.end()) {
               // Unconfigured queue degrades to a plain output (OVS behaviour).
-              output(a.port, in_port, frame);
-            } else if (it->second.bucket.try_consume(loop_.now(), frame.size())) {
+              output(a.port, in_port, out);
+            } else if (it->second.bucket.try_consume(loop_.now(), out.size())) {
               ++it->second.counters.tx_packets;
-              it->second.counters.tx_bytes += frame.size();
-              output(a.port, in_port, frame);
+              it->second.counters.tx_bytes += out.size();
+              output(a.port, in_port, out);
             } else {
               ++it->second.counters.dropped;  // policed
             }
@@ -297,9 +312,11 @@ void Datapath::flood(std::uint16_t in_port, const Bytes& frame,
 }
 
 void Datapath::do_normal(std::uint16_t in_port, const Bytes& frame) {
-  auto parsed = net::ParsedPacket::parse(frame);
-  if (!parsed) return;
-  const MacAddress dst = parsed.value().eth.dst;
+  // L2 forwarding needs only the destination MAC, the frame's first octets.
+  if (frame.size() < net::kEthernetHeaderSize) return;
+  std::array<std::uint8_t, 6> octets{};
+  std::copy_n(frame.begin(), octets.size(), octets.begin());
+  const MacAddress dst{octets};
   if (dst.is_broadcast() || dst.is_multicast()) {
     flood(in_port, frame, false);
     return;
@@ -455,25 +472,23 @@ void Datapath::handle_flow_mod(const FlowMod& mod, std::uint32_t xid) {
        mod.command == FlowModCommand::Modify ||
        mod.command == FlowModCommand::ModifyStrict)) {
     if (auto frame = take_buffered(mod.buffer_id)) {
-      apply_actions(mod.actions, mod.match.in_port, std::move(*frame));
+      apply_actions(mod.actions, mod.match.in_port, *frame);
     }
   }
 }
 
 void Datapath::handle_packet_out(const PacketOut& po, std::uint32_t xid) {
   metrics_.packet_outs.inc();
-  Bytes frame;
-  if (po.buffer_id != kNoBuffer) {
-    auto buffered = take_buffered(po.buffer_id);
-    if (!buffered) {
-      send_error(ErrorType::BadRequest, /*OFPBRC_BUFFER_UNKNOWN=*/8, xid, {});
-      return;
-    }
-    frame = std::move(*buffered);
-  } else {
-    frame = po.data;
+  if (po.buffer_id == kNoBuffer) {
+    apply_actions(po.actions, po.in_port, po.data);
+    return;
   }
-  apply_actions(po.actions, po.in_port, std::move(frame));
+  auto buffered = take_buffered(po.buffer_id);
+  if (!buffered) {
+    send_error(ErrorType::BadRequest, /*OFPBRC_BUFFER_UNKNOWN=*/8, xid, {});
+    return;
+  }
+  apply_actions(po.actions, po.in_port, *buffered);
 }
 
 void Datapath::handle_stats_request(const StatsRequest& req, std::uint32_t xid) {

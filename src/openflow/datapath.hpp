@@ -151,9 +151,13 @@ class Datapath {
   void handle_packet_out(const PacketOut& po, std::uint32_t xid);
   void handle_stats_request(const StatsRequest& req, std::uint32_t xid);
   void process_frame(std::uint16_t in_port, const Bytes& frame);
-  /// Executes an action list on a frame (possibly rewriting headers).
+  /// Executes an action list on a frame, copying it only if a set-field
+  /// action rewrites a header (see docs/openflow-wire.md). `parsed` is the
+  /// frame's parse when the caller has one; otherwise the frame is parsed
+  /// at the first set-field action.
   void apply_actions(const ActionList& actions, std::uint16_t in_port,
-                     Bytes frame);
+                     const Bytes& frame,
+                     const net::ParsedPacket* parsed = nullptr);
   void output(std::uint16_t out_port, std::uint16_t in_port, const Bytes& frame,
               std::uint16_t controller_max_len = 0);
   void flood(std::uint16_t in_port, const Bytes& frame, bool include_in_port);

@@ -36,6 +36,46 @@ FlowKey FlowKey::from_match(const Match& m) {
   return k;
 }
 
+FlowKey FlowKey::from_packet(const net::ParsedPacket& p, std::uint16_t in_port) {
+  std::uint64_t nw_tos = 0;
+  std::uint64_t nw_proto = 0;
+  std::uint64_t nw_src = 0;
+  std::uint64_t nw_dst = 0;
+  std::uint64_t tp_src = 0;
+  std::uint64_t tp_dst = 0;
+  if (p.ip) {
+    nw_tos = p.ip->dscp & 0xfc;
+    nw_proto = p.ip->protocol;
+    nw_src = p.ip->src.value();
+    nw_dst = p.ip->dst.value();
+    if (p.udp) {
+      tp_src = p.udp->src_port;
+      tp_dst = p.udp->dst_port;
+    } else if (p.tcp) {
+      tp_src = p.tcp->src_port;
+      tp_dst = p.tcp->dst_port;
+    } else if (p.icmp) {
+      // OF1.0: ICMP type/code go in tp_src/tp_dst.
+      tp_src = static_cast<std::uint8_t>(p.icmp->type);
+      tp_dst = p.icmp->code;
+    }
+  } else if (p.arp) {
+    // OF1.0 matches ARP via nw fields: opcode in nw_proto, IPs in nw_src/dst.
+    nw_proto = static_cast<std::uint8_t>(p.arp->op);
+    nw_src = p.arp->sender_ip.value();
+    nw_dst = p.arp->target_ip.value();
+  }
+  constexpr std::uint64_t kUntagged = 0xffff;  // OFP_VLAN_NONE
+  FlowKey k;
+  k.w[0] = (p.eth.src.to_u64() << 16) | in_port;
+  k.w[1] = (p.eth.dst.to_u64() << 16) | kUntagged;
+  k.w[2] = (nw_src << 32) | nw_dst;
+  k.w[3] = (std::uint64_t{p.eth.ethertype} << 48) | (tp_src << 32) |
+           (tp_dst << 16) | nw_tos;
+  k.w[4] = nw_proto;
+  return k;
+}
+
 Match FlowKey::to_match(std::uint32_t wildcards) const {
   Match m;
   m.wildcards = wildcards;

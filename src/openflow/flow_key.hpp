@@ -37,6 +37,11 @@ struct FlowKey {
   /// field-by-field comparisons did).
   static FlowKey from_match(const Match& m);
 
+  /// Flow extraction (OpenFlow 1.0 §3.4) straight from a parsed frame:
+  /// the exact key the datapath looks up. Match::from_packet is this key's
+  /// to_match().
+  static FlowKey from_packet(const net::ParsedPacket& p, std::uint16_t in_port);
+
   /// Reconstructs a Match carrying this key's field values under the given
   /// wildcard bitmap. from_match(to_match(0)) round-trips exactly.
   [[nodiscard]] Match to_match(std::uint32_t wildcards = 0) const;

@@ -228,7 +228,6 @@ const FlowEntry* FlowTable::peek(const Match& pkt) const {
 }
 
 void FlowTable::record_hit(FlowEntry& entry, Timestamp now, std::size_t bytes) {
-  const telemetry::ScopedTimer timer(metrics_.lookup_ns);
   metrics_.lookups.inc();
   metrics_.matches.inc();
   entry.last_used = now;

@@ -87,6 +87,8 @@ class FlowTable final : public snapshot::Snapshottable {
 
   /// Counter bookkeeping for a hit served out of the datapath's microflow
   /// cache: the side effects of lookup() without re-running the classifier.
+  /// Untimed: lookup_ns covers classifier lookups only, since two clock
+  /// reads would cost more than the hit itself.
   void record_hit(FlowEntry& entry, Timestamp now, std::size_t bytes);
 
   /// Removes entries whose idle/hard timeout has fired by `now`; returns
@@ -118,8 +120,9 @@ class FlowTable final : public snapshot::Snapshottable {
     return {metrics_.lookups.value(), metrics_.matches.value(),
             metrics_.subtable_scans.value(), metrics_.table_full.value()};
   }
-  /// Lookup latency histogram (nanoseconds) — the instrument ofp_perf and
-  /// the MetricsExport table both report from.
+  /// Classifier lookup latency histogram (nanoseconds; microflow hits are
+  /// not timed) — the instrument ofp_perf and the MetricsExport table both
+  /// report from.
   [[nodiscard]] const telemetry::Histogram& lookup_latency() const {
     return metrics_.lookup_ns;
   }

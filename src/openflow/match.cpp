@@ -19,37 +19,7 @@ Result<MacAddress> read_mac(ByteReader& r) {
 }  // namespace
 
 Match Match::from_packet(const net::ParsedPacket& p, std::uint16_t in_port) {
-  Match m;
-  m.wildcards = 0;
-  m.in_port = in_port;
-  m.dl_src = p.eth.src;
-  m.dl_dst = p.eth.dst;
-  m.dl_vlan = 0xffff;  // untagged
-  m.dl_type = p.eth.ethertype;
-
-  if (p.ip) {
-    m.nw_tos = static_cast<std::uint8_t>(p.ip->dscp & 0xfc);
-    m.nw_proto = p.ip->protocol;
-    m.nw_src = p.ip->src;
-    m.nw_dst = p.ip->dst;
-    if (p.udp) {
-      m.tp_src = p.udp->src_port;
-      m.tp_dst = p.udp->dst_port;
-    } else if (p.tcp) {
-      m.tp_src = p.tcp->src_port;
-      m.tp_dst = p.tcp->dst_port;
-    } else if (p.icmp) {
-      // OF1.0: ICMP type/code go in tp_src/tp_dst.
-      m.tp_src = static_cast<std::uint16_t>(p.icmp->type);
-      m.tp_dst = p.icmp->code;
-    }
-  } else if (p.arp) {
-    // OF1.0 matches ARP via nw fields: opcode in nw_proto, IPs in nw_src/dst.
-    m.nw_proto = static_cast<std::uint8_t>(p.arp->op);
-    m.nw_src = p.arp->sender_ip;
-    m.nw_dst = p.arp->target_ip;
-  }
-  return m;
+  return FlowKey::from_packet(p, in_port).to_match(0);
 }
 
 Match& Match::with_in_port(std::uint16_t port) {

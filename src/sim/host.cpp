@@ -7,7 +7,12 @@ namespace {
 
 constexpr std::string_view kLog = "host";
 
-Bytes filler_payload(std::size_t size) { return Bytes(size, 0xab); }
+/// Generated payloads are filler bytes. One shared buffer serves every size
+/// a datagram can carry, so a send copies no payload of its own.
+std::span<const std::uint8_t> filler_payload(std::size_t size) {
+  static const Bytes filler(0xffff, 0xab);
+  return std::span(filler).first(std::min(size, filler.size()));
+}
 
 }  // namespace
 
@@ -32,7 +37,7 @@ void Host::send_frame(Bytes frame) {
   if (uplink_ == nullptr) return;
   metrics_.tx_frames.inc();
   metrics_.tx_bytes.inc(frame.size());
-  uplink_->send(frame);
+  uplink_->send(std::move(frame));
 }
 
 void Host::deliver(const Bytes& frame) {
@@ -243,28 +248,34 @@ void Host::release_dhcp() {
 
 // -- Transmission -------------------------------------------------------------
 
-void Host::transmit_via_gateway(Bytes /*frame_placeholder*/, Ipv4Address dst,
-                                std::function<Bytes(MacAddress)> builder) {
+Ipv4Address Host::next_hop(Ipv4Address dst) const {
   // The Homework DHCP module allocates addresses so every destination is
   // off-link: the next hop is always the router (paper §2, avoiding direct
   // Ethernet-layer communication between devices).
-  const Ipv4Address next_hop =
-      (gateway_ && dst != *gateway_) ? *gateway_
-      : dst;
-  auto it = arp_cache_.find(next_hop);
-  if (it != arp_cache_.end()) {
-    send_frame(builder(it->second));
-    return;
-  }
-  pending_sends_.push_back(PendingSend{next_hop, std::move(builder)});
+  return (gateway_ && dst != *gateway_) ? *gateway_ : dst;
+}
+
+void Host::transmit_after_arp(Ipv4Address dst,
+                              std::function<Bytes(MacAddress)> builder) {
+  const Ipv4Address hop = next_hop(dst);
+  pending_sends_.push_back(PendingSend{hop, std::move(builder)});
   // Issue an ARP request for the next hop.
   net::ArpMessage req;
   req.op = net::ArpOp::Request;
   req.sender_mac = config_.mac;
   req.sender_ip = ip_.value_or(Ipv4Address::any());
   req.target_mac = MacAddress::zero();
-  req.target_ip = next_hop;
+  req.target_ip = hop;
   send_frame(net::build_arp(req));
+}
+
+template <typename Build>
+void Host::transmit_via_gateway(Ipv4Address dst, Build build) {
+  if (auto it = arp_cache_.find(next_hop(dst)); it != arp_cache_.end()) {
+    send_frame(build(it->second));
+    return;
+  }
+  transmit_after_arp(dst, std::move(build));
 }
 
 bool Host::send_udp(Ipv4Address dst, std::uint16_t sport, std::uint16_t dport,
@@ -272,9 +283,9 @@ bool Host::send_udp(Ipv4Address dst, std::uint16_t sport, std::uint16_t dport,
   if (!ip_ || uplink_ == nullptr) return false;
   const Ipv4Address src = *ip_;
   const MacAddress src_mac = config_.mac;
-  Bytes payload = filler_payload(payload_size);
-  transmit_via_gateway({}, dst, [=](MacAddress dst_mac) {
-    return net::build_udp(src_mac, dst_mac, src, dst, sport, dport, payload);
+  transmit_via_gateway(dst, [=](MacAddress dst_mac) {
+    return net::build_udp(src_mac, dst_mac, src, dst, sport, dport,
+                          filler_payload(payload_size));
   });
   return true;
 }
@@ -288,9 +299,9 @@ bool Host::send_tcp(Ipv4Address dst, std::uint16_t sport, std::uint16_t dport,
   tcp.src_port = sport;
   tcp.dst_port = dport;
   tcp.flags = flags;
-  Bytes payload = filler_payload(payload_size);
-  transmit_via_gateway({}, dst, [=](MacAddress dst_mac) {
-    return net::build_tcp(src_mac, dst_mac, src, dst, tcp, payload);
+  transmit_via_gateway(dst, [=](MacAddress dst_mac) {
+    return net::build_tcp(src_mac, dst_mac, src, dst, tcp,
+                          filler_payload(payload_size));
   });
   return true;
 }
@@ -299,7 +310,7 @@ bool Host::ping(Ipv4Address dst, std::uint16_t seq) {
   if (!ip_ || uplink_ == nullptr) return false;
   const Ipv4Address src = *ip_;
   const MacAddress src_mac = config_.mac;
-  transmit_via_gateway({}, dst, [=](MacAddress dst_mac) {
+  transmit_via_gateway(dst, [=](MacAddress dst_mac) {
     return net::build_icmp_echo(src_mac, dst_mac, src, dst,
                                 net::IcmpType::EchoRequest, 1, seq);
   });
@@ -329,7 +340,7 @@ void Host::resolve(const std::string& name, ResolveCallback cb) {
   const Ipv4Address dst = *dns_server_;
   const MacAddress src_mac = config_.mac;
   Bytes payload = query.serialize();
-  transmit_via_gateway({}, dst, [=](MacAddress dst_mac) {
+  transmit_via_gateway(dst, [=](MacAddress dst_mac) {
     return net::build_udp(src_mac, dst_mac, src, dst, port, net::kDnsPort,
                           payload);
   });

@@ -97,8 +97,8 @@ class Host final : public FrameSink {
   void resolve(const std::string& name, ResolveCallback cb);
 
   // -- Raw traffic helpers ----------------------------------------------------
-  /// Sends a UDP datagram of `payload_size` filler bytes to dst; requires a
-  /// bound address. Returns false if not bound / no uplink.
+  /// Sends a UDP datagram of `payload_size` filler bytes (at most 65535) to
+  /// dst; requires a bound address. Returns false if not bound / no uplink.
   bool send_udp(Ipv4Address dst, std::uint16_t sport, std::uint16_t dport,
                 std::size_t payload_size);
   /// Sends a bare TCP segment (the traffic model generates segment trains).
@@ -138,9 +138,16 @@ class Host final : public FrameSink {
   void send_request(Ipv4Address requested, Ipv4Address server);
   void dhcp_timeout();
   void schedule_renewal();
-  /// Resolves the next-hop MAC (gateway) then transmits, queueing otherwise.
-  void transmit_via_gateway(Bytes frame_placeholder, Ipv4Address dst,
-                            std::function<Bytes(MacAddress dst_mac)> builder);
+  /// The next hop towards `dst`: the gateway.
+  [[nodiscard]] Ipv4Address next_hop(Ipv4Address dst) const;
+  /// Sends `build(next-hop MAC)` at once when ARP already knows the next
+  /// hop (the gateway); only otherwise does `build` become a queued
+  /// std::function, via transmit_after_arp.
+  template <typename Build>
+  void transmit_via_gateway(Ipv4Address dst, Build build);
+  /// Queues `builder` until ARP resolves the next hop and sends the request.
+  void transmit_after_arp(Ipv4Address dst,
+                          std::function<Bytes(MacAddress dst_mac)> builder);
 
   EventLoop& loop_;
   Config config_;

@@ -7,9 +7,11 @@ namespace hw::sim {
 LinkChannel::LinkChannel(EventLoop& loop, Config config, Rng* rng)
     : loop_(loop), config_(config), rng_(rng) {}
 
-bool LinkChannel::send(const Bytes& frame) {
+bool LinkChannel::send(const Bytes& frame) { return send(Bytes(frame)); }
+
+bool LinkChannel::send(Bytes&& frame) {
   if (sink_ == nullptr) return false;
-  if (in_flight_ >= config_.queue_limit) {
+  if (in_flight_.size() >= config_.queue_limit) {
     metrics_.dropped_frames.inc();
     return false;
   }
@@ -31,10 +33,15 @@ bool LinkChannel::send(const Bytes& frame) {
 
   metrics_.tx_frames.inc();
   metrics_.tx_bytes.inc(frame.size());
-  ++in_flight_;
-  loop_.schedule_at(arrival, [this, frame] {
-    --in_flight_;
-    if (sink_ != nullptr) sink_->deliver(frame);
+  // Arrivals never decrease (busy_until_ only grows, latency is fixed) and
+  // same-time events run in scheduling order, so each delivery event takes
+  // the oldest frame in flight. The event captures only `this`, which fits
+  // std::function's inline buffer: a hop allocates nothing beyond the frame.
+  in_flight_.push_back(std::move(frame));
+  loop_.schedule_at(arrival, [this] {
+    const Bytes delivered = std::move(in_flight_.front());
+    in_flight_.pop_front();
+    if (sink_ != nullptr) sink_->deliver(delivered);
   });
   return true;
 }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -55,8 +56,10 @@ class LinkChannel : public FrameSink {
 
   void connect(FrameSink* sink) { sink_ = sink; }
   /// Queues a frame for delivery; drops if the queue is full or loss fires.
-  /// Returns false on drop.
+  /// Returns false on drop. The link keeps its own copy of the frame; the
+  /// rvalue overload moves the caller's buffer in instead.
   bool send(const Bytes& frame);
+  bool send(Bytes&& frame);
   void deliver(const Bytes& frame) override { send(frame); }
 
   [[nodiscard]] LinkStats stats() const {
@@ -81,7 +84,8 @@ class LinkChannel : public FrameSink {
     telemetry::Counter retried_frames{"sim.link.retried_frames"};
   } metrics_;
   Timestamp busy_until_ = 0;
-  std::size_t in_flight_ = 0;
+  /// Frames on the wire, oldest first: delivered in arrival order.
+  std::deque<Bytes> in_flight_;
 };
 
 /// Full-duplex link: two channels plus convenience wiring.

@@ -47,7 +47,9 @@ class Trace {
   std::size_t count_if(
       const std::function<bool(const net::ParsedPacket&)>& pred) const;
 
-  /// Returns parsed packets at a capture point.
+  /// Returns parsed packets at a capture point. They view the recorded
+  /// frames (see net::ParsedPacket), so they are valid until the trace
+  /// records again or is cleared.
   std::vector<net::ParsedPacket> parsed_at(const std::string& point) const;
 
  private:

@@ -346,6 +346,43 @@ TEST(Packet, UdpFrameDissects) {
   EXPECT_EQ(tuple->reversed().src_port, 2222);
 }
 
+TEST(Packet, L4PayloadIsViewIntoFrame) {
+  const Bytes frame = build_udp(kMacA, kMacB, kIpA, kIpB, 1111, 2222, Bytes(32, 0x55));
+  auto p = ParsedPacket::parse(frame);
+  ASSERT_TRUE(p.ok());
+  const std::span<const std::uint8_t> payload = p.value().l4_payload;
+  ASSERT_EQ(payload.size(), 32u);
+  // Not a copy: the payload's bytes are the frame's own last 32 bytes.
+  EXPECT_GE(payload.data(), frame.data());
+  EXPECT_EQ(payload.data() + payload.size(), frame.data() + frame.size());
+}
+
+TEST(Checksum, IncrementalAdjustMatchesRecomputation) {
+  Rng rng(1624);
+  for (int i = 0; i < 2000; ++i) {
+    Ipv4Header h;
+    h.dscp = static_cast<std::uint8_t>(rng.next());
+    h.identification = static_cast<std::uint16_t>(rng.next());
+    h.ttl = static_cast<std::uint8_t>(rng.next());
+    h.protocol = static_cast<std::uint8_t>(rng.next());
+    h.src = Ipv4Address{static_cast<std::uint32_t>(rng.next())};
+    h.dst = Ipv4Address{static_cast<std::uint32_t>(rng.next())};
+    ByteWriter before;
+    h.serialize(before, rng.uniform(1400));
+    const Ipv4Address old_dst = h.dst;
+    h.dst = Ipv4Address{static_cast<std::uint32_t>(rng.next())};
+    h.total_length = static_cast<std::uint16_t>(
+        (before.bytes()[2] << 8) | before.bytes()[3]);
+    ByteWriter after;
+    h.serialize(after, 0);
+    const auto sum_of = [](const Bytes& b) {
+      return static_cast<std::uint16_t>((b[10] << 8) | b[11]);
+    };
+    EXPECT_EQ(checksum_adjust(sum_of(before.bytes()), old_dst.value(), h.dst.value()),
+              sum_of(after.bytes()));
+  }
+}
+
 TEST(Packet, TcpFrameDissects) {
   TcpHeader tcp;
   tcp.src_port = 40000;

@@ -149,6 +149,45 @@ TEST(Link, FramesQueueBehindEachOther) {
   EXPECT_EQ(sink.frames.size(), 2u);
 }
 
+TEST(Link, MovedFrameArrivesWithoutCopy) {
+  EventLoop loop;
+  LinkChannel link(loop, {});
+  std::vector<const std::uint8_t*> seen;
+  CallbackSink probe([&](const Bytes& frame) { seen.push_back(frame.data()); });
+  link.connect(&probe);
+
+  Bytes frame(64, 7);
+  const std::uint8_t* buffer = frame.data();
+  ASSERT_TRUE(link.send(std::move(frame)));
+  loop.run_all();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], buffer);  // the sender's own buffer reached the sink
+}
+
+TEST(Link, BandwidthChangeInFlightKeepsArrivalOrder) {
+  EventLoop loop;
+  LinkChannel::Config config;
+  config.bandwidth_bps = 8'000'000;  // 1 byte/us
+  config.latency = 50;
+  LinkChannel link(loop, config);
+  std::vector<std::pair<Timestamp, std::uint8_t>> arrivals;
+  CallbackSink sink([&](const Bytes& frame) {
+    arrivals.emplace_back(loop.now(), frame[0]);
+  });
+  link.connect(&sink);
+
+  link.send(Bytes(1000, 1));
+  link.set_bandwidth(80'000'000);  // the next frame serializes 10x faster
+  link.send(Bytes(100, 2));
+  loop.run_for(200);
+  link.send(Bytes(10, 3));  // sent mid-flight: still queues behind both
+  loop.run_all();
+  ASSERT_EQ(arrivals.size(), 3u);
+  EXPECT_EQ(arrivals[0], (std::pair<Timestamp, std::uint8_t>{1050, 1}));
+  EXPECT_EQ(arrivals[1], (std::pair<Timestamp, std::uint8_t>{1060, 2}));
+  EXPECT_EQ(arrivals[2], (std::pair<Timestamp, std::uint8_t>{1061, 3}));
+}
+
 TEST(Link, QueueLimitTailDrops) {
   EventLoop loop;
   LinkChannel::Config config;
