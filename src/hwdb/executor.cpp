@@ -4,7 +4,8 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <map>
+#include <span>
+#include <string_view>
 #include <unordered_map>
 
 #include "util/strings.hpp"
@@ -80,7 +81,38 @@ class ColumnSpace {
   const Schema* right_;
 };
 
-/// Aggregate accumulator.
+/// One candidate row: a driving-table row, joined with a right-table row
+/// when the query has a JOIN. Column indexes are combined indexes (left
+/// columns then right columns); -2 is the ts pseudo-column.
+class RowView {
+ public:
+  RowView(const Row& left, const Row* right)
+      : left_(left), right_(right), ts_(Value::ts(left.ts)) {}
+
+  [[nodiscard]] const Value& at(int idx) const {
+    if (idx == -2) return ts_;
+    const auto i = static_cast<std::size_t>(idx);
+    if (i < left_.values.size()) return left_.values[i];
+    return right_->values[i - left_.values.size()];
+  }
+
+ private:
+  const Row& left_;
+  const Row* right_;
+  Value ts_;
+};
+
+/// A value's rendering. Text is viewed in place; numbers render into
+/// `scratch`, and all but the longest integers fit its small-string buffer,
+/// so this does not allocate.
+std::string_view rendered(const Value& v, std::string& scratch) {
+  if (v.type() == ColumnType::Text) return v.as_text();
+  scratch = v.to_string();
+  return scratch;
+}
+
+/// Aggregate state of one aggregate projection within one group. Each
+/// function keeps only what it needs.
 struct Accumulator {
   AggFn fn = AggFn::None;
   int column = -1;  // combined index; -1 for count(*), -2 for ts
@@ -88,30 +120,41 @@ struct Accumulator {
   double sum = 0;
   double sum_sq = 0;
   bool integral = true;  // sum of only Int values renders as Int
-  Value min_v;
-  Value max_v;
-  Value last_v;
+  Value picked;          // the min, max or last value so far
   bool any = false;
 
   // Rows are fed newest-first, so the first value seen is the LAST value.
-  void feed(const Row& row) {
+  void feed(const RowView& row) {
     ++count;
-    if (fn == AggFn::Count && column == -1) return;
-    const Value v = column == -2
-                        ? Value::ts(row.ts)
-                        : row.values[static_cast<std::size_t>(column)];
-    if (v.type() != ColumnType::Int) integral = false;
-    if (!any) {
-      min_v = v;
-      max_v = v;
-      last_v = v;
-      any = true;
-    } else {
-      if (v.compare(min_v) < 0) min_v = v;
-      if (v.compare(max_v) > 0) max_v = v;
+    switch (fn) {
+      case AggFn::None:
+      case AggFn::Count:
+        return;
+      case AggFn::Sum:
+      case AggFn::Avg:
+      case AggFn::Stddev: {
+        const Value& v = row.at(column);
+        if (v.type() != ColumnType::Int) integral = false;
+        const double x = v.as_real();
+        sum += x;
+        sum_sq += x * x;
+        return;
+      }
+      case AggFn::Min: {
+        const Value& v = row.at(column);
+        if (!any || v.compare(picked) < 0) picked = v;
+        break;
+      }
+      case AggFn::Max: {
+        const Value& v = row.at(column);
+        if (!any || v.compare(picked) > 0) picked = v;
+        break;
+      }
+      case AggFn::Last:
+        if (!any) picked = row.at(column);
+        break;
     }
-    sum += v.as_real();
-    sum_sq += v.as_real() * v.as_real();
+    any = true;
   }
 
   [[nodiscard]] Value result() const {
@@ -123,11 +166,9 @@ struct Accumulator {
       case AggFn::Avg:
         return count == 0 ? Value{0.0} : Value{sum / static_cast<double>(count)};
       case AggFn::Min:
-        return any ? min_v : Value{};
       case AggFn::Max:
-        return any ? max_v : Value{};
       case AggFn::Last:
-        return any ? last_v : Value{};
+        return any ? picked : Value{};
       case AggFn::Stddev: {
         if (count == 0) return Value{0.0};
         const double n = static_cast<double>(count);
@@ -142,14 +183,32 @@ struct Accumulator {
   }
 };
 
-Result<bool> eval(const Predicate& p, const ColumnSpace& cols, const Row& row);
+/// A WHERE tree with its columns resolved once per query. An unknown column
+/// stays -1 and reports its error only when a row reaches that leaf, so an
+/// empty window or a short-circuited branch never reports it.
+struct Filter {
+  const Predicate* source = nullptr;
+  int column = -1;
+  std::string needle;  // rendered literal, for CONTAINS
+  std::vector<Filter> children;
+};
 
-Result<bool> eval_compare(const Predicate& p, const ColumnSpace& cols,
-                          const Row& row) {
-  const int idx = cols.resolve(p.column);
-  if (idx == -1) return make_error("unknown column in WHERE: " + p.column);
-  const Value lhs =
-      idx == -2 ? Value::ts(row.ts) : row.values[static_cast<std::size_t>(idx)];
+Filter resolve_filter(const Predicate& p, const ColumnSpace& cols) {
+  Filter f;
+  f.source = &p;
+  if (p.kind == Predicate::Kind::Compare) {
+    f.column = cols.resolve(p.column);
+    if (p.op == CmpOp::Contains) f.needle = p.literal.to_string();
+  }
+  f.children.reserve(p.children.size());
+  for (const auto& c : p.children) f.children.push_back(resolve_filter(*c, cols));
+  return f;
+}
+
+Result<bool> eval_compare(const Filter& f, const RowView& row) {
+  const Predicate& p = *f.source;
+  if (f.column == -1) return make_error("unknown column in WHERE: " + p.column);
+  const Value& lhs = row.at(f.column);
   switch (p.op) {
     case CmpOp::Eq: return lhs.compare(p.literal) == 0;
     case CmpOp::Ne: return lhs.compare(p.literal) != 0;
@@ -157,34 +216,36 @@ Result<bool> eval_compare(const Predicate& p, const ColumnSpace& cols,
     case CmpOp::Le: return lhs.compare(p.literal) <= 0;
     case CmpOp::Gt: return lhs.compare(p.literal) > 0;
     case CmpOp::Ge: return lhs.compare(p.literal) >= 0;
-    case CmpOp::Contains:
-      return lhs.to_string().find(p.literal.to_string()) != std::string::npos;
+    case CmpOp::Contains: {
+      std::string scratch;
+      return rendered(lhs, scratch).find(f.needle) != std::string_view::npos;
+    }
   }
   return make_error("bad comparison operator");
 }
 
-Result<bool> eval(const Predicate& p, const ColumnSpace& cols, const Row& row) {
-  switch (p.kind) {
+Result<bool> eval(const Filter& f, const RowView& row) {
+  switch (f.source->kind) {
     case Predicate::Kind::Compare:
-      return eval_compare(p, cols, row);
+      return eval_compare(f, row);
     case Predicate::Kind::And: {
-      for (const auto& c : p.children) {
-        auto r = eval(*c, cols, row);
+      for (const auto& c : f.children) {
+        auto r = eval(c, row);
         if (!r) return r;
         if (!r.value()) return false;
       }
       return true;
     }
     case Predicate::Kind::Or: {
-      for (const auto& c : p.children) {
-        auto r = eval(*c, cols, row);
+      for (const auto& c : f.children) {
+        auto r = eval(c, row);
         if (!r) return r;
         if (r.value()) return true;
       }
       return false;
     }
     case Predicate::Kind::Not: {
-      auto r = eval(*p.children[0], cols, row);
+      auto r = eval(f.children[0], row);
       if (!r) return r;
       return !r.value();
     }
@@ -192,34 +253,60 @@ Result<bool> eval(const Predicate& p, const ColumnSpace& cols, const Row& row) {
   return make_error("bad predicate kind");
 }
 
+/// A group key: the GROUP BY values' renderings, compared as a tuple.
+/// Rows look their group up by a tuple of views (KeyView), so a hit
+/// allocates nothing; only a new group copies its key.
+using GroupKey = std::vector<std::string>;
+using KeyView = std::span<const std::string_view>;
+
+struct KeyHash {
+  using is_transparent = void;
+  template <typename Tuple>
+  std::size_t operator()(const Tuple& parts) const {
+    std::size_t h = 0;
+    for (const std::string_view part : parts) {
+      h = h * 31 + std::hash<std::string_view>{}(part);
+    }
+    return h;
+  }
+};
+
+struct KeyEq {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](std::string_view x, std::string_view y) { return x == y; });
+  }
+};
+
 /// The query pipeline over an abstract newest-first row stream.
-/// `visit(fn)` must call fn for each candidate row newest-first and stop when
-/// fn returns false; rows are already window-filtered except for max_rows.
-Result<ResultSet> run_pipeline(
-    const SelectQuery& q, const ColumnSpace& cols, std::uint64_t max_rows,
-    const std::function<void(const std::function<bool(const Row&)>&)>& visit) {
-  // Resolve projections.
+/// `visit(fn)` must call fn with a RowView for each candidate row
+/// newest-first and stop when fn returns false; rows are already
+/// window-filtered except for max_rows.
+template <typename Visit>
+Result<ResultSet> run_pipeline(const SelectQuery& q, const ColumnSpace& cols,
+                               std::uint64_t max_rows, Visit&& visit) {
+  // Resolve projections: each is a group-key slot or an aggregate.
   struct ResolvedProj {
-    Projection proj;
+    AggFn fn = AggFn::None;
     int column = -1;  // combined index; -2 ts pseudo-column; -1 count(*)
+    std::string name;
   };
   std::vector<ResolvedProj> projs;
   ResultSet rs;
 
   if (q.projections.empty()) {
-    projs.push_back({Projection{AggFn::None, "ts"}, -2});
-    rs.columns.push_back("ts");
+    projs.push_back({AggFn::None, -2, "ts"});
     int idx = 0;
-    for (const auto& name : cols.all_names()) {
-      projs.push_back({Projection{AggFn::None, name}, idx++});
-      rs.columns.push_back(name);
+    for (auto& name : cols.all_names()) {
+      projs.push_back({AggFn::None, idx++, std::move(name)});
     }
+    for (const auto& rp : projs) rs.columns.push_back(rp.name);
   } else {
     for (const auto& p : q.projections) {
-      ResolvedProj rp{p, -1};
-      if (p.fn == AggFn::Count && p.column == "*") {
-        rp.column = -1;
-      } else {
+      ResolvedProj rp{p.fn, -1, p.column};
+      if (p.fn != AggFn::Count || p.column != "*") {
         rp.column = cols.resolve(p.column);
         if (rp.column == -1) return make_error("unknown column: " + p.column);
       }
@@ -236,30 +323,29 @@ Result<ResultSet> run_pipeline(
     group_cols.push_back(idx);
   }
 
-  const bool aggregating = q.has_aggregates() || !q.group_by.empty();
+  const Filter where =
+      q.where != nullptr ? resolve_filter(*q.where, cols) : Filter{};
   std::string error;
-
-  auto value_at = [](const Row& row, int idx) {
-    return idx == -2 ? Value::ts(row.ts)
-                     : row.values[static_cast<std::size_t>(idx)];
+  // False when the row fails WHERE or (setting `error`) WHERE fails.
+  const auto passes = [&](const RowView& row) {
+    if (q.where == nullptr) return true;
+    auto keep = eval(where, row);
+    if (!keep) {
+      error = keep.error().message;
+      return false;
+    }
+    return keep.value();
   };
 
-  if (!aggregating) {
+  if (!q.has_aggregates() && q.group_by.empty()) {
     std::uint64_t taken = 0;
-    visit([&](const Row& row) {
+    visit([&](const RowView& row) {
       if (taken >= max_rows) return false;
-      if (q.where != nullptr) {
-        auto keep = eval(*q.where, cols, row);
-        if (!keep) {
-          error = keep.error().message;
-          return false;
-        }
-        if (!keep.value()) return true;
-      }
+      if (!passes(row)) return error.empty();
       ++taken;
       std::vector<Value> out;
       out.reserve(projs.size());
-      for (const auto& rp : projs) out.push_back(value_at(row, rp.column));
+      for (const auto& rp : projs) out.push_back(row.at(rp.column));
       rs.rows.push_back(std::move(out));
       return true;
     });
@@ -273,68 +359,77 @@ Result<ResultSet> run_pipeline(
     return rs;
   }
 
-  // Aggregation path: group key is the rendered tuple of group columns.
+  // Aggregation path. A plain projection shows the group-key value of the
+  // GROUP BY column of the same name (Int 0 if none); an aggregate feeds
+  // its own accumulator.
+  std::vector<int> key_slot(projs.size(), -1);
+  std::vector<Accumulator> fresh;  // one empty accumulator per aggregate
+  std::vector<int> acc_slot(projs.size(), -1);
+  for (std::size_t i = 0; i < projs.size(); ++i) {
+    if (projs[i].fn == AggFn::None) {
+      for (std::size_t g = 0; g < q.group_by.size(); ++g) {
+        if (iequals(q.group_by[g], projs[i].name)) {
+          key_slot[i] = static_cast<int>(g);
+          break;
+        }
+      }
+    } else {
+      acc_slot[i] = static_cast<int>(fresh.size());
+      Accumulator& acc = fresh.emplace_back();
+      acc.fn = projs[i].fn;
+      acc.column = projs[i].column;
+    }
+  }
+
   struct Group {
     std::vector<Value> key_values;
     std::vector<Accumulator> accs;
   };
-  std::map<std::string, Group> groups;
+  std::unordered_map<GroupKey, Group, KeyHash, KeyEq> groups;
+  std::vector<std::string_view> parts(group_cols.size());
+  std::vector<std::string> scratch(group_cols.size());
   std::uint64_t taken = 0;
 
-  visit([&](const Row& row) {
+  visit([&](const RowView& row) {
     if (taken >= max_rows) return false;
-    if (q.where != nullptr) {
-      auto keep = eval(*q.where, cols, row);
-      if (!keep) {
-        error = keep.error().message;
-        return false;
-      }
-      if (!keep.value()) return true;
-    }
+    if (!passes(row)) return error.empty();
     ++taken;
 
-    std::string key;
-    std::vector<Value> key_values;
-    for (int col : group_cols) {
-      const Value v = value_at(row, col);
-      key += v.to_string();
-      key += '\x1f';
-      key_values.push_back(v);
+    for (std::size_t g = 0; g < group_cols.size(); ++g) {
+      parts[g] = rendered(row.at(group_cols[g]), scratch[g]);
     }
-
-    auto [it, inserted] = groups.try_emplace(key);
-    if (inserted) {
-      it->second.key_values = std::move(key_values);
-      for (const auto& rp : projs) {
-        Accumulator acc;
-        acc.fn = rp.proj.fn;
-        acc.column = rp.column;
-        it->second.accs.push_back(acc);
-      }
+    auto it = groups.find(KeyView(parts));
+    if (it == groups.end()) {
+      Group group;
+      group.key_values.reserve(group_cols.size());
+      for (const int col : group_cols) group.key_values.push_back(row.at(col));
+      group.accs = fresh;
+      it = groups.emplace(GroupKey(parts.begin(), parts.end()), std::move(group))
+               .first;
     }
     for (auto& acc : it->second.accs) acc.feed(row);
     return true;
   });
   if (!error.empty()) return make_error(error);
 
-  for (auto& [key, group] : groups) {
+  // Groups come out in key order.
+  std::vector<const std::pair<const GroupKey, Group>*> ordered;
+  ordered.reserve(groups.size());
+  for (const auto& entry : groups) ordered.push_back(&entry);
+  std::sort(ordered.begin(), ordered.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  for (const auto* entry : ordered) {
     if (q.limit > 0 && rs.rows.size() >= q.limit) break;
+    const Group& group = entry->second;
     std::vector<Value> out;
     out.reserve(projs.size());
     for (std::size_t i = 0; i < projs.size(); ++i) {
-      const auto& rp = projs[i];
-      if (rp.proj.fn == AggFn::None) {
-        bool found = false;
-        for (std::size_t g = 0; g < group_cols.size(); ++g) {
-          if (iequals(q.group_by[g], rp.proj.column)) {
-            out.push_back(group.key_values[g]);
-            found = true;
-            break;
-          }
-        }
-        if (!found) out.push_back(Value{});
+      if (acc_slot[i] >= 0) {
+        out.push_back(group.accs[static_cast<std::size_t>(acc_slot[i])].result());
+      } else if (key_slot[i] >= 0) {
+        out.push_back(group.key_values[static_cast<std::size_t>(key_slot[i])]);
       } else {
-        out.push_back(group.accs[i].result());
+        out.push_back(Value{});
       }
     }
     rs.rows.push_back(std::move(out));
@@ -342,22 +437,36 @@ Result<ResultSet> run_pipeline(
   return rs;
 }
 
-/// As-of index over the right table of a join: per key, row indexes ordered
-/// by insertion (oldest → newest).
+/// Heterogeneous string hashing, so lookups by view allocate nothing.
+struct ViewHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+/// As-of index over the right table of a join: per rendered key, row
+/// indexes ordered by insertion (oldest → newest).
 class AsOfIndex {
  public:
   AsOfIndex(const Table& right, int key_column) : right_(right) {
+    std::string scratch;
+    std::size_t pos = 0;
     right.rows().for_each([&](const Row& row) {
       // for_each is oldest-first; positions stored in that order.
-      keys_[row.values[static_cast<std::size_t>(key_column)].to_string()]
-          .push_back(pos_++);
+      const std::string_view key = rendered(
+          row.values[static_cast<std::size_t>(key_column)], scratch);
+      auto it = keys_.find(key);
+      if (it == keys_.end()) it = keys_.emplace(std::string(key), Positions{}).first;
+      it->second.push_back(pos++);
       return true;
     });
   }
 
   /// Newest right row with the given key and ts <= `as_of`, or nullptr.
   [[nodiscard]] const Row* lookup(const Value& key, Timestamp as_of) const {
-    auto it = keys_.find(key.to_string());
+    std::string scratch;
+    auto it = keys_.find(rendered(key, scratch));
     if (it == keys_.end()) return nullptr;
     const auto& positions = it->second;
     // Binary search for the last position with ts <= as_of.
@@ -377,9 +486,9 @@ class AsOfIndex {
   }
 
  private:
+  using Positions = std::vector<std::size_t>;
   const Table& right_;
-  std::unordered_map<std::string, std::vector<std::size_t>> keys_;
-  std::size_t pos_ = 0;
+  std::unordered_map<std::string, Positions, ViewHash, std::equal_to<>> keys_;
 };
 
 }  // namespace
@@ -415,7 +524,8 @@ std::string ResultSet::to_string() const {
 
 Result<bool> eval_predicate(const Predicate& p, const Schema& schema,
                             const Row& row) {
-  return eval(p, ColumnSpace(schema, nullptr), row);
+  return eval(resolve_filter(p, ColumnSpace(schema, nullptr)),
+              RowView(row, nullptr));
 }
 
 Result<ResultSet> execute(const SelectQuery& q, const Table& table,
@@ -446,7 +556,7 @@ Result<ResultSet> execute(const SelectQuery& q, const Table& table,
     return run_pipeline(q, cols, max_rows, [&](const auto& fn) {
       table.rows().for_each_newest_first([&](const Row& row) {
         if (row.ts < min_ts) return false;
-        return fn(row);
+        return fn(RowView(row, nullptr));
       });
     });
   }
@@ -468,17 +578,10 @@ Result<ResultSet> execute(const SelectQuery& q, const Table& table,
   return run_pipeline(q, cols, max_rows, [&](const auto& fn) {
     table.rows().for_each_newest_first([&](const Row& left_row) {
       if (left_row.ts < min_ts) return false;
-      const Value& key =
-          left_row.values[static_cast<std::size_t>(left_key)];
-      const Row* match = index.lookup(key, left_row.ts);
+      const Row* match = index.lookup(
+          left_row.values[static_cast<std::size_t>(left_key)], left_row.ts);
       if (match == nullptr) return true;  // inner join: drop unmatched
-      Row combined;
-      combined.ts = left_row.ts;
-      combined.values.reserve(left_row.values.size() + match->values.size());
-      combined.values = left_row.values;
-      combined.values.insert(combined.values.end(), match->values.begin(),
-                             match->values.end());
-      return fn(combined);
+      return fn(RowView(left_row, match));
     });
   });
 }

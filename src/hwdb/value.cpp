@@ -102,9 +102,11 @@ int Value::compare(const Value& other) const {
     if (a > b) return 1;
     return 0;
   }
-  const std::string a = to_string();
-  const std::string b = other.to_string();
-  return a.compare(b) < 0 ? -1 : (a == b ? 0 : 1);
+  // Two texts compare in place; a mixed pair compares renderings.
+  const int c = type() == ColumnType::Text && other.type() == ColumnType::Text
+                    ? as_text().compare(other.as_text())
+                    : to_string().compare(other.to_string());
+  return c < 0 ? -1 : (c == 0 ? 0 : 1);
 }
 
 }  // namespace hw::hwdb

@@ -10,6 +10,7 @@ BandwidthMonitor::BandwidthMonitor(hwdb::Database& db, Config config)
   const std::string query =
       "SELECT device, app, sum(bytes) FROM Flows [RANGE " +
       std::to_string(config_.window_secs) + " SECONDS] GROUP BY device, app";
+  query_ = hwdb::parse_query(query).take();
   auto sub = db_.subscribe(query, hwdb::SubscriptionMode::Periodic,
                            config_.refresh,
                            [this](hwdb::SubscriptionId, const hwdb::ResultSet& rs) {
@@ -27,10 +28,7 @@ void BandwidthMonitor::set_label(const std::string& mac, std::string label) {
 }
 
 void BandwidthMonitor::refresh() {
-  const std::string query =
-      "SELECT device, app, sum(bytes) FROM Flows [RANGE " +
-      std::to_string(config_.window_secs) + " SECONDS] GROUP BY device, app";
-  auto rs = db_.query(query);
+  auto rs = db_.query(query_);
   if (rs) apply(rs.value());
 }
 

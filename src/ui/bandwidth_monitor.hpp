@@ -59,6 +59,7 @@ class BandwidthMonitor {
 
   hwdb::Database& db_;
   Config config_;
+  hwdb::SelectQuery query_;  // the Figure-1 query, parsed once
   hwdb::SubscriptionId sub_ = 0;
   std::vector<DeviceBandwidth> devices_;
   std::map<std::string, std::string> labels_;
