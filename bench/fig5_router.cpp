@@ -119,10 +119,12 @@ int main() {
               static_cast<unsigned long long>(ctl.stats().errors));
 
   // The telemetry registry as a client sees it: MetricsExport has been
-  // polling all along; read the latest export back over the hwdb RPC
-  // interface, exactly like an external UI would.
+  // writing every series that moved all along; read each series' latest
+  // value back over the hwdb RPC interface, exactly like an external UI
+  // would.
   std::printf("\n-- telemetry via hwdb RPC: "
-              "SELECT name, value FROM Metrics [NOW] --\n");
+              "SELECT name, last(value) FROM Metrics [SINCE 0] "
+              "GROUP BY name --\n");
   hwdb::rpc::InProcRpcLink rpc_link(router.loop(), router.db());
   hwdb::rpc::RpcClient& rpc_client = rpc_link.make_client();
   // Residency accounting surfaces (docs/residency.md): deposit this home's
@@ -142,7 +144,8 @@ int main() {
   // created; let one export period elapse so they appear in the snapshot.
   home.run_for(2 * kSecond);
   std::optional<hwdb::ResultSet> metrics;
-  rpc_client.query("SELECT name, value FROM Metrics [NOW]",
+  rpc_client.query("SELECT name, last(value) FROM Metrics [SINCE 0] "
+                   "GROUP BY name",
                    [&](Result<hwdb::ResultSet> rs) {
                      if (rs.ok()) metrics = std::move(rs.value());
                    });
@@ -159,7 +162,7 @@ int main() {
     ++per_layer[name.substr(0, name.find('.'))];
     by_name[name] = row[1].as_real();
   }
-  std::printf("%zu samples in the latest export; per layer:",
+  std::printf("%zu series in the Metrics table; per layer:",
               metrics->rows.size());
   for (const auto& [layer, n] : per_layer) {
     std::printf(" %s=%zu", layer.c_str(), n);

@@ -242,6 +242,7 @@ HomeworkRouter::HomeworkRouter(sim::EventLoop& loop, Rng& rng, Config config,
   snapshots_->add_layer("registry", registry_.get());
   snapshots_->add_layer("policy", policy_.get());
   if (desired_ != nullptr) snapshots_->add_layer("desired", desired_.get());
+  snapshots_->add_layer("metrics-export", metrics_export_);
 }
 
 HomeworkRouter::~HomeworkRouter() = default;

@@ -36,19 +36,6 @@ std::optional<sim::FaultKind> parse_fault_kind(const std::string& name) {
   return std::nullopt;
 }
 
-/// Series excluded from the determinism fingerprint. snapshot.* counters
-/// legitimately differ (the replay restores, the live run doesn't). The
-/// openflow cache-warmth series count hit/miss splits of pure lookup caches
-/// the datapath intentionally cold-starts on restore — same packets, same
-/// forwarding decisions, different hit accounting — and an LRU of live
-/// FlowEntry handles is not serialisable state.
-bool transient_series(const std::string& name) {
-  if (name.rfind("snapshot.", 0) == 0) return true;
-  if (name.rfind("openflow.datapath.microflow_", 0) == 0) return true;
-  return name == "openflow.datapath.buffer_evictions" ||
-         name == "openflow.flow_table.subtable_scans";
-}
-
 /// Reads the CaptureTag out of an encoded image without restoring anything.
 Result<snapshot::CaptureTag> read_capture_tag(const Bytes& image) {
   auto reader = snapshot::Reader::parse(image);
@@ -100,6 +87,10 @@ struct LiveFleet::Home {
   std::unique_ptr<snapshot::TelemetryLayer> tele_layer;
   std::unique_ptr<sim::PeriodicTimer> attack_timer;
   std::unique_ptr<sim::PeriodicTimer> rekick;
+  /// Publishes the live.home.* gauges on the home's own loop (barrier grid),
+  /// so they follow virtual time alike in a live run, a replay and a wake
+  /// catch-up that crosses many barriers in one run_until.
+  std::unique_ptr<sim::PeriodicTimer> gauge_timer;
 
   /// Hostile events emitted so far — also the attack's MAC/xid sequence
   /// counter, so it snapshots (LDRV) and a resumed attack continues the
@@ -346,6 +337,7 @@ void LiveFleet::build_home(std::size_t id,
           (void)guest.attachment.link->a_to_b().send(frame);
           ++hp->attack_sent;
         }
+        hp->gauges->attack_sent.set(static_cast<std::int64_t>(hp->attack_sent));
         // The attacker's own traffic — what a quarantine mutation blocks.
         if (guest.host->ip()) {
           (void)guest.host->send_udp(Ipv4Address{198, 51, 100, 7}, 33000, 443,
@@ -358,11 +350,15 @@ void LiveFleet::build_home(std::size_t id,
           if (!d.host->ip()) d.host->start_dhcp();
         }
       });
+  h->gauge_timer = std::make_unique<sim::PeriodicTimer>(
+      h->scenario->loop(), config_.barrier_interval,
+      [hp] { update_gauges(*hp); });
 
   if (resume == nullptr) {
     snaps.add_layer("telemetry", h->tele_layer.get());
     h->scenario->start_dhcp_all();
     h->rekick->start_at(5 * kSecond + 500 * kMillisecond);
+    h->gauge_timer->start_at(kBootSettle);
     if (attack_home) h->attack_timer->start_at(attack.start);
     if (config_.run_apps) {
       (void)h->scenario->wait_all_bound(10 * kSecond);
@@ -389,6 +385,8 @@ void LiveFleet::build_home(std::size_t id,
     const Timestamp now = h->scenario->loop().now();
     h->rekick->start_at(
         next_phase_tick(now, 5 * kSecond, 5 * kSecond + 500 * kMillisecond));
+    h->gauge_timer->start_at(
+        next_phase_tick(now, config_.barrier_interval, kBootSettle));
     if (attack_home) {
       h->attack_timer->start_at(
           next_phase_tick(now, attack.period, attack.start));
@@ -712,7 +710,7 @@ Timestamp LiveFleet::step() {
     metrics_.captures.inc();
   }
 
-  // Apply due mutations in id order, then refresh the operator gauges.
+  // Apply due mutations in id order.
   std::vector<Mutation> due;
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->applied_at <= barrier) {
@@ -733,7 +731,6 @@ Timestamp LiveFleet::step() {
         if (m.home == kAllHomes || m.home == h.id) apply_mutation(h, m);
       }
       h.scenario->loop().run_until(barrier);
-      update_gauges(h);
     }
   });
 
@@ -796,13 +793,13 @@ void LiveFleet::hibernate_on_worker(std::size_t id, std::uint64_t capture_id) {
   {
     Home& h = *homes_[id];
     telemetry::ScopedMetricRegistry scope(h.registry);
-    update_gauges(h);
     HibernateOut out;
     h.ftag.value() = snapshot::CaptureTag{
         capture_id, static_cast<std::uint32_t>(id),
         static_cast<std::uint32_t>(homes_.size())};
     out.image = h.scenario->router().snapshots().capture();
     out.frozen.scalars = h.registry.scalars();
+    h.registry.add_scalars(out.frozen.exact, /*exact_only=*/true);
     for (const auto& d : h.scenario->devices()) {
       out.frozen.device_macs[d.name] = d.host->mac().to_string();
     }
@@ -873,7 +870,6 @@ void LiveFleet::refresh_telemetry() {
         Home& h = *homes_[i];
         telemetry::ScopedMetricRegistry scope(h.registry);
         h.scenario->loop().run_until(at);
-        update_gauges(h);
       }
       wake_ns_[i] = elapsed_ns(t0);
       if (realign) hibernate_on_worker(i, /*capture_id=*/at);
@@ -969,38 +965,37 @@ void LiveFleet::update_gauges(Home& h) {
   h.gauges->flow_entries.set(static_cast<std::int64_t>(table.size()));
   h.gauges->block_flows.set(static_cast<std::int64_t>(block_flows));
   h.gauges->block_drops.set(static_cast<std::int64_t>(block_drops));
-  h.gauges->attack_sent.set(static_cast<std::int64_t>(h.attack_sent));
 }
 
-std::map<std::string, double> LiveFleet::scalars(std::uint32_t home) const {
-  const auto home_scalars =
-      [this](std::size_t i) -> std::map<std::string, double> {
-    if (homes_[i] != nullptr) return homes_[i]->registry.scalars();
-    // Hibernated: the telemetry frozen at hibernation time stands in until
-    // the home pages back (refresh_telemetry() brings it current).
-    return frozen_[i] ? frozen_[i]->scalars : std::map<std::string, double>{};
-  };
-  if (home != kAllHomes) {
-    if (home >= homes_.size()) return {};
-    return home_scalars(home);
-  }
+std::map<std::string, double> LiveFleet::merged(bool exact_only) const {
   // Merge in home-id order: fixed accumulation order keeps the totals
   // bit-identical at any thread count.
   std::map<std::string, double> out;
   for (std::size_t i = 0; i < homes_.size(); ++i) {
-    for (const auto& [name, value] : home_scalars(i)) {
-      out[name] += value;
+    if (homes_[i] != nullptr) {
+      homes_[i]->registry.add_scalars(out, exact_only);
+    } else if (frozen_[i]) {
+      // Hibernated: the telemetry frozen at hibernation time stands in
+      // until the home pages back (refresh_telemetry() brings it current).
+      for (const auto& [name, value] :
+           exact_only ? frozen_[i]->exact : frozen_[i]->scalars) {
+        out[name] += value;
+      }
     }
   }
   return out;
 }
 
+std::map<std::string, double> LiveFleet::scalars(std::uint32_t home) const {
+  if (home == kAllHomes) return merged(/*exact_only=*/false);
+  if (home >= homes_.size()) return {};
+  if (homes_[home] != nullptr) return homes_[home]->registry.scalars();
+  return frozen_[home] ? frozen_[home]->scalars
+                       : std::map<std::string, double>{};
+}
+
 std::map<std::string, double> LiveFleet::fingerprint() const {
-  std::map<std::string, double> out = scalars(kAllHomes);
-  for (auto it = out.begin(); it != out.end();) {
-    it = transient_series(it->first) ? out.erase(it) : std::next(it);
-  }
-  return out;
+  return merged(/*exact_only=*/true);
 }
 
 LiveHomeStatus LiveFleet::status(std::uint32_t home) const {

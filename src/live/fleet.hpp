@@ -8,11 +8,13 @@
 // Execution model: virtual time is quantised into barriers at
 // k * barrier_interval + HomeworkRouter::kBootSettle. step() runs every home
 // to the next barrier (static partition home i -> worker i mod threads, so a
-// home's event loop is only ever touched by its owner thread), applies the
-// mutations due at that barrier in mutation-id order, and refreshes the
-// per-home live.home.* gauges. Mutations submitted between steps are stamped
-// with the barrier they will land on, making every mutated run a
-// deterministic schedule: (seed, mutation log) fully determines the run.
+// home's event loop is only ever touched by its owner thread) and applies the
+// mutations due at that barrier in mutation-id order. Each home publishes its
+// live.home.* gauges from a timer on its own loop at every barrier instant,
+// so they follow virtual time even through a wake catch-up. Mutations
+// submitted between steps are stamped with the barrier they will land on,
+// making every mutated run a deterministic schedule: (seed, mutation log)
+// fully determines the run.
 //
 // Checkpoints are fleet-wide consistent captures: every home's image is
 // taken at the same barrier, stamped with a CaptureTag (capture id, member,
@@ -148,7 +150,7 @@ class LiveFleet {
 
   /// Advances every home one barrier: ingest queued mutations, run to the
   /// barrier, capture if a checkpoint is due, apply due mutations in id
-  /// order, refresh gauges. Returns the new now().
+  /// order. Returns the new now().
   Timestamp step();
   /// Steps until now() >= t.
   void advance_to(Timestamp t);
@@ -163,13 +165,12 @@ class LiveFleet {
   /// order (bit-identical at any thread count).
   [[nodiscard]] std::map<std::string, double> scalars(
       std::uint32_t home = kAllHomes) const;
-  /// The determinism fingerprint: merged scalars minus snapshot.* series
-  /// (capture/restore counters legitimately differ between a live run and
-  /// its replay — the replay restores, the live run doesn't) and minus the
-  /// datapath cache-warmth series (microflow hit/miss split, subtable
-  /// scans, packet-in buffer evictions): restores cold-start pure lookup
-  /// caches, so these hit-accounting counters differ while every forwarding
-  /// outcome stays identical. See docs/liveops.md.
+  /// The determinism fingerprint: the merged scalars of every series
+  /// declared telemetry::Determinism::Exact. The others are declared where
+  /// their instruments are built: the snapshot.* counters (the replay
+  /// restores, the live run doesn't) and the datapath cache-warmth series
+  /// (restores cold-start pure lookup caches, so hit accounting differs
+  /// while every forwarding outcome stays identical). See docs/liveops.md.
   [[nodiscard]] std::map<std::string, double> fingerprint() const;
 
   [[nodiscard]] LiveHomeStatus status(std::uint32_t home) const;
@@ -214,6 +215,7 @@ class LiveFleet {
   /// telemetry snapshot and device table, served until the home pages back.
   struct Frozen {
     std::map<std::string, double> scalars;
+    std::map<std::string, double> exact;  // the fingerprint's share
     std::map<std::string, std::string> device_macs;
     std::size_t device_count = 0;
   };
@@ -231,7 +233,10 @@ class LiveFleet {
   void run_on_workers(const std::function<void(std::size_t)>& job);
   void build_home(std::size_t id, const snapshot::SnapshotImage* resume);
   void apply_mutation(Home& h, const Mutation& m);
-  void update_gauges(Home& h);
+  static void update_gauges(Home& h);
+  /// Every home's scalars summed in home-id order (Exact series only when
+  /// `exact_only`).
+  [[nodiscard]] std::map<std::string, double> merged(bool exact_only) const;
   [[nodiscard]] bool checkpoint_pending_at(Timestamp barrier) const;
   /// Owner-worker half of a hibernation: stamp FTAG, capture, freeze the
   /// operator view, peek the next event, tear the stack down.

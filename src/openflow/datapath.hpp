@@ -183,11 +183,17 @@ class Datapath {
           packet_outs{reg, "openflow.datapath.packet_outs"},
           flow_mods{reg, "openflow.datapath.flow_mods"},
           flow_removed_sent{reg, "openflow.datapath.flow_removed_sent"},
-          buffer_evictions{reg, "openflow.datapath.buffer_evictions"},
-          microflow_hits{reg, "openflow.datapath.microflow_hits"},
-          microflow_misses{reg, "openflow.datapath.microflow_misses"},
+          // Packet-in buffers and the microflow cache start cold after a
+          // restore, so their accounting is not replay-exact.
+          buffer_evictions{reg, "openflow.datapath.buffer_evictions",
+                           telemetry::Determinism::CacheWarmth},
+          microflow_hits{reg, "openflow.datapath.microflow_hits",
+                         telemetry::Determinism::CacheWarmth},
+          microflow_misses{reg, "openflow.datapath.microflow_misses",
+                           telemetry::Determinism::CacheWarmth},
           microflow_invalidations{
-              reg, "openflow.datapath.microflow_invalidations"},
+              reg, "openflow.datapath.microflow_invalidations",
+              telemetry::Determinism::CacheWarmth},
           failsafe_entries{reg, "openflow.datapath.failsafe_entries"},
           failsafe_dropped_packet_ins{
               reg, "openflow.datapath.failsafe_dropped_packet_ins"},

@@ -184,9 +184,13 @@ class FlowTable final : public snapshot::Snapshottable {
         : lookups{reg, "openflow.flow_table.lookups"},
           matches{reg, "openflow.flow_table.matches"},
           entries{reg, "openflow.flow_table.entries"},
-          lookup_ns{reg, "openflow.flow_table.lookup_ns"},
+          // Both count classifier work only, which the microflow cache
+          // in front of it skips on a hit (see record_hit).
+          lookup_ns{reg, "openflow.flow_table.lookup_ns",
+                    telemetry::Determinism::CacheWarmth},
           subtables{reg, "openflow.flow_table.subtables"},
-          subtable_scans{reg, "openflow.flow_table.subtable_scans"},
+          subtable_scans{reg, "openflow.flow_table.subtable_scans",
+                         telemetry::Determinism::CacheWarmth},
           table_full{reg, "openflow.flow_table.table_full"} {}
     telemetry::Counter lookups;
     telemetry::Counter matches;

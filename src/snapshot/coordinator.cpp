@@ -58,7 +58,7 @@ Status SnapshotCoordinator::restore(std::span<const std::uint8_t> image) {
     return reader.error();
   }
   for (const Layer& l : layers_) {
-    if (auto s = l.layer->restore(reader.value()); !s.ok()) return s;
+    if (auto s = restore_layer(l, reader.value()); !s.ok()) return s;
   }
   metrics_instruments_.restores.inc();
   return Status::success();
@@ -76,10 +76,16 @@ Status SnapshotCoordinator::restore_layers(
     bool wanted = false;
     for (const std::string& n : names) wanted = wanted || n == l.name;
     if (!wanted) continue;
-    if (auto s = l.layer->restore(reader.value()); !s.ok()) return s;
+    if (auto s = restore_layer(l, reader.value()); !s.ok()) return s;
   }
   metrics_instruments_.restores.inc();
   return Status::success();
+}
+
+Status SnapshotCoordinator::restore_layer(const Layer& l, const Reader& r) {
+  Status s = l.layer->restore(r);
+  if (!s.ok()) metrics_instruments_.corrupt_rejected.inc();
+  return s;
 }
 
 void SnapshotCoordinator::start_periodic_captures(

@@ -51,8 +51,10 @@ class SnapshotCoordinator {
   [[nodiscard]] SnapshotImage capture();
 
   /// Validates `image` and restores every registered layer from it. On any
-  /// validation failure returns the error with snapshot.corrupt_rejected
-  /// incremented and *no* layer touched.
+  /// container validation failure returns the error with
+  /// snapshot.corrupt_rejected incremented and *no* layer touched. A layer
+  /// that rejects its own chunks counts as corrupt too; the walk stops there,
+  /// so later layers stay untouched (earlier ones have been restored).
   Status restore(const SnapshotImage& image) { return restore(image.bytes); }
   Status restore(std::span<const std::uint8_t> image);
   /// Restores only the named layers (warm restart rebuilds the datapath's
@@ -91,6 +93,8 @@ class SnapshotCoordinator {
     Snapshottable* layer = nullptr;
   };
   std::vector<Layer> layers_;
+  /// One layer's restore; a layer that rejects the image counts as corrupt.
+  Status restore_layer(const Layer& l, const Reader& r);
   std::optional<SnapshotImage> last_image_;
   std::function<void(const SnapshotImage&)> on_capture_;
   Duration interval_ = 0;
@@ -100,10 +104,11 @@ class SnapshotCoordinator {
 
   struct Instruments {
     explicit Instruments(telemetry::MetricRegistry& reg)
-        : captures{reg, "snapshot.captures"},
-          restores{reg, "snapshot.restores"},
-          bytes{reg, "snapshot.bytes"},
-          corrupt_rejected{reg, "snapshot.corrupt_rejected"} {}
+        : captures{reg, "snapshot.captures", kClass},
+          restores{reg, "snapshot.restores", kClass},
+          bytes{reg, "snapshot.bytes", kClass},
+          corrupt_rejected{reg, "snapshot.corrupt_rejected", kClass} {}
+    static constexpr auto kClass = telemetry::Determinism::Checkpoint;
     telemetry::Counter captures;
     telemetry::Counter restores;
     telemetry::Gauge bytes;

@@ -13,12 +13,17 @@ const char* to_string(MetricKind k) {
   return "?";
 }
 
-Instrument::Instrument(std::string name, MetricKind kind)
-    : Instrument(MetricRegistry::current(), std::move(name), kind) {}
+Instrument::Instrument(std::string name, MetricKind kind,
+                       Determinism determinism)
+    : Instrument(MetricRegistry::current(), std::move(name), kind,
+                 determinism) {}
 
 Instrument::Instrument(MetricRegistry& registry, std::string name,
-                       MetricKind kind)
-    : registry_(&registry), name_(std::move(name)), kind_(kind) {
+                       MetricKind kind, Determinism determinism)
+    : registry_(&registry),
+      name_(std::move(name)),
+      kind_(kind),
+      determinism_(determinism) {
   registry_->attach(this);
 }
 
@@ -142,23 +147,28 @@ bool MetricRegistry::restore_scalar(const std::string& name, double target) {
 }
 
 std::map<std::string, double> MetricRegistry::scalars() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::map<std::string, double> out;
-  for (const Instrument* i : instruments_) {
-    switch (i->kind()) {
+  add_scalars(out);
+  return out;
+}
+
+void MetricRegistry::add_scalars(std::map<std::string, double>& out,
+                                 bool exact_only) const {
+  visit([&](const Instrument& i) {
+    if (exact_only && i.determinism() != Determinism::Exact) return;
+    switch (i.kind()) {
       case MetricKind::Counter:
-        out[i->name()] +=
-            static_cast<double>(static_cast<const Counter*>(i)->value());
+        out[i.name()] +=
+            static_cast<double>(static_cast<const Counter&>(i).value());
         break;
       case MetricKind::Gauge:
-        out[i->name()] +=
-            static_cast<double>(static_cast<const Gauge*>(i)->value());
+        out[i.name()] +=
+            static_cast<double>(static_cast<const Gauge&>(i).value());
         break;
       case MetricKind::Histogram:
         break;
     }
-  }
-  return out;
+  });
 }
 
 std::map<std::string, HistogramState>
@@ -166,14 +176,7 @@ MetricRegistry::histogram_states_locked() const {
   std::map<std::string, HistogramState> out;
   for (const Instrument* i : instruments_) {
     if (i->kind() != MetricKind::Histogram) continue;
-    const auto* h = static_cast<const Histogram*>(i);
-    HistogramState& m = out[i->name()];
-    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-      m.buckets[b] += h->buckets()[b];
-    }
-    m.count += h->count();
-    m.sum += h->sum();
-    m.max = std::max(m.max, h->max_value());
+    out[i->name()].add(*static_cast<const Histogram*>(i));
   }
   return out;
 }

@@ -4,7 +4,7 @@
 // same plane. Modules own Counter/Gauge/Histogram instruments (plain uint64
 // cells — each home simulation is single-threaded by design, so no atomics),
 // the registry tracks every live instrument, and MetricsExport periodically
-// snapshots it into the hwdb Metrics table.
+// writes the series that moved into the hwdb Metrics table.
 //
 // Registries are instance-scoped so many independent homes can coexist in
 // one process (the fleet runner gives every home its own). Instruments bind
@@ -43,6 +43,20 @@ enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
 
 const char* to_string(MetricKind k);
 
+/// Whether a series replays bit-identically. A checkpoint resume or a
+/// hibernate/wake catch-up re-runs the same virtual timeline, so every
+/// series that counts what the simulated world did is Exact. The exceptions
+/// are declared where the instrument is constructed:
+///  - CacheWarmth: hit/miss accounting of pure lookup caches, which a
+///    restore deliberately cold-starts (same packets, same decisions,
+///    different hit split);
+///  - Checkpoint: the checkpoint machinery's own work, which a replay does
+///    (it restores) and the live run it replays does not.
+/// For a histogram the class describes its count; its values time the wall
+/// clock and are never exact. The replay fingerprint is the Exact scalar
+/// set, and MetricsExport writes an Exact series only when it moves.
+enum class Determinism : std::uint8_t { Exact, CacheWarmth, Checkpoint };
+
 /// One flattened point of a registry snapshot. Histograms flatten into
 /// derived samples (`<name>.count`, `<name>.p50`, `<name>.p99`, …).
 struct MetricSample {
@@ -63,27 +77,31 @@ class Instrument {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] MetricKind kind() const { return kind_; }
+  [[nodiscard]] Determinism determinism() const { return determinism_; }
 
  protected:
   /// Attaches to the calling thread's MetricRegistry::current().
-  Instrument(std::string name, MetricKind kind);
+  Instrument(std::string name, MetricKind kind, Determinism determinism);
   /// Attaches to an explicitly injected registry.
-  Instrument(MetricRegistry& registry, std::string name, MetricKind kind);
+  Instrument(MetricRegistry& registry, std::string name, MetricKind kind,
+             Determinism determinism);
   ~Instrument();
 
  private:
   MetricRegistry* registry_;  // where we attached; detach goes here
   std::string name_;
   MetricKind kind_;
+  Determinism determinism_;
 };
 
 /// Monotonically increasing event count.
 class Counter final : public Instrument {
  public:
-  explicit Counter(std::string name)
-      : Instrument(std::move(name), MetricKind::Counter) {}
-  Counter(MetricRegistry& registry, std::string name)
-      : Instrument(registry, std::move(name), MetricKind::Counter) {}
+  explicit Counter(std::string name, Determinism d = Determinism::Exact)
+      : Instrument(std::move(name), MetricKind::Counter, d) {}
+  Counter(MetricRegistry& registry, std::string name,
+          Determinism d = Determinism::Exact)
+      : Instrument(registry, std::move(name), MetricKind::Counter, d) {}
 
   void inc(std::uint64_t n = 1) { value_ += n; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
@@ -98,10 +116,11 @@ class Counter final : public Instrument {
 /// Point-in-time level (table occupancy, connection count, …).
 class Gauge final : public Instrument {
  public:
-  explicit Gauge(std::string name)
-      : Instrument(std::move(name), MetricKind::Gauge) {}
-  Gauge(MetricRegistry& registry, std::string name)
-      : Instrument(registry, std::move(name), MetricKind::Gauge) {}
+  explicit Gauge(std::string name, Determinism d = Determinism::Exact)
+      : Instrument(std::move(name), MetricKind::Gauge, d) {}
+  Gauge(MetricRegistry& registry, std::string name,
+        Determinism d = Determinism::Exact)
+      : Instrument(registry, std::move(name), MetricKind::Gauge, d) {}
 
   void set(std::int64_t v) { value_ = v; }
   void add(std::int64_t d) { value_ += d; }
@@ -120,10 +139,11 @@ class Histogram final : public Instrument {
   static constexpr std::size_t kBuckets = 64;
   using Buckets = std::array<std::uint64_t, kBuckets>;
 
-  explicit Histogram(std::string name)
-      : Instrument(std::move(name), MetricKind::Histogram) {}
-  Histogram(MetricRegistry& registry, std::string name)
-      : Instrument(registry, std::move(name), MetricKind::Histogram) {}
+  explicit Histogram(std::string name, Determinism d = Determinism::Exact)
+      : Instrument(std::move(name), MetricKind::Histogram, d) {}
+  Histogram(MetricRegistry& registry, std::string name,
+            Determinism d = Determinism::Exact)
+      : Instrument(registry, std::move(name), MetricKind::Histogram, d) {}
 
   void record(std::uint64_t v) {
     ++buckets_[std::bit_width(v)];
@@ -163,6 +183,14 @@ struct HistogramState {
   std::uint64_t sum = 0;
   std::uint64_t max = 0;
 
+  void add(const Histogram& h) {
+    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+      buckets[b] += h.buckets()[b];
+    }
+    count += h.count();
+    sum += h.sum();
+    if (h.max_value() > max) max = h.max_value();
+  }
   void merge(const HistogramState& other) {
     for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
       buckets[b] += other.buckets[b];
@@ -209,6 +237,22 @@ class MetricRegistry {
   /// deterministic view chaos/fleet runs diff (histograms time wall-clock
   /// nanoseconds and legitimately differ between runs).
   [[nodiscard]] std::map<std::string, double> scalars() const;
+
+  /// scalars() accumulated in place: adds every counter and gauge into
+  /// out[name], so merging many registries into one caller-owned map
+  /// allocates only for series the map has not seen. With `exact_only`,
+  /// series not declared Determinism::Exact are left out.
+  void add_scalars(std::map<std::string, double>& out,
+                   bool exact_only = false) const;
+
+  /// Calls fn(const Instrument&) for every live instrument, in attach order,
+  /// under the membership lock: fn reads values in place and must not
+  /// construct or destroy instruments of this registry.
+  template <typename Fn>
+  void visit(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const Instrument* i : instruments_) fn(*i);
+  }
 
   /// Raw merged histogram state per series (fleet-wide merging).
   [[nodiscard]] std::map<std::string, HistogramState> histogram_states() const;

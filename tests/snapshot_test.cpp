@@ -10,6 +10,7 @@
 #include <string>
 
 #include "homework/router.hpp"
+#include "hwdb/value.hpp"
 #include "sim/fault_injector.hpp"
 #include "snapshot/codec.hpp"
 #include "snapshot/coordinator.hpp"
@@ -225,6 +226,85 @@ TEST(SnapshotCoordinator, CorruptImageRejectedAtEveryOffsetWithoutSideEffects) {
   // byte-identical image.
   EXPECT_EQ(rig.router.snapshots().capture().bytes, image.bytes);
   EXPECT_EQ(rig.router.datapath().table().size(), flows);
+}
+
+/// `image` re-encoded with only its META and hwdb chunks plus `bad`, one
+/// more HTBL chunk, last: the hwdb layer is the only one with anything to
+/// restore, and every table ahead of the bad one is well formed.
+Bytes with_bad_table(const Bytes& image, const Bytes& bad) {
+  auto reader = Reader::parse(image);
+  EXPECT_TRUE(reader.ok());
+  Writer w;
+  reader.value().for_each_chunk([&](std::uint32_t chunk_tag,
+                                    const Bytes& payload) {
+    if (chunk_tag == tag("META") || chunk_tag == tag("HTBL") ||
+        chunk_tag == tag("HMET")) {
+      w.begin_chunk(chunk_tag).raw(payload);
+      w.end_chunk();
+    }
+  });
+  w.begin_chunk(tag("HTBL")).raw(bad);
+  w.end_chunk();
+  return std::move(w).finish();
+}
+
+/// The head of an HTBL chunk for a (name, kind, value) table the rig does
+/// not have; the string table follows.
+ByteWriter bad_table_head() {
+  ByteWriter c;
+  put_string(c, "Trailer");
+  c.u64(64);  // capacity
+  c.u64(1);   // inserted
+  c.u64(0);   // evicted
+  c.u32(3);
+  for (const char* column : {"name", "kind"}) {
+    put_string(c, column);
+    c.u8(static_cast<std::uint8_t>(hwdb::ColumnType::Text));
+  }
+  put_string(c, "value");
+  c.u8(static_cast<std::uint8_t>(hwdb::ColumnType::Real));
+  return c;
+}
+
+/// Restores `bad` (built from an image older than the rig's state): the
+/// restore must fail as corrupt and leave every layer as it was, including
+/// the well-formed tables decoded ahead of the bad one.
+void expect_rejected_untouched(Rig& rig, const Bytes& bad) {
+  const SnapshotImage reference = rig.router.snapshots().capture();
+  EXPECT_FALSE(rig.router.snapshots().restore(bad).ok());
+  EXPECT_EQ(rig.registry.total("snapshot.corrupt_rejected").value_or(0), 1.0);
+  EXPECT_EQ(rig.registry.total("snapshot.restores").value_or(0), 0.0);
+  EXPECT_EQ(rig.router.snapshots().capture().bytes, reference.bytes);
+}
+
+TEST(SnapshotCoordinator, HwdbStringIdOutOfRangeRejectedWithoutSideEffects) {
+  Rig rig;
+  const SnapshotImage older = rig.router.snapshots().capture();
+  rig.loop.run_for(2 * kSecond);  // the Metrics table moves on
+
+  ByteWriter c = bad_table_head();
+  c.u32(1);  // one string...
+  put_string(c, "counter");
+  c.u32(1);  // ...and one row whose name refers to a second
+  c.u64(older.captured_at);
+  c.u8(static_cast<std::uint8_t>(hwdb::ColumnType::Text));
+  c.u32(1);
+  c.u8(static_cast<std::uint8_t>(hwdb::ColumnType::Text));
+  c.u32(0);
+  c.u8(static_cast<std::uint8_t>(hwdb::ColumnType::Real));
+  c.u64(0);
+  expect_rejected_untouched(rig, with_bad_table(older.bytes, c.bytes()));
+}
+
+TEST(SnapshotCoordinator, HwdbStringCountPastChunkEndRejectedWithoutSideEffects) {
+  Rig rig;
+  const SnapshotImage older = rig.router.snapshots().capture();
+  rig.loop.run_for(2 * kSecond);
+
+  ByteWriter c = bad_table_head();
+  c.u32(0xfffffff0u);  // far more strings than bytes left in the chunk
+  put_string(c, "counter");
+  expect_rejected_untouched(rig, with_bad_table(older.bytes, c.bytes()));
 }
 
 TEST(SnapshotCoordinator, WarmRestartRefillsTheFlowTable) {

@@ -1,14 +1,20 @@
 // The telemetry registry: instrument registration lifetime, snapshot
 // aggregation across same-named instruments, histogram percentile
-// estimation, and the scoped latency timer.
+// estimation, the scoped latency timer, and determinism classes as the one
+// definition of the replay fingerprint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
 
+#include <set>
+
+#include "live/fleet.hpp"
+#include "sim/fault_injector.hpp"
 #include "telemetry/delta.hpp"
 #include "telemetry/metrics.hpp"
+#include "workload/scenario.hpp"
 
 namespace hw::telemetry {
 namespace {
@@ -311,6 +317,92 @@ TEST(HistogramDelta, EmptyWhenNothingRecordedBetweenSnapshots) {
   EXPECT_EQ(delta.count, 0u);
   EXPECT_EQ(delta.sum, 0u);
   for (const auto bucket : delta.buckets) EXPECT_EQ(bucket, 0u);
+}
+
+TEST(Determinism, DefaultsToExactAndAddScalarsFiltersByClass) {
+  MetricRegistry reg;
+  Counter exact(reg, "test.class.exact");
+  Counter warm(reg, "test.class.warm", Determinism::CacheWarmth);
+  Gauge checkpoint(reg, "test.class.checkpoint", Determinism::Checkpoint);
+  exact.inc(2);
+  warm.inc(3);
+  checkpoint.set(4);
+  EXPECT_EQ(exact.determinism(), Determinism::Exact);
+
+  std::map<std::string, double> all{{"test.class.exact", 1.0}};
+  reg.add_scalars(all);
+  EXPECT_EQ(all, (std::map<std::string, double>{{"test.class.checkpoint", 4.0},
+                                                {"test.class.exact", 3.0},
+                                                {"test.class.warm", 3.0}}));
+  std::map<std::string, double> exact_only;
+  reg.add_scalars(exact_only, /*exact_only=*/true);
+  EXPECT_EQ(exact_only,
+            (std::map<std::string, double>{{"test.class.exact", 2.0}}));
+}
+
+// One definition of replay-exact: a live fleet's fingerprint is exactly the
+// set of its scalar series whose instruments are declared Exact.
+TEST(Determinism, LiveFingerprintIsTheExactSet) {
+  // The classes a fleet home's instruments declare, read off the same stack
+  // built standalone: scenario, router, a device and the fault surfaces.
+  std::map<std::string, Determinism> classes;
+  {
+    MetricRegistry reg;
+    ScopedMetricRegistry scope(reg);
+    workload::HomeScenario::Config sc;
+    sc.seed = 3;
+    workload::HomeScenario home(sc, reg);
+    home.start();
+    home.add_device({"laptop", workload::DeviceKind::Laptop, std::nullopt});
+    sim::FaultInjector faults(home.loop());
+    home.router().attach_faults(faults);
+    reg.visit([&](const Instrument& i) {
+      if (i.kind() != MetricKind::Histogram) {
+        classes.emplace(i.name(), i.determinism());
+      }
+    });
+  }
+
+  live::LiveConfig cfg;
+  cfg.homes = 2;
+  cfg.seed = 3;
+  live::LiveFleet fleet(cfg);
+  fleet.start();
+  fleet.advance_to(3 * kSecond);
+  const auto scalars = fleet.scalars();
+  const auto fingerprint = fleet.fingerprint();
+
+  std::set<std::string> exact;
+  std::set<std::string> fleet_only;
+  for (const auto& [name, value] : scalars) {
+    const auto it = classes.find(name);
+    if (it == classes.end()) fleet_only.insert(name);
+    if (it == classes.end() || it->second == Determinism::Exact) {
+      exact.insert(name);
+    }
+  }
+  std::set<std::string> fingerprinted;
+  for (const auto& [name, value] : fingerprint) fingerprinted.insert(name);
+  EXPECT_EQ(fingerprinted, exact);
+  // The only series the standalone stack lacks are the fleet's own
+  // per-home gauges, which keep the default class.
+  for (const std::string& name : fleet_only) {
+    EXPECT_EQ(name.rfind("live.home.", 0), 0u) << name;
+  }
+  // The declared exceptions, and the export counters the change-only
+  // Metrics export must keep replay-exact.
+  for (const char* name :
+       {"snapshot.captures", "snapshot.restores",
+        "openflow.datapath.microflow_hits", "openflow.datapath.buffer_evictions",
+        "openflow.flow_table.subtable_scans"}) {
+    EXPECT_EQ(scalars.count(name), 1u) << name;
+    EXPECT_EQ(fingerprint.count(name), 0u) << name;
+  }
+  for (const char* name :
+       {"hwdb.database.inserts", "homework.metrics_export.rows_exported",
+        "openflow.flow_table.lookups", "live.home.attack_sent"}) {
+    EXPECT_EQ(fingerprint.count(name), 1u) << name;
+  }
 }
 
 }  // namespace
