@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "fleet/fleet.hpp"
 #include "homework/device_registry.hpp"
 #include "homework/dhcp_server.hpp"
 #include "homework/dns_proxy.hpp"
@@ -338,7 +337,7 @@ SharedFleetResult SharedFleetRunner::run() const {
   // Merge in shard order. Every scalar is a sum of integer-valued per-home
   // contributions (or of per-home gauges like flow-table sizes), and integer
   // sums in doubles are exact, so the totals do not depend on how homes were
-  // sharded — the same property FleetRunner's home-id-order merge provides.
+  // sharded — the same property LiveFleet's home-id-order merge provides.
   for (const ShardOutcome& out : outcomes) {
     for (const auto& [name, value] : out.scalars) {
       result.scalar_totals[name] += value;

@@ -39,7 +39,8 @@ struct SharedFleetConfig {
   /// Worker threads; each runs one controller shard. 0 = one per hardware
   /// thread. Never more shards than homes.
   std::size_t threads = 1;
-  /// Fleet seed; home k draws from FleetRunner::home_seed(seed, k).
+  /// Fleet seed; home k draws from
+  /// residency::FleetProfile::home_seed(seed, k).
   std::uint64_t seed = 1;
   /// Virtual time each shard simulates.
   Duration duration = 5 * kSecond;

@@ -96,7 +96,7 @@ class HomeworkRouter {
   /// `metrics` is the registry every instrument of this router — subsystems
   /// and leaf modules alike — attaches to. It defaults to the calling
   /// thread's active registry, so existing single-home callers land in the
-  /// process-wide registry while the fleet runner hands each home its own.
+  /// process-wide registry while a fleet hands each home its own.
   /// The router passes it explicitly to the subsystems it constructs and
   /// additionally installs it as the thread's scoped registry for the
   /// duration of construction/attachment, so modules without a registry

@@ -6,6 +6,18 @@
 namespace hw::hwdb::rpc {
 namespace {
 
+// Smallest encodings a count can promise: a value is a type tag plus at
+// least a u16 text length; a delta entry is a u16 name length plus a u64.
+constexpr std::size_t kMinValueBytes = 3;
+constexpr std::size_t kMinDeltaEntryBytes = 10;
+
+/// Whether the rest of the datagram can hold `count` items of at least
+/// `min_bytes` each. Counts come off the wire, so they are checked before
+/// anything is sized from them.
+bool fits(const ByteReader& r, std::uint64_t count, std::size_t min_bytes) {
+  return count <= r.remaining() / min_bytes;
+}
+
 void write_str16(ByteWriter& w, const std::string& s) {
   const std::size_t len = std::min<std::size_t>(s.size(), 0xffff);
   w.u16(static_cast<std::uint16_t>(len));
@@ -88,12 +100,16 @@ Result<ResultSet> read_result_set(ByteReader& r) {
   }
   auto nrows = r.u32();
   if (!nrows) return nrows.error();
-  if (nrows.value() > 10'000'000) return make_error("RPC: implausible row count");
+  const std::size_t width = rs.columns.size();
+  if (width == 0 ? nrows.value() > 0
+                 : !fits(r, nrows.value(), width * kMinValueBytes)) {
+    return make_error("RPC: row count exceeds datagram");
+  }
   rs.rows.reserve(nrows.value());
   for (std::uint32_t i = 0; i < nrows.value(); ++i) {
     std::vector<Value> row;
-    row.reserve(rs.columns.size());
-    for (std::size_t c = 0; c < rs.columns.size(); ++c) {
+    row.reserve(width);
+    for (std::size_t c = 0; c < width; ++c) {
       auto v = read_value(r);
       if (!v) return v.error();
       row.push_back(std::move(v).take());
@@ -230,8 +246,8 @@ Result<Decoded> decode(std::span<const std::uint8_t> datagram, bool from_server)
         push.dropped = dropped.value();
         auto count = r.u32();
         if (!count) return count.error();
-        if (count.value() > 1'000'000) {
-          return make_error("RPC: implausible delta size");
+        if (!fits(r, count.value(), kMinDeltaEntryBytes)) {
+          return make_error("RPC: delta count exceeds datagram");
         }
         push.values.reserve(count.value());
         for (std::uint32_t i = 0; i < count.value(); ++i) {
@@ -300,6 +316,9 @@ Result<Decoded> decode(std::span<const std::uint8_t> datagram, bool from_server)
       body.table = std::move(table).take();
       auto n = r.u16();
       if (!n) return n.error();
+      if (!fits(r, n.value(), kMinValueBytes)) {
+        return make_error("RPC: value count exceeds datagram");
+      }
       for (int i = 0; i < n.value(); ++i) {
         auto v = read_value(r);
         if (!v) return v.error();

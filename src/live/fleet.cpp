@@ -19,8 +19,8 @@ constexpr std::uint32_t kRngTag = snapshot::tag("RNGS");
 constexpr std::uint32_t kDriverTag = snapshot::tag("LDRV");
 constexpr Duration kBootSettle = homework::HomeworkRouter::kBootSettle;
 
-/// Smallest phase + k * period strictly after `now` (same grid re-arm the
-/// fleet runner uses for restored periodic drivers).
+/// Smallest phase + k * period strictly after `now` — re-arms a restored
+/// home's periodic drivers on the same absolute grid the first life used.
 Timestamp next_phase_tick(Timestamp now, Duration period, Duration phase) {
   if (now < phase) return phase;
   return phase + ((now - phase) / period + 1) * period;
@@ -216,8 +216,8 @@ void LiveFleet::build_home(std::size_t id,
   h->scenario = std::make_unique<workload::HomeScenario>(sc, h->registry);
   h->scenario->start();
 
-  // Same seed-derived population as the fleet runners, read from the shared
-  // immutable profile so hibernate/wake cycles never re-derive it.
+  // Seed-derived population, read from the shared immutable profile so
+  // hibernate/wake cycles never re-derive it.
   for (const workload::DeviceSpec& spec : profile_->device_specs[id]) {
     h->scenario->add_device(spec);
   }
@@ -351,7 +351,7 @@ void LiveFleet::build_home(std::size_t id,
         }
       });
   h->gauge_timer = std::make_unique<sim::PeriodicTimer>(
-      h->scenario->loop(), config_.barrier_interval,
+      h->scenario->loop(), kBarrierInterval,
       [hp] { update_gauges(*hp); });
 
   if (resume == nullptr) {
@@ -365,9 +365,9 @@ void LiveFleet::build_home(std::size_t id,
       h->scenario->start_apps_all();
     }
   } else {
-    // The proven resume recipe (fleet::FleetRunner::run_life): state layers,
-    // lease adoption, a 1 ms drain for boot-era in-flight frames, then the
-    // telemetry layer so restored counters erase the boot's side effects.
+    // The resume recipe: state layers, lease adoption, a 1 ms drain for
+    // boot-era in-flight frames, then the telemetry layer so restored
+    // counters erase the boot's side effects.
     const Status restored = snaps.restore(*resume);
     if (!restored.ok()) {
       h->error = restored.error().message;
@@ -386,7 +386,7 @@ void LiveFleet::build_home(std::size_t id,
     h->rekick->start_at(
         next_phase_tick(now, 5 * kSecond, 5 * kSecond + 500 * kMillisecond));
     h->gauge_timer->start_at(
-        next_phase_tick(now, config_.barrier_interval, kBootSettle));
+        next_phase_tick(now, kBarrierInterval, kBootSettle));
     if (attack_home) {
       h->attack_timer->start_at(
           next_phase_tick(now, attack.period, attack.start));
@@ -504,9 +504,9 @@ Status LiveFleet::resume(const FleetCheckpoint& cp,
 }
 
 Timestamp LiveFleet::next_barrier() const {
-  const Duration interval = config_.barrier_interval;
-  if (now_ < kBootSettle) return kBootSettle + interval;
-  return kBootSettle + ((now_ - kBootSettle) / interval + 1) * interval;
+  if (now_ < kBootSettle) return kBootSettle + kBarrierInterval;
+  return kBootSettle +
+         ((now_ - kBootSettle) / kBarrierInterval + 1) * kBarrierInterval;
 }
 
 Timestamp LiveFleet::next_checkpoint_barrier() const {
@@ -568,7 +568,7 @@ Timestamp LiveFleet::step() {
     } else {
       m.applied_at = barrier;
       while (checkpoint_pending_at(m.applied_at)) {
-        m.applied_at += config_.barrier_interval;
+        m.applied_at += kBarrierInterval;
       }
       pending_.push_back(m);
     }

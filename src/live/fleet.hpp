@@ -1,12 +1,13 @@
-// LiveFleet: a fleet of homes executing under operator control. Where
-// fleet::FleetRunner runs homes start-to-finish and reports afterwards, a
-// LiveFleet advances the whole fleet barrier by barrier on a persistent
-// worker pool so an operator can observe telemetry, mutate the world and
-// checkpoint it *while it executes* (the live-operations plane, docs/
-// liveops.md).
+// LiveFleet: a fleet of independent homes, each a full Figure 5 stack. It
+// advances the whole fleet barrier by barrier on a persistent worker pool so
+// an operator can observe telemetry, mutate the world and checkpoint it
+// *while it executes* (the live-operations plane, docs/liveops.md). A
+// run-to-completion fleet is start() + advance_to(duration); a scripted
+// fault plan is a schedule of inject_fault mutations submitted before the
+// first step.
 //
 // Execution model: virtual time is quantised into barriers at
-// k * barrier_interval + HomeworkRouter::kBootSettle. step() runs every home
+// k * kBarrierInterval + HomeworkRouter::kBootSettle. step() runs every home
 // to the next barrier (static partition home i -> worker i mod threads, so a
 // home's event loop is only ever touched by its owner thread) and applies the
 // mutations due at that barrier in mutation-id order. Each home publishes its
@@ -71,8 +72,6 @@ struct LiveConfig {
   std::size_t threads = 1;
   std::uint64_t seed = 1;
   std::size_t devices_per_home = 3;
-  /// Barrier spacing. kCheckpointAlign must be a multiple of it.
-  Duration barrier_interval = 250 * kMillisecond;
   /// Traffic apps re-arm from the resume point rather than replaying, which
   /// makes resumes behavioural instead of bit-exact — off by default.
   bool run_apps = false;
@@ -114,11 +113,14 @@ struct LiveHomeStatus {
 
 class LiveFleet {
  public:
+  /// Barrier spacing (phase kBootSettle).
+  static constexpr Duration kBarrierInterval = 250 * kMillisecond;
   /// Capture barriers align to this grid (phase kBootSettle) so a resumed
   /// home's boot origin is congruent to the first life's modulo every module
-  /// timer period — see the file comment. Must be a multiple of
-  /// barrier_interval.
+  /// timer period — see the file comment.
   static constexpr Duration kCheckpointAlign = 5 * kSecond;
+  static_assert(kCheckpointAlign % kBarrierInterval == 0,
+                "every capture-aligned instant must be a barrier");
 
   explicit LiveFleet(LiveConfig config,
                      telemetry::MetricRegistry& metrics =

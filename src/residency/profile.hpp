@@ -1,9 +1,8 @@
 // FleetProfile: the immutable per-fleet configuration every home shares —
-// seed derivation and the seed-derived device population tables. All three
-// fleet planes (fleet::FleetRunner, fleet::SharedFleetRunner, live::LiveFleet)
-// used to re-derive this per home on every build; holding it behind a
-// shared_ptr means N homes (and every hibernate/wake cycle of a home) read
-// one read-only table instead of carrying private copies, shrinking the
+// seed derivation and the seed-derived device population tables. Both fleet
+// planes (fleet::SharedFleetRunner, live::LiveFleet) hold it behind a
+// shared_ptr, so N homes (and every hibernate/wake cycle of a home) read one
+// read-only table instead of re-deriving private copies, shrinking the
 // per-home resident footprint (docs/residency.md).
 #pragma once
 
@@ -26,13 +25,12 @@ struct FleetProfile {
   /// Seed for home `home_id` under fleet seed `fleet_seed`: a SplitMix64
   /// stream keyed by (fleet_seed, home_id), the id mixed through one
   /// splitmix step first so neighbouring homes decorrelate even for tiny
-  /// fleet seeds. fleet::FleetRunner::home_seed delegates here.
+  /// fleet seeds.
   [[nodiscard]] static std::uint64_t home_seed(std::uint64_t fleet_seed,
                                                std::size_t home_id);
 
-  /// Derives the population for one home seed (the draw sequence every
-  /// runner historically used inline — kept in one place so the planes can
-  /// never drift apart).
+  /// Derives the population for one home seed (kept in one place so the
+  /// planes can never drift apart).
   [[nodiscard]] static std::vector<workload::DeviceSpec> derive_devices(
       std::uint64_t home_seed, std::size_t devices_per_home);
 

@@ -63,7 +63,7 @@ class EventLoop {
 
   // -- Thread ownership (debug builds) -----------------------------------------
   // A loop — and with it an entire simulated home — belongs to exactly one
-  // thread: the first thread that schedules or runs it. The fleet runner
+  // thread: the first thread that schedules or runs it. A fleet
   // executes many loops concurrently on a worker pool; scheduling into a
   // foreign home's loop would corrupt its heap silently, so in debug builds
   // every entry point asserts ownership and fails loudly instead.

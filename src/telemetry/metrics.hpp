@@ -7,7 +7,7 @@
 // writes the series that moved into the hwdb Metrics table.
 //
 // Registries are instance-scoped so many independent homes can coexist in
-// one process (the fleet runner gives every home its own). Instruments bind
+// one process (live::LiveFleet gives every home its own). Instruments bind
 // to a registry at construction: either explicitly (top-level subsystems —
 // Router, Datapath, Controller, Database, the RPC transports — take a
 // MetricRegistry& parameter) or implicitly through the calling thread's
@@ -175,7 +175,7 @@ class Histogram final : public Instrument {
 };
 
 /// Mergeable raw histogram state: the per-series aggregate a registry export
-/// produces and the fleet runner merges across homes (bucket-wise addition
+/// produces and a fleet merges across homes (bucket-wise addition
 /// keeps quantile estimation exact w.r.t. the bucketing).
 struct HistogramState {
   Histogram::Buckets buckets{};
@@ -286,8 +286,8 @@ class MetricRegistry {
   std::vector<Instrument*> instruments_;
 };
 
-/// RAII override of the calling thread's MetricRegistry::current(). The
-/// fleet runner installs one per home on its worker thread so every
+/// RAII override of the calling thread's MetricRegistry::current(). A
+/// fleet installs one per home on its worker thread so every
 /// instrument the home constructs — down to per-host and per-link cells —
 /// lands in that home's registry. Nests; restores the previous scope on
 /// destruction.

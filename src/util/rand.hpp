@@ -10,7 +10,7 @@ namespace hw {
 
 /// One step of the SplitMix64 sequence: advances `state` and returns the
 /// next output. This is the seed-derivation primitive (it is also how Rng
-/// expands its seed into xoshiro state): the fleet runner derives every
+/// expands its seed into xoshiro state): a fleet derives every
 /// home's seed as a SplitMix walk from the fleet seed, so per-home streams
 /// are decorrelated yet fully determined by (fleet seed, home id).
 std::uint64_t splitmix64(std::uint64_t& state);

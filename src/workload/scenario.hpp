@@ -37,7 +37,7 @@ class HomeScenario {
 
   /// `metrics` scopes every instrument the scenario creates (router, hosts,
   /// links, traffic apps); defaults to the calling thread's active registry.
-  /// The fleet runner passes each home's own registry here.
+  /// A fleet passes each home's own registry here.
   explicit HomeScenario(Config config,
                         telemetry::MetricRegistry& metrics =
                             telemetry::MetricRegistry::current());

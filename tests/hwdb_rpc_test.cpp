@@ -1,12 +1,32 @@
-// The UDP-based RPC interface: wire codec round-trips, the in-process link
-// (request/response + subscription push), real-socket loopback transport,
-// and the persistence sink.
+// The UDP-based RPC interface: wire codec round-trips and its malformed-wire
+// property test, the in-process link (request/response + subscription push),
+// real-socket loopback transport, and the persistence sink.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 
 #include "hwdb/persist.hpp"
 #include "hwdb/udp_transport.hpp"
+
+// Bytes requested from operator new while counting is on: the codec property
+// test bounds what one decode may allocate by the size of its input.
+static bool g_count_allocs = false;
+static std::size_t g_alloc_bytes = 0;
+
+// The free() calls pair with the malloc() in the replacement operator new;
+// GCC cannot see that and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (g_count_allocs) g_alloc_bytes += n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace hw::hwdb::rpc {
 namespace {
@@ -151,6 +171,89 @@ TEST(RpcCodec, RejectsGarbage) {
   EXPECT_FALSE(decode(garbage, false).ok());
   Bytes bad_opcode{0, 0, 0, 1, 99};
   EXPECT_FALSE(decode(bad_opcode, false).ok());
+}
+
+// A count is checked against the bytes left before anything is sized from
+// it. This 12-byte response (id 1, ok, result set, 0 columns, 10,000,000
+// rows) would otherwise decode into ten million empty rows.
+TEST(RpcCodec, RejectsCountsTheDatagramCannotHold) {
+  const Bytes empty_rows{0, 0, 0, 1, 0, 1, 0, 0, 0x00, 0x98, 0x96, 0x80};
+  EXPECT_FALSE(decode(empty_rows, /*from_server=*/true).ok());
+}
+
+/// One encoded sample of every Request, Response, Publish and DeltaPush
+/// variant, each tagged with the direction it decodes in.
+std::vector<std::pair<Bytes, bool>> codec_samples() {
+  ResultSet rs;
+  rs.columns = {"mac", "rssi", "n", "at"};
+  rs.rows = {{Value{"aa:bb"}, Value{-60.5}, Value{3}, Value::ts(7)},
+             {Value{""}, Value{0.0}, Value{-1}, Value::ts(0)}};
+  std::vector<std::pair<Bytes, bool>> out;
+  for (RequestBody body : std::vector<RequestBody>{
+           InsertRequest{"Links", {Value{"m"}, Value{-60.5}, Value{3}}},
+           QueryRequest{"SELECT * FROM Links"},
+           SubscribeRequest{"SELECT * FROM Links", true, 500},
+           UnsubscribeRequest{42}, PingRequest{},
+           SubscribeSeriesRequest{"live.home.*", 3, 4, 16},
+           MutateRequest{MutateKind::InjectFault, 2, "link-loss", "0.25", 7,
+                         9}}) {
+    out.emplace_back(encode(Request{77, std::move(body)}), false);
+  }
+  Response resp;
+  resp.request_id = 5;
+  out.emplace_back(encode(resp), true);  // no body
+  resp.result = rs;
+  out.emplace_back(encode(resp), true);
+  resp.result.reset();
+  resp.sub_id = 99;
+  out.emplace_back(encode(resp), true);
+  resp.sub_id.reset();
+  resp.applied_at = Timestamp{4250000};
+  out.emplace_back(encode(resp), true);
+  resp.ok = false;
+  resp.error = "no such table";
+  out.emplace_back(encode(resp), true);
+  out.emplace_back(encode(Publish{12, rs}), true);
+  out.emplace_back(
+      encode(DeltaPush{21, 17, 3000013, 1, true, 4,
+                       {{"live.home.attack_sent", 12.0}, {"sim.x", 8.5}}}),
+      true);
+  return out;
+}
+
+/// Decodes `datagram` both ways; fails when either decode allocates more
+/// than a small multiple of the input.
+void decode_bounded(const Bytes& datagram) {
+  for (const bool from_server : {false, true}) {
+    g_alloc_bytes = 0;
+    g_count_allocs = true;
+    (void)decode(datagram, from_server);
+    g_count_allocs = false;
+    EXPECT_LE(g_alloc_bytes, 64 * datagram.size() + 1024)
+        << "decode of " << datagram.size() << " bytes allocated "
+        << g_alloc_bytes;
+  }
+}
+
+TEST(RpcCodec, EveryVariantRoundTripsAndSurvivesMangling) {
+  for (const auto& [wire, from_server] : codec_samples()) {
+    auto decoded = decode(wire, from_server);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().message;
+    const Bytes again =
+        std::visit([](const auto& x) { return encode(x); }, decoded.value());
+    EXPECT_EQ(again, wire) << "variant " << decoded.value().index();
+
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      decode_bounded(Bytes(wire.begin(), wire.begin() + len));
+    }
+    for (std::size_t i = 0; i < wire.size(); ++i) {
+      for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+        Bytes flipped = wire;
+        flipped[i] ^= mask;
+        decode_bounded(flipped);
+      }
+    }
+  }
 }
 
 TEST(RpcCodec, ValueTagValidation) {

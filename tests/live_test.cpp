@@ -1,14 +1,21 @@
-// The live operations plane: barrier-stepped fleet determinism, fleet-wide
-// consistent checkpoints with time-travel replay, control mutations landing
-// on deterministic barriers, and the operator streaming path (subscribe /
-// delta frames / backpressure / retried-request idempotency) end to end
-// against a running fleet.
+// The live operations plane: barrier-stepped fleet determinism (including
+// run-to-completion fleets with apps on and under seeded per-home fault
+// schedules), fleet-wide consistent checkpoints with time-travel replay,
+// control mutations landing on deterministic barriers, and the operator
+// streaming path (subscribe / delta frames / backpressure / retried-request
+// idempotency) end to end against a running fleet.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <memory>
+#include <set>
 
 #include "live/client.hpp"
 #include "live/fleet.hpp"
 #include "live/mutation.hpp"
 #include "live/server.hpp"
+#include "sim/fault_injector.hpp"
+#include "util/rand.hpp"
 
 namespace hw::live {
 namespace {
@@ -59,19 +66,171 @@ telemetry::ScalarMap filtered(const std::map<std::string, double>& scalars,
 // ---------------------------------------------------------------------------
 // LiveFleet: determinism and time travel
 
-TEST(LiveFleet, StepDeterminismAcrossThreads) {
+/// Builds `cfg` at 1, 2 and 8 worker threads, starts it, runs `drive` and
+/// requires one fingerprint from all three.
+void expect_fingerprint_thread_invariant(
+    LiveConfig cfg, const std::function<void(LiveFleet&)>& drive) {
   std::map<std::string, double> first;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    LiveFleet fleet(attack_config(4, threads));
+    cfg.threads = threads;
+    LiveFleet fleet(cfg);
     fleet.start();
-    fleet.advance_to(4 * kSecond);
-    if (first.empty()) {
-      first = fleet.fingerprint();
+    drive(fleet);
+    const auto fp = fleet.fingerprint();
+    if (threads == 1) {
+      first = fp;
       EXPECT_FALSE(first.empty());
     } else {
-      EXPECT_EQ(fleet.fingerprint(), first) << threads << " threads diverged";
+      EXPECT_TRUE(fp == first) << threads << " threads diverged:\n"
+                               << diff_maps(fp, first);
     }
   }
+}
+
+TEST(LiveFleet, StepDeterminismAcrossThreads) {
+  expect_fingerprint_thread_invariant(
+      attack_config(4, 1), [](LiveFleet& f) { f.advance_to(4 * kSecond); });
+}
+
+/// Independent homes with their app mixes running: the paper's one Figure 5
+/// stack per household, many households.
+LiveConfig app_fleet(std::size_t homes) {
+  LiveConfig cfg;
+  cfg.homes = homes;
+  cfg.seed = 2011;  // the paper's year; any value works
+  cfg.run_apps = true;
+  return cfg;
+}
+
+/// Every home ends with its three devices bound and flows installed.
+void expect_all_bound(const LiveFleet& fleet) {
+  for (std::uint32_t h = 0; h < fleet.config().homes; ++h) {
+    const LiveHomeStatus st = fleet.status(h);
+    EXPECT_EQ(st.devices, 3u) << "home " << h;
+    EXPECT_EQ(st.devices_bound, st.devices) << "home " << h;
+    EXPECT_GT(st.flow_entries, 0u) << "home " << h;
+  }
+}
+
+/// One apps-on home run to 10 s on a single worker.
+std::unique_ptr<LiveFleet> run_single_home() {
+  auto fleet = std::make_unique<LiveFleet>(app_fleet(1));
+  fleet->start();
+  fleet->advance_to(10 * kSecond);
+  return fleet;
+}
+
+TEST(FleetHome, SingleHomeBindsServesAndInsertsExactlyOnce) {
+  const auto fleet = run_single_home();
+  expect_all_bound(*fleet);
+  const auto sc = fleet->scalars(0);
+  EXPECT_EQ(sc.at("openflow.datapath.fail_safe"), 0.0);
+  // The home's registry carried the whole stack's instruments.
+  EXPECT_GT(sc.at("homework.dhcp.acks"), 0.0);
+  EXPECT_GT(sc.at("openflow.datapath.packet_ins"), 0.0);
+  EXPECT_GT(sc.at("sim.link.tx_frames"), 0.0);
+  // The home's exports land in its own hwdb in process: no transport can
+  // drop or duplicate them, so every insert must apply without error.
+  EXPECT_GT(sc.at("hwdb.database.inserts"), 0.0);
+  EXPECT_EQ(sc.at("hwdb.database.insert_errors"), 0.0);
+}
+
+TEST(FleetHome, SameHomeReplaysIdentically) {
+  const auto a = run_single_home();
+  const auto b = run_single_home();
+  const auto sa = a->scalars(0);
+  const auto sb = b->scalars(0);
+  EXPECT_TRUE(sa == sb) << diff_maps(sa, sb);
+  EXPECT_EQ(a->status(0).devices_bound, b->status(0).devices_bound);
+  EXPECT_EQ(a->status(0).flow_entries, b->status(0).flow_entries);
+}
+
+// Run to completion with apps on: every home converges, and the merged
+// telemetry is bit-identical at any worker-pool size.
+TEST(FleetDeterminism, ThreadCountNeverChangesTheMergedTelemetry) {
+  expect_fingerprint_thread_invariant(app_fleet(8), [](LiveFleet& fleet) {
+    fleet.advance_to(10 * kSecond);
+    expect_all_bound(fleet);
+  });
+}
+
+/// A seeded 30 s fault schedule for one home: a lossy-links window for
+/// every home; some also get a controller outage, a datapath cold restart
+/// or a crash that restores the flow table. Every window closes by 23 s.
+std::vector<sim::FaultWindow> chaos_windows(std::uint64_t seed) {
+  std::uint64_t s = seed ^ 0xda3e39cb94b95bdbULL;
+  const Timestamp loss_at = 2 * kSecond + splitmix64(s) % (3 * kSecond);
+  const Duration loss_len = 2 * kSecond + splitmix64(s) % (3 * kSecond);
+  const double loss = 0.15 + static_cast<double>(splitmix64(s) % 20) / 100.0;
+  std::vector<sim::FaultWindow> windows{
+      {sim::FaultKind::LinkLoss, loss_at, loss_len, "*", loss, {}}};
+  if (splitmix64(s) % 2 == 0) {
+    const Timestamp at = 10 * kSecond + splitmix64(s) % (2 * kSecond);
+    windows.push_back(
+        {sim::FaultKind::ControllerOutage, at, 3 * kSecond, "*", 0.0, {}});
+  }
+  const std::uint64_t late = splitmix64(s) % 4;
+  if (late == 0) {
+    windows.push_back(
+        {sim::FaultKind::DatapathRestart, 20 * kSecond, 0, "*", 0.0, {}});
+  } else if (late == 1) {
+    windows.push_back(
+        {sim::FaultKind::CrashRestartRestore, 22 * kSecond, 0, "*", 0.0, {}});
+  }
+  return windows;
+}
+
+TEST(FleetSeeds, ChaosPlansVaryAcrossHomesAndFitTheRun) {
+  LiveFleet fleet(app_fleet(1));
+  fleet.start();
+  const Timestamp first_barrier = fleet.next_barrier();
+  std::set<std::size_t> window_counts;
+  std::set<Timestamp> loss_starts;
+  for (std::uint32_t h = 0; h < 32; ++h) {
+    const auto windows =
+        chaos_windows(residency::FleetProfile::home_seed(2011, h));
+    ASSERT_FALSE(windows.empty());
+    window_counts.insert(windows.size());
+    loss_starts.insert(windows.front().start);
+    for (const sim::FaultWindow& w : windows) {
+      EXPECT_GT(w.start, first_barrier) << "window precedes the first step";
+      EXPECT_LT(w.start + w.duration, 30 * kSecond) << "window outlives the run";
+    }
+  }
+  // Distinct per-home schedules: shapes and placements actually vary.
+  EXPECT_GT(window_counts.size(), 1u);
+  EXPECT_GT(loss_starts.size(), 4u);
+}
+
+// Every home runs its own seeded fault schedule, submitted as inject_fault
+// mutations before the first step. Every home recovers, and the merged
+// telemetry is still bit-identical at any worker-pool size.
+TEST(FleetDeterminism, ChaosFleetIsDeterministicToo) {
+  expect_fingerprint_thread_invariant(app_fleet(6), [](LiveFleet& fleet) {
+    const Timestamp barrier = fleet.next_barrier();
+    for (std::uint32_t h = 0; h < 6; ++h) {
+      const auto seed = residency::FleetProfile::home_seed(2011, h);
+      for (const sim::FaultWindow& w : chaos_windows(seed)) {
+        fleet.submit(inject_fault(h, sim::to_string(w.kind), w.loss,
+                                  w.start - barrier, w.duration));
+      }
+    }
+    fleet.advance_to(30 * kSecond);
+    expect_all_bound(fleet);
+
+    std::set<std::vector<double>> fault_mix;
+    for (std::uint32_t h = 0; h < 6; ++h) {
+      const auto sc = fleet.scalars(h);
+      const double started = sc.at("sim.fault.windows_started");
+      EXPECT_GT(started, 0.0) << "home " << h;
+      EXPECT_EQ(started, sc.at("sim.fault.windows_ended")) << "home " << h;
+      EXPECT_EQ(sc.at("openflow.datapath.fail_safe"), 0.0) << "home " << h;
+      fault_mix.insert({started, sc.at("sim.fault.controller_outages"),
+                        sc.at("sim.fault.datapath_restarts"),
+                        sc.at("sim.fault.crash_restores")});
+    }
+    EXPECT_GT(fault_mix.size(), 1u) << "fault schedules did not vary";
+  });
 }
 
 TEST(LiveFleet, BarriersAndCheckpointGrid) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -208,6 +209,18 @@ TEST(FleetProfile, SharedTablesMatchHistoricalDerivation) {
   }
   // Neighbouring homes decorrelate even for tiny fleet seeds.
   EXPECT_NE(profile->home_seeds[0], profile->home_seeds[1]);
+}
+
+TEST(FleetProfile, PerHomeSeedsAreStableAndDistinct) {
+  std::set<std::uint64_t> seeds;
+  for (std::size_t id = 0; id < 1000; ++id) {
+    const std::uint64_t s = FleetProfile::home_seed(2011, id);
+    EXPECT_EQ(s, FleetProfile::home_seed(2011, id)) << "unstable for home " << id;
+    EXPECT_TRUE(seeds.insert(s).second) << "seed collision at home " << id;
+    EXPECT_NE(s, 0u);
+  }
+  // Different fleet seeds shift every home.
+  EXPECT_NE(FleetProfile::home_seed(2011, 7), FleetProfile::home_seed(2012, 7));
 }
 
 TEST(EventLoop, NextEventAtReportsEarliestPending) {

@@ -1,8 +1,10 @@
-// Simulator tests: event loop determinism, link models, wireless signal
-// model and the host's DHCP client state machine against a scripted server.
+// Simulator tests: event loop determinism and (debug builds) its
+// thread-ownership assert, link models, wireless signal model and the
+// host's DHCP client state machine against a scripted server.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <thread>
 
 #include "net/dhcp.hpp"
 #include "net/packet.hpp"
@@ -106,6 +108,20 @@ TEST(PeriodicTimer, StopFromWithinCallback) {
   loop.run_until(1000);
   EXPECT_EQ(fires, 2);
 }
+
+#ifndef NDEBUG
+TEST(EventLoopOwnershipDeathTest, ForeignThreadScheduleAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EventLoop loop;
+  loop.schedule_at(1, [] {});  // binds ownership to this thread
+  EXPECT_DEATH(
+      {
+        std::thread foreign([&] { loop.schedule_at(2, [] {}); });
+        foreign.join();
+      },
+      "does not own");
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Links
