@@ -78,8 +78,11 @@ DeviceRecord* DeviceRegistry::find(MacAddress mac) {
 
 const DeviceRecord* DeviceRegistry::find_by_ip(std::uint64_t dpid,
                                                Ipv4Address ip) const {
-  for (const auto& [key, rec] : devices_) {
-    if (key.first == dpid && rec.lease && rec.lease->ip == ip) return &rec;
+  // Records are ordered by (dpid, mac): one home's devices are contiguous.
+  for (auto it = devices_.lower_bound(Key{dpid, MacAddress{}});
+       it != devices_.end() && it->first.first == dpid; ++it) {
+    const DeviceRecord& rec = it->second;
+    if (rec.lease && rec.lease->ip == ip) return &rec;
   }
   return nullptr;
 }

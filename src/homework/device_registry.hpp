@@ -103,6 +103,8 @@ class DeviceRegistry final : public snapshot::Snapshottable {
   [[nodiscard]] const DeviceRecord* find(MacAddress mac) const;
   DeviceRecord* find(MacAddress mac);
 
+  /// The device of home `dpid` holding lease `ip`, or nullptr. Looks only
+  /// at that home's records: O(log N + devices in the home).
   [[nodiscard]] const DeviceRecord* find_by_ip(std::uint64_t dpid,
                                                Ipv4Address ip) const;
   [[nodiscard]] const DeviceRecord* find_by_ip(Ipv4Address ip) const {

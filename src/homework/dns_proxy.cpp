@@ -61,7 +61,7 @@ void DnsProxy::handle_query(const nox::PacketInEvent& ev) {
   const auto& query = msg.value();
   const std::string qname = query.questions.front().name;
 
-  if (!policy_.domain_allowed(ev.dpid, device.to_string(), qname)) {
+  if (!policy_.domain_allowed(ev.dpid, device, qname)) {
     metrics_.blocked.inc();
     auto refusal = query.make_response();
     refusal.rcode = net::DnsRcode::NxDomain;
@@ -118,8 +118,7 @@ void DnsProxy::handle_response(const nox::PacketInEvent& ev) {
     }
     FlowVerdict verdict = FlowVerdict::Deny;
     if (!name.empty() &&
-        policy_.domain_allowed(pending.dpid, pending.device.to_string(),
-                               name)) {
+        policy_.domain_allowed(pending.dpid, pending.device, name)) {
       verdict = FlowVerdict::Allow;
       // Cache so subsequent flows to this address pass synchronously.
       auto& entry = cache_[{pending.dpid, pending.device}][pending.target];
@@ -184,7 +183,7 @@ void DnsProxy::send_to_device(nox::DatapathId dpid, MacAddress device_mac,
 DnsProxy::FlowVerdict DnsProxy::check_flow(nox::DatapathId dpid,
                                            MacAddress device,
                                            Ipv4Address dst) const {
-  const auto restriction = policy_.restriction_for(dpid, device.to_string());
+  const auto restriction = policy_.restriction_for(dpid, device);
   if (restriction.network_blocked) return FlowVerdict::Deny;
   if (restriction.unrestricted()) return FlowVerdict::Allow;
 

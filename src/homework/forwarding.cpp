@@ -156,7 +156,7 @@ void Forwarding::handle_ipv4(const nox::PacketInEvent& ev) {
   }
 
   // Policy gate 1: blanket network access for the source device.
-  if (!from_upstream && !policy_.network_allowed(ev.dpid, src_mac.to_string())) {
+  if (!from_upstream && !policy_.network_allowed(ev.dpid, src_mac)) {
     install_pair(ev.dpid, ev.packet, ev.msg.in_port, ev.msg.buffer_id, false);
     return;
   }
@@ -178,7 +178,7 @@ void Forwarding::handle_ipv4(const nox::PacketInEvent& ev) {
     const DeviceRecord* dst_rec = registry_.find_by_ip(ev.dpid, ip.dst);
     bool ok = dst_rec != nullptr && dst_rec->state == DeviceState::Permitted &&
               dst_rec->port.has_value() &&
-              policy_.network_allowed(ev.dpid, dst_rec->mac.to_string());
+              policy_.network_allowed(ev.dpid, dst_rec->mac);
     if (ok && dns_ != nullptr) {
       ok = dns_->check_flow(ev.dpid, dst_rec->mac, ip.src) ==
            DnsProxy::FlowVerdict::Allow;
@@ -256,8 +256,7 @@ void Forwarding::install_pair(nox::DatapathId dpid,
                            Ipv4Address device_ip) -> ofp::Action {
     if (config_.configure_queue) {
       if (const DeviceRecord* rec = registry_.find_by_ip(dpid, device_ip)) {
-        const auto restriction =
-            policy_.restriction_for(dpid, rec->mac.to_string());
+        const auto restriction = policy_.restriction_for(dpid, rec->mac);
         if (restriction.rate_limit_bps > 0) {
           const std::uint32_t queue_id = device_ip.value() & 0xffff;
           config_.configure_queue(egress_port, queue_id,

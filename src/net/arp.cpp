@@ -1,17 +1,8 @@
 #include "net/arp.hpp"
 
+#include "net/ethernet.hpp"
+
 namespace hw::net {
-namespace {
-
-Result<MacAddress> read_mac(ByteReader& r) {
-  auto raw = r.view(6);
-  if (!raw) return raw.error();
-  std::array<std::uint8_t, 6> octets{};
-  std::copy(raw.value().begin(), raw.value().end(), octets.begin());
-  return MacAddress{octets};
-}
-
-}  // namespace
 
 Result<ArpMessage> ArpMessage::parse(ByteReader& r) {
   auto htype = r.u16();

@@ -2,6 +2,14 @@
 
 namespace hw::net {
 
+Result<MacAddress> read_mac(ByteReader& r) {
+  auto raw = r.view(6);
+  if (!raw) return raw.error();
+  std::array<std::uint8_t, 6> octets{};
+  std::copy(raw.value().begin(), raw.value().end(), octets.begin());
+  return MacAddress{octets};
+}
+
 Result<EthernetHeader> EthernetHeader::parse(ByteReader& r) {
   auto dst = r.view(6);
   if (!dst) return dst.error();

@@ -20,6 +20,11 @@ enum class EtherType : std::uint16_t {
 inline constexpr std::size_t kEthernetHeaderSize = 14;
 inline constexpr std::size_t kMaxFrameSize = 1518;
 
+/// Reads a 6-byte MAC address through a view, copying the wire bytes only
+/// into the returned value. The ARP and OpenFlow codecs (matches, actions,
+/// port descriptions) read their MACs through it.
+Result<MacAddress> read_mac(ByteReader& r);
+
 struct EthernetHeader {
   MacAddress dst;
   MacAddress src;

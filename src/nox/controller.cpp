@@ -8,6 +8,9 @@
 namespace hw::nox {
 namespace {
 constexpr std::string_view kLog = "nox";
+/// Capacity the reused encode buffer keeps between messages: room for any
+/// FlowMod or a PacketOut carrying a full frame.
+constexpr std::size_t kKeepTxBytes = 4096;
 }  // namespace
 
 Controller::Controller(sim::EventLoop& loop, telemetry::MetricRegistry& metrics)
@@ -63,8 +66,8 @@ void Controller::connect_datapath(ofp::ChannelEndpoint& channel) {
       [this, raw](const Bytes& encoded) { handle_message(*raw, encoded); });
   connections_.push_back(std::move(conn));
   // OpenFlow handshake: HELLO then FEATURES_REQUEST.
-  channel.send(ofp::encode({next_xid(), ofp::Hello{}}));
-  channel.send(ofp::encode({next_xid(), ofp::FeaturesRequest{}}));
+  send(*raw, next_xid(), ofp::Hello{});
+  send(*raw, next_xid(), ofp::FeaturesRequest{});
 }
 
 std::vector<DatapathId> Controller::datapaths() const {
@@ -85,6 +88,13 @@ const ofp::FeaturesReply* Controller::features(DatapathId dpid) const {
     if (c->dpid == dpid) return &c->features;
   }
   return nullptr;
+}
+
+template <typename T>
+void Controller::send(Connection& conn, std::uint32_t xid, const T& msg) {
+  ofp::encode_into(tx_, xid, msg);
+  conn.channel->send(tx_);
+  release_if_oversized(tx_, kKeepTxBytes);
 }
 
 Controller::Connection* Controller::find(DatapathId dpid) {
@@ -116,7 +126,7 @@ void Controller::handle_message(Connection& conn, const Bytes& encoded) {
           }
           // otherwise nothing further; features request already in flight
         } else if constexpr (std::is_same_v<T, ofp::EchoRequest>) {
-          conn.channel->send(ofp::encode({xid, ofp::EchoReply{m.data}}));
+          send(conn, xid, ofp::EchoReply{std::move(m.data)});
         } else if constexpr (std::is_same_v<T, ofp::EchoReply>) {
           auto it = pending_echo_.find(xid);
           if (it != pending_echo_.end()) {
@@ -206,7 +216,7 @@ void Controller::handle_message(Connection& conn, const Bytes& encoded) {
           }
         } else {
           HW_LOG_WARN(kLog, "unexpected message type %s from datapath",
-                      to_string(ofp::type_of(ofp::Message{m})));
+                      to_string(T::kType));
         }
       },
       std::move(env).take().msg);
@@ -230,14 +240,14 @@ void Controller::send_flow_mod(DatapathId dpid, const ofp::FlowMod& mod) {
   Connection* conn = find(dpid);
   if (conn == nullptr) return;
   metrics_.flow_mods.inc();
-  conn->channel->send(ofp::encode({next_xid(), mod}));
+  send(*conn, next_xid(), mod);
 }
 
 void Controller::send_packet_out(DatapathId dpid, const ofp::PacketOut& po) {
   Connection* conn = find(dpid);
   if (conn == nullptr) return;
   metrics_.packet_outs.inc();
-  conn->channel->send(ofp::encode({next_xid(), po}));
+  send(*conn, next_xid(), po);
 }
 
 void Controller::install_flow(DatapathId dpid, const ofp::Match& match,
@@ -270,7 +280,7 @@ void Controller::request_stats(DatapathId dpid, const ofp::StatsRequest& req,
   if (conn == nullptr) return;
   const std::uint32_t xid = next_xid();
   pending_stats_[xid] = std::move(cb);
-  conn->channel->send(ofp::encode({xid, req}));
+  send(*conn, xid, req);
 }
 
 void Controller::send_echo(DatapathId dpid, std::function<void()> on_reply) {
@@ -278,7 +288,7 @@ void Controller::send_echo(DatapathId dpid, std::function<void()> on_reply) {
   if (conn == nullptr) return;
   const std::uint32_t xid = next_xid();
   pending_echo_[xid] = std::move(on_reply);
-  conn->channel->send(ofp::encode({xid, ofp::EchoRequest{}}));
+  send(*conn, xid, ofp::EchoRequest{});
 }
 
 void Controller::send_barrier(DatapathId dpid, std::function<void()> cb) {
@@ -286,7 +296,7 @@ void Controller::send_barrier(DatapathId dpid, std::function<void()> cb) {
   if (conn == nullptr) return;
   const std::uint32_t xid = next_xid();
   pending_barrier_[xid] = std::move(cb);
-  conn->channel->send(ofp::encode({xid, ofp::BarrierRequest{}}));
+  send(*conn, xid, ofp::BarrierRequest{});
 }
 
 void Controller::resync_datapath(DatapathId dpid) {
@@ -302,7 +312,7 @@ void Controller::resync_datapath(DatapathId dpid) {
   metrics_.reconnects.inc();
   // Restart the handshake; the FEATURES_REPLY handler re-announces the join
   // to every component and re-syncs the table (replay or reconcile round).
-  conn->channel->send(ofp::encode({next_xid(), ofp::FeaturesRequest{}}));
+  send(*conn, next_xid(), ofp::FeaturesRequest{});
 }
 
 void Controller::collect_flow_intents(DatapathId dpid,

@@ -141,6 +141,10 @@ class Controller {
   };
 
   void handle_message(Connection& conn, const Bytes& encoded);
+  /// Encodes `msg` into tx_ and sends it on `conn`; T is one of
+  /// ofp::Message's alternatives.
+  template <typename T>
+  void send(Connection& conn, std::uint32_t xid, const T& msg);
   void dispatch_packet_in(DatapathId dpid, const ofp::PacketIn& pi);
   std::uint32_t next_xid() { return next_xid_++; }
   Connection* find(DatapathId dpid);
@@ -150,6 +154,8 @@ class Controller {
   std::vector<Component*> ordered_;  // install order after topo-sort
   bool started_ = false;
   std::vector<std::unique_ptr<Connection>> connections_;
+  /// Every message to a datapath is encoded here (see ofp::encode_into).
+  Bytes tx_;
   std::map<std::uint32_t, StatsCallback> pending_stats_;
   // Flow-stats fragments (OFPSF_REPLY_MORE) accumulating per xid until the
   // final fragment releases the merged reply to the callback.

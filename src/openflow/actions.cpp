@@ -1,5 +1,6 @@
 #include "openflow/actions.hpp"
 
+#include "net/ethernet.hpp"
 #include "openflow/match.hpp"
 
 namespace hw::ofp {
@@ -16,12 +17,30 @@ enum ActionType : std::uint16_t {
   kEnqueue = 11,
 };
 
-Result<MacAddress> read_mac(ByteReader& r) {
-  auto raw = r.raw(6);
-  if (!raw) return raw.error();
-  std::array<std::uint8_t, 6> octets{};
-  std::copy(raw.value().begin(), raw.value().end(), octets.begin());
-  return MacAddress{octets};
+bool known_action(std::uint16_t type) {
+  switch (type) {
+    case kOutput: case kSetDlSrc: case kSetDlDst: case kSetNwSrc:
+    case kSetNwDst: case kSetTpSrc: case kSetTpDst: case kEnqueue:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// The actions parse_actions will keep, counted from their headers alone so
+/// the list is allocated once at its exact size: a FlowEntry holds it for
+/// the entry's life. A malformed list just ends the count early; the parse
+/// itself reports the error.
+std::size_t count_known_actions(ByteReader r, std::size_t actions_len) {
+  std::size_t count = 0;
+  for (std::size_t consumed = 0; consumed < actions_len;) {
+    auto type = r.u16();
+    auto len = r.u16();
+    if (!type || !len || len.value() < 8 || !r.skip(len.value() - 4u).ok()) break;
+    if (known_action(type.value())) ++count;
+    consumed += len.value();
+  }
+  return count;
 }
 
 }  // namespace
@@ -78,6 +97,7 @@ void serialize_actions(ByteWriter& w, const ActionList& actions) {
 
 Result<ActionList> parse_actions(ByteReader& r, std::size_t actions_len) {
   ActionList out;
+  out.reserve(count_known_actions(r, actions_len));
   std::size_t consumed = 0;
   while (consumed < actions_len) {
     auto type = r.u16();
@@ -98,14 +118,14 @@ Result<ActionList> parse_actions(ByteReader& r, std::size_t actions_len) {
         break;
       }
       case kSetDlSrc: {
-        auto mac = read_mac(r);
+        auto mac = net::read_mac(r);
         if (!mac) return mac.error();
         if (auto s = r.skip(6); !s.ok()) return s.error();
         out.push_back(ActionSetDlSrc{mac.value()});
         break;
       }
       case kSetDlDst: {
-        auto mac = read_mac(r);
+        auto mac = net::read_mac(r);
         if (!mac) return mac.error();
         if (auto s = r.skip(6); !s.ok()) return s.error();
         out.push_back(ActionSetDlDst{mac.value()});

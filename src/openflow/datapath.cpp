@@ -12,6 +12,10 @@ namespace hw::ofp {
 namespace {
 
 constexpr std::string_view kLog = "datapath";
+/// Capacity the reused encode buffer keeps between messages: room for a
+/// packet-in, an echo or a flow-removed, not for a features reply's port
+/// list or a flow-stats fragment.
+constexpr std::size_t kKeepTxBytes = 4096;
 
 /// Where set-field actions write, found from the frame's one parse. A frame
 /// that does not parse takes no rewrites; a layer it lacks takes none of
@@ -114,7 +118,7 @@ void Datapath::add_port(std::uint16_t port, std::string name, MacAddress hw_addr
     PortStatus status;
     status.reason = PortReason::Add;
     status.desc = PhyPort{port, it->second.hw_addr, it->second.name, 0, 0, 0};
-    send_to_controller(std::move(status), next_xid_++);
+    send_to_controller(status, next_xid_++);
   }
 }
 
@@ -135,7 +139,7 @@ void Datapath::remove_port(std::uint16_t port) {
     PortStatus status;
     status.reason = PortReason::Delete;
     status.desc = desc;
-    send_to_controller(std::move(status), next_xid_++);
+    send_to_controller(status, next_xid_++);
   }
 }
 
@@ -360,10 +364,10 @@ void Datapath::send_packet_in(std::uint16_t in_port, const Bytes& frame,
   // max_len 0 means "whole packet" (the OFPCML_NO_BUFFER convention).
   const std::size_t send_len =
       max_len == 0 ? frame.size() : std::min<std::size_t>(frame.size(), max_len);
-  pi.data.assign(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(send_len));
+  pi.data = std::span<const std::uint8_t>(frame).first(send_len);
 
   metrics_.packet_ins.inc();
-  send_to_controller(std::move(pi), next_xid_++);
+  send_to_controller(pi, next_xid_++);
 }
 
 std::optional<Bytes> Datapath::take_buffered(std::uint32_t buffer_id) {
@@ -375,9 +379,13 @@ std::optional<Bytes> Datapath::take_buffered(std::uint32_t buffer_id) {
   return frame;
 }
 
-void Datapath::send_to_controller(Message msg, std::uint32_t xid) {
+template <typename T>
+void Datapath::send_to_controller(const T& msg, std::uint32_t xid) {
   if (channel_ == nullptr) return;
-  channel_->send(encode(Envelope{xid, std::move(msg)}));
+  encode_into(tx_, xid, msg);
+  channel_->send(tx_);
+  // A features reply or a flow-stats fragment must not pin its size.
+  release_if_oversized(tx_, kKeepTxBytes);
 }
 
 void Datapath::send_error(ErrorType type, std::uint16_t code, std::uint32_t xid,
@@ -388,7 +396,7 @@ void Datapath::send_error(ErrorType type, std::uint16_t code, std::uint32_t xid,
   const std::size_t keep = std::min<std::size_t>(offending.size(), 64);
   err.data.assign(offending.begin(),
                   offending.begin() + static_cast<std::ptrdiff_t>(keep));
-  send_to_controller(std::move(err), xid);
+  send_to_controller(err, xid);
 }
 
 void Datapath::handle_channel_message(const Bytes& encoded) {
@@ -419,11 +427,11 @@ void Datapath::handle_channel_message(const Bytes& encoded) {
           reply.datapath_id = config_.datapath_id;
           reply.n_buffers = static_cast<std::uint32_t>(config_.n_buffers);
           reply.ports = port_descriptions();
-          send_to_controller(std::move(reply), xid);
+          send_to_controller(reply, xid);
         } else if constexpr (std::is_same_v<T, BarrierRequest>) {
           send_to_controller(BarrierReply{}, xid);
         } else if constexpr (std::is_same_v<T, FlowMod>) {
-          handle_flow_mod(m, xid);
+          handle_flow_mod(std::move(m), xid);
         } else if constexpr (std::is_same_v<T, PacketOut>) {
           handle_packet_out(m, xid);
         } else if constexpr (std::is_same_v<T, StatsRequest>) {
@@ -435,11 +443,24 @@ void Datapath::handle_channel_message(const Bytes& encoded) {
       std::move(env).take().msg);
 }
 
-void Datapath::handle_flow_mod(const FlowMod& mod, std::uint32_t xid) {
+void Datapath::handle_flow_mod(FlowMod&& mod, std::uint32_t xid) {
   metrics_.flow_mods.inc();
   if (flow_mod_observer_) flow_mod_observer_(mod);
+  // A buffered packet attached to an ADD or MODIFY is released through the
+  // new rule. An ADD moves its actions into the table, so the release reads
+  // them back from the installed entry; a modify keeps a copy.
+  const bool releases = mod.buffer_id != kNoBuffer &&
+                        (mod.command == FlowModCommand::Add ||
+                         mod.command == FlowModCommand::Modify ||
+                         mod.command == FlowModCommand::ModifyStrict);
+  const bool adds = mod.command == FlowModCommand::Add;
+  const ActionList modified = releases && !adds ? mod.actions : ActionList{};
+  const Match match = mod.match;
+  const std::uint16_t priority = mod.priority;
+  const std::uint32_t buffer_id = mod.buffer_id;
   std::vector<FlowEntry> removed;
-  const FlowModResult result = table_.apply(mod, loop_.now(), &removed);
+  const FlowModResult result =
+      table_.apply(std::move(mod), loop_.now(), &removed);
 
   if (result == FlowModResult::Overlap) {
     send_error(ErrorType::FlowModFailed, /*OFPFMFC_OVERLAP=*/2, xid, {});
@@ -463,17 +484,14 @@ void Datapath::handle_flow_mod(const FlowMod& mod, std::uint32_t xid) {
     fr.packet_count = e.packet_count;
     fr.byte_count = e.byte_count;
     metrics_.flow_removed_sent.inc();
-    send_to_controller(std::move(fr), next_xid_++);
+    send_to_controller(fr, next_xid_++);
   }
 
-  // A buffered packet attached to an ADD is released through the new rule.
-  if (mod.buffer_id != kNoBuffer &&
-      (mod.command == FlowModCommand::Add ||
-       mod.command == FlowModCommand::Modify ||
-       mod.command == FlowModCommand::ModifyStrict)) {
-    if (auto frame = take_buffered(mod.buffer_id)) {
-      apply_actions(mod.actions, mod.match.in_port, *frame);
-    }
+  if (!releases) return;
+  if (auto frame = take_buffered(buffer_id)) {
+    const FlowEntry* added = adds ? table_.find_strict(match, priority) : nullptr;
+    apply_actions(added != nullptr ? added->actions : modified, match.in_port,
+                  *frame);
   }
 }
 
@@ -530,7 +548,7 @@ void Datapath::handle_stats_request(const StatsRequest& req, std::uint32_t xid) 
           fragment.type = StatsType::Flow;
           fragment.flags = kStatsReplyMore;
           fragment.body = std::move(batch);
-          send_to_controller(std::move(fragment), xid);
+          send_to_controller(fragment, xid);
           batch.clear();
           batch_bytes = 0;
         }
@@ -576,7 +594,7 @@ void Datapath::handle_stats_request(const StatsRequest& req, std::uint32_t xid) 
       send_error(ErrorType::BadRequest, /*OFPBRC_BAD_STAT=*/5, xid, {});
       return;
   }
-  send_to_controller(std::move(reply), xid);
+  send_to_controller(reply, xid);
 }
 
 void Datapath::configure_queue(std::uint16_t port, std::uint32_t queue_id,
@@ -620,7 +638,7 @@ void Datapath::sweep_timeouts() {
     fr.packet_count = entry.packet_count;
     fr.byte_count = entry.byte_count;
     metrics_.flow_removed_sent.inc();
-    send_to_controller(std::move(fr), next_xid_++);
+    send_to_controller(fr, next_xid_++);
   }
 }
 

@@ -147,7 +147,7 @@ class Datapath {
   };
 
   void handle_channel_message(const Bytes& encoded);
-  void handle_flow_mod(const FlowMod& mod, std::uint32_t xid);
+  void handle_flow_mod(FlowMod&& mod, std::uint32_t xid);
   void handle_packet_out(const PacketOut& po, std::uint32_t xid);
   void handle_stats_request(const StatsRequest& req, std::uint32_t xid);
   void process_frame(std::uint16_t in_port, const Bytes& frame);
@@ -164,7 +164,9 @@ class Datapath {
   void do_normal(std::uint16_t in_port, const Bytes& frame);
   void send_packet_in(std::uint16_t in_port, const Bytes& frame,
                       PacketInReason reason, std::uint16_t max_len);
-  void send_to_controller(Message msg, std::uint32_t xid = 0);
+  /// Encodes `msg` into tx_ and sends it; T is one of Message's alternatives.
+  template <typename T>
+  void send_to_controller(const T& msg, std::uint32_t xid);
   void send_error(ErrorType type, std::uint16_t code, std::uint32_t xid,
                   const Bytes& offending);
   std::optional<Bytes> take_buffered(std::uint32_t buffer_id);
@@ -177,6 +179,8 @@ class Datapath {
   MicroflowCache microflow_;
   std::map<std::uint16_t, PortState> ports_;
   ChannelEndpoint* channel_ = nullptr;
+  /// Every message to the controller is encoded here (see ofp::encode_into).
+  Bytes tx_;
   struct Instruments {
     explicit Instruments(telemetry::MetricRegistry& reg)
         : packet_ins{reg, "openflow.datapath.packet_ins"},

@@ -8,8 +8,8 @@ namespace {
 /// The one place a FlowMod's payload lands in an entry — shared by the
 /// Add-replace and Add-insert paths so the two can never drift. Counters
 /// reset per spec §4.6 (a fresh entry starts at zero anyway).
-void assign_from_mod(FlowEntry& e, const FlowMod& mod, Timestamp now) {
-  e.actions = mod.actions;
+void assign_from_mod(FlowEntry& e, FlowMod& mod, Timestamp now) {
+  e.actions = std::move(mod.actions);
   e.cookie = mod.cookie;
   e.idle_timeout = mod.idle_timeout;
   e.hard_timeout = mod.hard_timeout;
@@ -68,7 +68,24 @@ void FlowTable::prune_and_resort() {
 
 void FlowTable::bump_generation() { ++generation_; }
 
-FlowModResult FlowTable::apply(const FlowMod& mod, Timestamp now,
+FlowEntry* FlowTable::find_in(Subtable& sub, const FlowKey& key,
+                               std::uint16_t priority) {
+  // Same wildcards and same masked key is exactly same_pattern().
+  const auto it = sub.buckets.find(hw::ofp::apply(sub.mask, key));
+  if (it == sub.buckets.end()) return nullptr;
+  for (auto& e : it->second) {
+    if (e.priority == priority) return &e;
+  }
+  return nullptr;
+}
+
+FlowEntry* FlowTable::find_strict(const Match& match, std::uint16_t priority) {
+  Subtable* sub = subtable_for(match.wildcards);
+  return sub == nullptr ? nullptr
+                        : find_in(*sub, FlowKey::from_match(match), priority);
+}
+
+FlowModResult FlowTable::apply(FlowMod mod, Timestamp now,
                                std::vector<FlowEntry>* removed) {
   switch (mod.command) {
     case FlowModCommand::Add: {
@@ -86,20 +103,13 @@ FlowModResult FlowTable::apply(const FlowMod& mod, Timestamp now,
       }
       const FlowKey key = FlowKey::from_match(mod.match);
       Subtable* sub = subtable_for(mod.match.wildcards);
-      if (sub != nullptr) {
-        // Identical match+priority replaces the entry (spec §4.6): same
-        // wildcards and same masked key is exactly same_pattern().
-        if (auto it = sub->buckets.find(hw::ofp::apply(sub->mask, key));
-            it != sub->buckets.end()) {
-          for (auto& e : it->second) {
-            if (e.priority == mod.priority) {
-              assign_from_mod(e, mod, now);
-              metrics_.entries.set(static_cast<std::int64_t>(size_));
-              bump_generation();
-              return FlowModResult::Added;
-            }
-          }
-        }
+      // Identical match+priority replaces the entry (spec §4.6).
+      if (FlowEntry* same =
+              sub != nullptr ? find_in(*sub, key, mod.priority) : nullptr) {
+        assign_from_mod(*same, mod, now);
+        metrics_.entries.set(static_cast<std::int64_t>(size_));
+        bump_generation();
+        return FlowModResult::Added;
       }
       if (size_ >= capacity_) {
         metrics_.table_full.inc();
@@ -152,9 +162,8 @@ FlowModResult FlowTable::apply(const FlowMod& mod, Timestamp now,
         return FlowModResult::Modified;
       }
       // Per spec, MODIFY with no match behaves like ADD.
-      FlowMod add = mod;
-      add.command = FlowModCommand::Add;
-      return apply(add, now, removed);
+      mod.command = FlowModCommand::Add;
+      return apply(std::move(mod), now, removed);
     }
 
     case FlowModCommand::Delete:

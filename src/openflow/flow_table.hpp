@@ -70,8 +70,15 @@ class FlowTable final : public snapshot::Snapshottable {
 
   /// Applies a flow-mod at time `now`. Removed entries (for DELETE) are
   /// appended to `removed` so the datapath can emit flow-removed messages.
-  FlowModResult apply(const FlowMod& mod, Timestamp now,
+  /// An ADD moves the mod's actions into the new entry; pass an rvalue to
+  /// install a decoded FlowMod without copying its action list.
+  FlowModResult apply(FlowMod mod, Timestamp now,
                       std::vector<FlowEntry>* removed = nullptr);
+
+  /// The entry with exactly this match pattern and priority (what an ADD
+  /// replaces, spec §4.6), or nullptr.
+  [[nodiscard]] FlowEntry* find_strict(const Match& match,
+                                       std::uint16_t priority);
 
   /// Highest-priority entry covering the packet's exact-match fields, or
   /// nullptr. Updates per-entry counters and refreshes last_used — also for
@@ -156,6 +163,9 @@ class FlowTable final : public snapshot::Snapshottable {
   [[nodiscard]] bool entry_outputs_to(const FlowEntry& e,
                                       std::uint16_t out_port) const;
   [[nodiscard]] Subtable* subtable_for(std::uint32_t wildcards);
+  /// The entry in `sub` with `key`'s masked pattern and this priority.
+  [[nodiscard]] static FlowEntry* find_in(Subtable& sub, const FlowKey& key,
+                                          std::uint16_t priority);
   Subtable& create_subtable(std::uint32_t wildcards);
   /// The single matching code path under lookup() and peek(): probe
   /// subtables in descending max-priority order with early exit.

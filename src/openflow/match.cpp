@@ -3,21 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "net/ethernet.hpp"
 #include "openflow/flow_key.hpp"
 
 namespace hw::ofp {
-namespace {
-
-Result<MacAddress> read_mac(ByteReader& r) {
-  auto raw = r.raw(6);
-  if (!raw) return raw.error();
-  std::array<std::uint8_t, 6> octets{};
-  std::copy(raw.value().begin(), raw.value().end(), octets.begin());
-  return MacAddress{octets};
-}
-
-}  // namespace
-
 Match Match::from_packet(const net::ParsedPacket& p, std::uint16_t in_port) {
   return FlowKey::from_packet(p, in_port).to_match(0);
 }
@@ -128,10 +117,10 @@ Result<Match> Match::parse(ByteReader& r) {
   auto in_port = r.u16();
   if (!in_port) return in_port.error();
   m.in_port = in_port.value();
-  auto src = read_mac(r);
+  auto src = net::read_mac(r);
   if (!src) return src.error();
   m.dl_src = src.value();
-  auto dst = read_mac(r);
+  auto dst = net::read_mac(r);
   if (!dst) return dst.error();
   m.dl_dst = dst.value();
   auto vlan = r.u16();

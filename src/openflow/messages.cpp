@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "net/ethernet.hpp"
+
 namespace hw::ofp {
 namespace {
 
@@ -26,11 +28,9 @@ Result<PhyPort> read_phy_port(ByteReader& r) {
   auto port = r.u16();
   if (!port) return port.error();
   p.port_no = port.value();
-  auto mac = r.raw(6);
+  auto mac = net::read_mac(r);
   if (!mac) return mac.error();
-  std::array<std::uint8_t, 6> octets{};
-  std::copy(mac.value().begin(), mac.value().end(), octets.begin());
-  p.hw_addr = MacAddress{octets};
+  p.hw_addr = mac.value();
   auto name = r.fixed_string(16);
   if (!name) return name.error();
   p.name = std::move(name).take();
@@ -47,143 +47,139 @@ Result<PhyPort> read_phy_port(ByteReader& r) {
   return p;
 }
 
-void encode_body(ByteWriter& w, const Message& msg) {
-  std::visit(
-      [&](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, Hello> ||
-                      std::is_same_v<T, FeaturesRequest> ||
-                      std::is_same_v<T, BarrierRequest> ||
-                      std::is_same_v<T, BarrierReply>) {
-          // header only
-        } else if constexpr (std::is_same_v<T, ErrorMsg>) {
-          w.u16(static_cast<std::uint16_t>(m.type));
-          w.u16(m.code);
-          w.raw(m.data);
-        } else if constexpr (std::is_same_v<T, EchoRequest> ||
-                             std::is_same_v<T, EchoReply>) {
-          w.raw(m.data);
-        } else if constexpr (std::is_same_v<T, FeaturesReply>) {
-          w.u64(m.datapath_id);
-          w.u32(m.n_buffers);
-          w.u8(m.n_tables);
-          w.zeros(3);
-          w.u32(m.capabilities);
-          w.u32(m.actions);
-          for (const auto& p : m.ports) write_phy_port(w, p);
-        } else if constexpr (std::is_same_v<T, PacketIn>) {
-          w.u32(m.buffer_id);
-          w.u16(m.total_len);
-          w.u16(m.in_port);
-          w.u8(static_cast<std::uint8_t>(m.reason));
-          w.u8(0);
-          w.raw(m.data);
-        } else if constexpr (std::is_same_v<T, FlowRemoved>) {
-          m.match.serialize(w);
-          w.u64(m.cookie);
-          w.u16(m.priority);
-          w.u8(static_cast<std::uint8_t>(m.reason));
-          w.u8(0);
-          w.u32(m.duration_sec);
-          w.u32(m.duration_nsec);
-          w.u16(m.idle_timeout);
-          w.zeros(2);
-          w.u64(m.packet_count);
-          w.u64(m.byte_count);
-        } else if constexpr (std::is_same_v<T, PortStatus>) {
-          w.u8(static_cast<std::uint8_t>(m.reason));
-          w.zeros(7);
-          write_phy_port(w, m.desc);
-        } else if constexpr (std::is_same_v<T, PacketOut>) {
-          w.u32(m.buffer_id);
-          w.u16(m.in_port);
-          ByteWriter actions;
-          serialize_actions(actions, m.actions);
-          w.u16(static_cast<std::uint16_t>(actions.size()));
-          w.raw(actions.bytes());
-          w.raw(m.data);
-        } else if constexpr (std::is_same_v<T, FlowMod>) {
-          m.match.serialize(w);
-          w.u64(m.cookie);
-          w.u16(static_cast<std::uint16_t>(m.command));
-          w.u16(m.idle_timeout);
-          w.u16(m.hard_timeout);
-          w.u16(m.priority);
-          w.u32(m.buffer_id);
-          w.u16(m.out_port);
-          w.u16(m.flags);
-          serialize_actions(w, m.actions);
-        } else if constexpr (std::is_same_v<T, StatsRequest>) {
-          w.u16(static_cast<std::uint16_t>(m.type));
-          w.u16(0);  // flags
-          if (const auto* flow = std::get_if<FlowStatsRequest>(&m.body)) {
-            flow->match.serialize(w);
-            w.u8(flow->table_id);
-            w.u8(0);
-            w.u16(flow->out_port);
-          } else if (const auto* port = std::get_if<PortStatsRequest>(&m.body)) {
-            w.u16(port->port_no);
-            w.zeros(6);
-          }
-        } else if constexpr (std::is_same_v<T, StatsReply>) {
-          w.u16(static_cast<std::uint16_t>(m.type));
-          w.u16(m.flags);
-          if (const auto* desc = std::get_if<DescStats>(&m.body)) {
-            w.fixed_string(desc->mfr_desc, kDescStrLen);
-            w.fixed_string(desc->hw_desc, kDescStrLen);
-            w.fixed_string(desc->sw_desc, kDescStrLen);
-            w.fixed_string(desc->serial_num, kSerialNumLen);
-            w.fixed_string(desc->dp_desc, kDescStrLen);
-          } else if (const auto* flows =
-                         std::get_if<std::vector<FlowStatsEntry>>(&m.body)) {
-            for (const auto& f : *flows) {
-              ByteWriter actions;
-              serialize_actions(actions, f.actions);
-              const std::uint16_t len =
-                  static_cast<std::uint16_t>(88 + actions.size());
-              w.u16(len);
-              w.u8(f.table_id);
-              w.u8(0);
-              f.match.serialize(w);
-              w.u32(f.duration_sec);
-              w.u32(f.duration_nsec);
-              w.u16(f.priority);
-              w.u16(f.idle_timeout);
-              w.u16(f.hard_timeout);
-              w.zeros(6);
-              w.u64(f.cookie);
-              w.u64(f.packet_count);
-              w.u64(f.byte_count);
-              w.raw(actions.bytes());
-            }
-          } else if (const auto* agg =
-                         std::get_if<AggregateStatsReplyBody>(&m.body)) {
-            w.u64(agg->packet_count);
-            w.u64(agg->byte_count);
-            w.u32(agg->flow_count);
-            w.zeros(4);
-          } else if (const auto* ports =
-                         std::get_if<std::vector<PortStatsEntry>>(&m.body)) {
-            for (const auto& p : *ports) {
-              w.u16(p.port_no);
-              w.zeros(6);
-              w.u64(p.rx_packets);
-              w.u64(p.tx_packets);
-              w.u64(p.rx_bytes);
-              w.u64(p.tx_bytes);
-              w.u64(p.rx_dropped);
-              w.u64(p.tx_dropped);
-              w.u64(0);  // rx_errors
-              w.u64(0);  // tx_errors
-              w.u64(0);  // rx_frame_err
-              w.u64(0);  // rx_over_err
-              w.u64(0);  // rx_crc_err
-              w.u64(0);  // collisions
-            }
-          }
-        }
-      },
-      msg);
+template <typename T>
+void write_body(ByteWriter& w, const T& m) {
+  if constexpr (std::is_same_v<T, Hello> ||
+                std::is_same_v<T, FeaturesRequest> ||
+                std::is_same_v<T, BarrierRequest> ||
+                std::is_same_v<T, BarrierReply>) {
+    // header only
+  } else if constexpr (std::is_same_v<T, ErrorMsg>) {
+    w.u16(static_cast<std::uint16_t>(m.type));
+    w.u16(m.code);
+    w.raw(m.data);
+  } else if constexpr (std::is_same_v<T, EchoRequest> ||
+                       std::is_same_v<T, EchoReply>) {
+    w.raw(m.data);
+  } else if constexpr (std::is_same_v<T, FeaturesReply>) {
+    w.u64(m.datapath_id);
+    w.u32(m.n_buffers);
+    w.u8(m.n_tables);
+    w.zeros(3);
+    w.u32(m.capabilities);
+    w.u32(m.actions);
+    for (const auto& p : m.ports) write_phy_port(w, p);
+  } else if constexpr (std::is_same_v<T, PacketIn>) {
+    w.u32(m.buffer_id);
+    w.u16(m.total_len);
+    w.u16(m.in_port);
+    w.u8(static_cast<std::uint8_t>(m.reason));
+    w.u8(0);
+    w.raw(m.data);
+  } else if constexpr (std::is_same_v<T, FlowRemoved>) {
+    m.match.serialize(w);
+    w.u64(m.cookie);
+    w.u16(m.priority);
+    w.u8(static_cast<std::uint8_t>(m.reason));
+    w.u8(0);
+    w.u32(m.duration_sec);
+    w.u32(m.duration_nsec);
+    w.u16(m.idle_timeout);
+    w.zeros(2);
+    w.u64(m.packet_count);
+    w.u64(m.byte_count);
+  } else if constexpr (std::is_same_v<T, PortStatus>) {
+    w.u8(static_cast<std::uint8_t>(m.reason));
+    w.zeros(7);
+    write_phy_port(w, m.desc);
+  } else if constexpr (std::is_same_v<T, PacketOut>) {
+    w.u32(m.buffer_id);
+    w.u16(m.in_port);
+    const std::size_t actions_len_at = w.size();
+    w.u16(0);  // actions_len, patched once the actions are written
+    serialize_actions(w, m.actions);
+    w.patch_u16(actions_len_at, static_cast<std::uint16_t>(
+                                    w.size() - actions_len_at - 2));
+    w.raw(m.data);
+  } else if constexpr (std::is_same_v<T, FlowMod>) {
+    m.match.serialize(w);
+    w.u64(m.cookie);
+    w.u16(static_cast<std::uint16_t>(m.command));
+    w.u16(m.idle_timeout);
+    w.u16(m.hard_timeout);
+    w.u16(m.priority);
+    w.u32(m.buffer_id);
+    w.u16(m.out_port);
+    w.u16(m.flags);
+    serialize_actions(w, m.actions);
+  } else if constexpr (std::is_same_v<T, StatsRequest>) {
+    w.u16(static_cast<std::uint16_t>(m.type));
+    w.u16(0);  // flags
+    if (const auto* flow = std::get_if<FlowStatsRequest>(&m.body)) {
+      flow->match.serialize(w);
+      w.u8(flow->table_id);
+      w.u8(0);
+      w.u16(flow->out_port);
+    } else if (const auto* port = std::get_if<PortStatsRequest>(&m.body)) {
+      w.u16(port->port_no);
+      w.zeros(6);
+    }
+  } else if constexpr (std::is_same_v<T, StatsReply>) {
+    w.u16(static_cast<std::uint16_t>(m.type));
+    w.u16(m.flags);
+    if (const auto* desc = std::get_if<DescStats>(&m.body)) {
+      w.fixed_string(desc->mfr_desc, kDescStrLen);
+      w.fixed_string(desc->hw_desc, kDescStrLen);
+      w.fixed_string(desc->sw_desc, kDescStrLen);
+      w.fixed_string(desc->serial_num, kSerialNumLen);
+      w.fixed_string(desc->dp_desc, kDescStrLen);
+    } else if (const auto* flows =
+                   std::get_if<std::vector<FlowStatsEntry>>(&m.body)) {
+      for (const auto& f : *flows) {
+        const std::size_t entry_at = w.size();
+        w.u16(0);  // entry length, patched once the actions are written
+        w.u8(f.table_id);
+        w.u8(0);
+        f.match.serialize(w);
+        w.u32(f.duration_sec);
+        w.u32(f.duration_nsec);
+        w.u16(f.priority);
+        w.u16(f.idle_timeout);
+        w.u16(f.hard_timeout);
+        w.zeros(6);
+        w.u64(f.cookie);
+        w.u64(f.packet_count);
+        w.u64(f.byte_count);
+        serialize_actions(w, f.actions);
+        w.patch_u16(entry_at,
+                    static_cast<std::uint16_t>(w.size() - entry_at));
+      }
+    } else if (const auto* agg =
+                   std::get_if<AggregateStatsReplyBody>(&m.body)) {
+      w.u64(agg->packet_count);
+      w.u64(agg->byte_count);
+      w.u32(agg->flow_count);
+      w.zeros(4);
+    } else if (const auto* ports =
+                   std::get_if<std::vector<PortStatsEntry>>(&m.body)) {
+      for (const auto& p : *ports) {
+        w.u16(p.port_no);
+        w.zeros(6);
+        w.u64(p.rx_packets);
+        w.u64(p.tx_packets);
+        w.u64(p.rx_bytes);
+        w.u64(p.tx_bytes);
+        w.u64(p.rx_dropped);
+        w.u64(p.tx_dropped);
+        w.u64(0);  // rx_errors
+        w.u64(0);  // tx_errors
+        w.u64(0);  // rx_frame_err
+        w.u64(0);  // rx_over_err
+        w.u64(0);  // rx_crc_err
+        w.u64(0);  // collisions
+      }
+    }
+  }
 }
 
 Result<Message> decode_body(MsgType type, ByteReader& r) {
@@ -259,9 +255,9 @@ Result<Message> decode_body(MsgType type, ByteReader& r) {
       if (!reason) return reason.error();
       m.reason = static_cast<PacketInReason>(reason.value());
       if (auto s = r.skip(1); !s.ok()) return s.error();
-      auto data = r.raw(r.remaining());
+      auto data = r.view(r.remaining());
       if (!data) return data.error();
-      m.data = std::move(data).take();
+      m.data = data.value();
       return Message{std::move(m)};
     }
     case MsgType::FlowRemoved: {
@@ -519,26 +515,7 @@ Result<Message> decode_body(MsgType type, ByteReader& r) {
 }  // namespace
 
 MsgType type_of(const Message& msg) {
-  return std::visit(
-      [](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, Hello>) return MsgType::Hello;
-        else if constexpr (std::is_same_v<T, ErrorMsg>) return MsgType::Error;
-        else if constexpr (std::is_same_v<T, EchoRequest>) return MsgType::EchoRequest;
-        else if constexpr (std::is_same_v<T, EchoReply>) return MsgType::EchoReply;
-        else if constexpr (std::is_same_v<T, FeaturesRequest>) return MsgType::FeaturesRequest;
-        else if constexpr (std::is_same_v<T, FeaturesReply>) return MsgType::FeaturesReply;
-        else if constexpr (std::is_same_v<T, PacketIn>) return MsgType::PacketIn;
-        else if constexpr (std::is_same_v<T, FlowRemoved>) return MsgType::FlowRemoved;
-        else if constexpr (std::is_same_v<T, PortStatus>) return MsgType::PortStatus;
-        else if constexpr (std::is_same_v<T, PacketOut>) return MsgType::PacketOut;
-        else if constexpr (std::is_same_v<T, FlowMod>) return MsgType::FlowMod;
-        else if constexpr (std::is_same_v<T, StatsRequest>) return MsgType::StatsRequest;
-        else if constexpr (std::is_same_v<T, StatsReply>) return MsgType::StatsReply;
-        else if constexpr (std::is_same_v<T, BarrierRequest>) return MsgType::BarrierRequest;
-        else return MsgType::BarrierReply;
-      },
-      msg);
+  return std::visit([](const auto& m) { return m.kType; }, msg);
 }
 
 const char* to_string(MsgType t) {
@@ -562,17 +539,37 @@ const char* to_string(MsgType t) {
   return "?";
 }
 
-Bytes encode(const Envelope& env) {
-  ByteWriter w(64);
+template <typename T>
+void encode_into(Bytes& out, std::uint32_t xid, const T& msg) {
+  ByteWriter w(std::move(out));
   w.u8(kWireVersion);
-  w.u8(static_cast<std::uint8_t>(type_of(env.msg)));
+  w.u8(static_cast<std::uint8_t>(T::kType));
   w.u16(0);  // length patched below
-  w.u32(env.xid);
-  encode_body(w, env.msg);
-  Bytes out = std::move(w).take();
-  const std::uint16_t len = static_cast<std::uint16_t>(out.size());
-  out[2] = static_cast<std::uint8_t>(len >> 8);
-  out[3] = static_cast<std::uint8_t>(len);
+  w.u32(xid);
+  write_body(w, msg);
+  w.patch_u16(2, static_cast<std::uint16_t>(w.size()));
+  out = std::move(w).take();
+}
+
+template void encode_into(Bytes&, std::uint32_t, const Hello&);
+template void encode_into(Bytes&, std::uint32_t, const ErrorMsg&);
+template void encode_into(Bytes&, std::uint32_t, const EchoRequest&);
+template void encode_into(Bytes&, std::uint32_t, const EchoReply&);
+template void encode_into(Bytes&, std::uint32_t, const FeaturesRequest&);
+template void encode_into(Bytes&, std::uint32_t, const FeaturesReply&);
+template void encode_into(Bytes&, std::uint32_t, const PacketIn&);
+template void encode_into(Bytes&, std::uint32_t, const FlowRemoved&);
+template void encode_into(Bytes&, std::uint32_t, const PortStatus&);
+template void encode_into(Bytes&, std::uint32_t, const PacketOut&);
+template void encode_into(Bytes&, std::uint32_t, const FlowMod&);
+template void encode_into(Bytes&, std::uint32_t, const StatsRequest&);
+template void encode_into(Bytes&, std::uint32_t, const StatsReply&);
+template void encode_into(Bytes&, std::uint32_t, const BarrierRequest&);
+template void encode_into(Bytes&, std::uint32_t, const BarrierReply&);
+
+Bytes encode(const Envelope& env) {
+  Bytes out;
+  std::visit([&](const auto& m) { encode_into(out, env.xid, m); }, env.msg);
   return out;
 }
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -41,16 +42,26 @@ enum class MsgType : std::uint8_t {
 // ---------------------------------------------------------------------------
 // Symmetric / setup messages
 
-struct Hello {};
+struct Hello {
+  static constexpr MsgType kType = MsgType::Hello;
+};
 struct EchoRequest {
+  static constexpr MsgType kType = MsgType::EchoRequest;
   Bytes data;
 };
 struct EchoReply {
+  static constexpr MsgType kType = MsgType::EchoReply;
   Bytes data;
 };
-struct FeaturesRequest {};
-struct BarrierRequest {};
-struct BarrierReply {};
+struct FeaturesRequest {
+  static constexpr MsgType kType = MsgType::FeaturesRequest;
+};
+struct BarrierRequest {
+  static constexpr MsgType kType = MsgType::BarrierRequest;
+};
+struct BarrierReply {
+  static constexpr MsgType kType = MsgType::BarrierReply;
+};
 
 enum class ErrorType : std::uint16_t {
   HelloFailed = 0,
@@ -60,6 +71,7 @@ enum class ErrorType : std::uint16_t {
 };
 
 struct ErrorMsg {
+  static constexpr MsgType kType = MsgType::Error;
   ErrorType type = ErrorType::BadRequest;
   std::uint16_t code = 0;
   Bytes data;  // at least the header of the offending message
@@ -76,6 +88,7 @@ struct PhyPort {
 };
 
 struct FeaturesReply {
+  static constexpr MsgType kType = MsgType::FeaturesReply;
   std::uint64_t datapath_id = 0;
   std::uint32_t n_buffers = 256;
   std::uint8_t n_tables = 1;
@@ -89,12 +102,18 @@ struct FeaturesReply {
 
 enum class PacketInReason : std::uint8_t { NoMatch = 0, Action = 1 };
 
+/// `data` is a view, not a copy. On send it views the frame being punted; on
+/// receive it views the decoded message's bytes (the channel's frame), which
+/// stay valid for one dispatch only — the same rule as
+/// net::ParsedPacket::l4_payload. A component that keeps the frame past its
+/// handler copies it.
 struct PacketIn {
+  static constexpr MsgType kType = MsgType::PacketIn;
   std::uint32_t buffer_id = kNoBuffer;
   std::uint16_t total_len = 0;
   std::uint16_t in_port = 0;
   PacketInReason reason = PacketInReason::NoMatch;
-  Bytes data;  // possibly truncated to miss_send_len
+  std::span<const std::uint8_t> data;  // possibly truncated to miss_send_len
 };
 
 enum class FlowRemovedReason : std::uint8_t {
@@ -104,6 +123,7 @@ enum class FlowRemovedReason : std::uint8_t {
 };
 
 struct FlowRemoved {
+  static constexpr MsgType kType = MsgType::FlowRemoved;
   Match match;
   std::uint64_t cookie = 0;
   std::uint16_t priority = 0;
@@ -118,6 +138,7 @@ struct FlowRemoved {
 enum class PortReason : std::uint8_t { Add = 0, Delete = 1, Modify = 2 };
 
 struct PortStatus {
+  static constexpr MsgType kType = MsgType::PortStatus;
   PortReason reason = PortReason::Add;
   PhyPort desc;
 };
@@ -126,6 +147,7 @@ struct PortStatus {
 // Controller → datapath messages
 
 struct PacketOut {
+  static constexpr MsgType kType = MsgType::PacketOut;
   std::uint32_t buffer_id = kNoBuffer;
   std::uint16_t in_port = port_no(Port::None);
   ActionList actions;
@@ -146,6 +168,7 @@ struct FlowModFlags {
 };
 
 struct FlowMod {
+  static constexpr MsgType kType = MsgType::FlowMod;
   Match match;
   std::uint64_t cookie = 0;
   FlowModCommand command = FlowModCommand::Add;
@@ -218,6 +241,7 @@ struct DescStats {
 };
 
 struct StatsRequest {
+  static constexpr MsgType kType = MsgType::StatsRequest;
   StatsType type = StatsType::Desc;
   std::variant<std::monostate, FlowStatsRequest, PortStatsRequest> body;
 };
@@ -226,6 +250,7 @@ struct StatsRequest {
 inline constexpr std::uint16_t kStatsReplyMore = 0x0001;
 
 struct StatsReply {
+  static constexpr MsgType kType = MsgType::StatsReply;
   StatsType type = StatsType::Desc;
   std::uint16_t flags = 0;  // kStatsReplyMore on all but the last fragment
   std::variant<std::monostate, DescStats, std::vector<FlowStatsEntry>,
@@ -246,9 +271,17 @@ struct Envelope {
   Message msg;
 };
 
-/// Serializes header + body.
+/// Serializes header + body of one message into `out`, replacing its
+/// contents but reusing its storage: a sender that keeps one buffer encodes
+/// without allocating once the buffer has grown to its messages' size. `T`
+/// is one of Message's alternatives; the message is read in place, never
+/// copied into an Envelope.
+template <typename T>
+void encode_into(Bytes& out, std::uint32_t xid, const T& msg);
+/// Serializes header + body into a fresh buffer (encode_into underneath).
 Bytes encode(const Envelope& env);
 /// Parses one complete message (the full buffer must be exactly one message).
+/// A decoded PacketIn's data views `buf`: keep `buf` alive while it is used.
 Result<Envelope> decode(std::span<const std::uint8_t> buf);
 /// Peeks the total length of the message starting at `buf` (for stream
 /// reassembly); returns 0 if fewer than kHeaderSize bytes are available.

@@ -9,21 +9,21 @@ namespace hw::ofp {
 
 StreamFramer::HeaderVerdict StreamFramer::check_header(
     std::size_t& frame_len) const {
-  if (buffer_.size() < kHeaderSize) return HeaderVerdict::NeedMore;
-  const std::size_t len =
-      (static_cast<std::size_t>(buffer_[2]) << 8) | buffer_[3];
+  if (buffered() < kHeaderSize) return HeaderVerdict::NeedMore;
+  const std::uint8_t* head = buffer_.data() + head_;
+  const std::size_t len = (static_cast<std::size_t>(head[2]) << 8) | head[3];
   if (len < kHeaderSize || len > config_.max_frame) {
     // A length that can't even hold the header (or is absurdly large) means
     // we are not looking at a frame boundary at all: scan for one.
     return HeaderVerdict::Scan;
   }
-  if (buffer_[0] != kWireVersion) {
+  if (head[0] != kWireVersion) {
     // Plausible length and a version an actual OpenFlow peer could speak
     // (1.1–1.6): a well-framed message of another version; skipping it whole
     // keeps the stream aligned. Any other version byte is noise — treating
     // its length field as authoritative would let garbage swallow the valid
     // messages behind it, so scan instead.
-    if (buffer_[0] < 0x02 || buffer_[0] > 0x06) return HeaderVerdict::Scan;
+    if (head[0] < 0x02 || head[0] > 0x06) return HeaderVerdict::Scan;
     frame_len = len;
     return HeaderVerdict::SkipFrame;
   }
@@ -34,9 +34,25 @@ StreamFramer::HeaderVerdict StreamFramer::check_header(
 void StreamFramer::feed(std::span<const std::uint8_t> data,
                         const FrameSink& sink) {
   if (data.empty()) return;
-  const bool had_leftover = !buffer_.empty();
+  const bool had_leftover = buffered() > 0;
   buffer_.insert(buffer_.end(), data.begin(), data.end());
+  // A sink that (indirectly) feeds this framer again only appends: the
+  // running loop picks the bytes up, and the frame it handed out stays put.
+  if (feeding_) return;
+  feeding_ = true;
+  emit_frames(had_leftover, sink);
+  feeding_ = false;
+  // Compact once per feed: only a partial frame (or nothing) is left.
+  buffer_.erase(buffer_.begin(),
+                buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+  head_ = 0;
+  // Neither a burst of garbage nor a one-off large frame pins its size.
+  constexpr std::size_t kKeepBytes = 4096;
+  if (buffer_.empty()) release_if_oversized(buffer_, kKeepBytes);
+  release_if_oversized(frame_, kKeepBytes);
+}
 
+void StreamFramer::emit_frames(bool had_leftover, const FrameSink& sink) {
   std::size_t emitted_this_feed = 0;
   for (;;) {
     std::size_t frame_len = 0;
@@ -50,33 +66,31 @@ void StreamFramer::feed(std::span<const std::uint8_t> data,
         }
         // Shed one byte and retry: the next plausible header (version byte
         // with a sane length behind it) re-anchors the stream.
-        buffer_.erase(buffer_.begin());
+        ++head_;
         frame_was_split_ = false;
         continue;
       }
       case HeaderVerdict::SkipFrame: {
-        if (buffer_.size() < frame_len) return;  // skip once it fully arrives
+        if (buffered() < frame_len) return;  // skip once it fully arrives
         metrics_.frames_bad.inc();
         scanning_ = false;
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin() + static_cast<std::ptrdiff_t>(frame_len));
+        head_ += frame_len;
         frame_was_split_ = false;
         continue;
       }
       case HeaderVerdict::Ok:
         break;
     }
-    if (buffer_.size() < frame_len) {
+    if (buffered() < frame_len) {
       // Header is valid but the body hasn't fully arrived: the head frame is
       // now known to span feeds.
       frame_was_split_ = true;
       return;
     }
     scanning_ = false;
-    Bytes frame(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(frame_len));
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(frame_len));
+    const auto first = buffer_.begin() + static_cast<std::ptrdiff_t>(head_);
+    frame_.assign(first, first + static_cast<std::ptrdiff_t>(frame_len));
+    head_ += frame_len;
     metrics_.frames_ok.inc();
     if (frame_was_split_ || (had_leftover && emitted_this_feed == 0)) {
       metrics_.frames_partial.inc();
@@ -89,12 +103,13 @@ void StreamFramer::feed(std::span<const std::uint8_t> data,
     } else if (emitted_this_feed > 2) {
       metrics_.frames_coalesced.inc();
     }
-    sink(frame);
+    sink(frame_);
   }
 }
 
 void StreamFramer::reset() {
   buffer_.clear();
+  head_ = 0;
   scanning_ = false;
   frame_was_split_ = false;
 }

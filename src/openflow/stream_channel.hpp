@@ -38,6 +38,11 @@ struct StreamFramerStats {
 /// a byte-wise resync scan that drops bytes until a plausible header lines
 /// up; one contiguous scan run counts as one bad frame no matter how many
 /// bytes it sheds.
+///
+/// The framer consumes its buffer by offset and compacts it once per feed, so
+/// a resync scan is linear in the bytes it sheds. Each complete message is
+/// handed to the sink in one reused member buffer: the frame is valid for
+/// that one sink call (one dispatch), and a sink that keeps it copies it.
 class StreamFramer {
  public:
   struct Config {
@@ -63,14 +68,18 @@ class StreamFramer {
     return {metrics_.frames_ok.value(), metrics_.frames_partial.value(),
             metrics_.frames_coalesced.value(), metrics_.frames_bad.value()};
   }
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered() const { return buffer_.size() - head_; }
 
  private:
   enum class HeaderVerdict { Ok, NeedMore, SkipFrame, Scan };
   [[nodiscard]] HeaderVerdict check_header(std::size_t& frame_len) const;
+  void emit_frames(bool had_leftover, const FrameSink& sink);
 
   Config config_;
-  Bytes buffer_;
+  Bytes buffer_;          // stream bytes; the unconsumed ones start at head_
+  std::size_t head_ = 0;
+  Bytes frame_;           // the frame being handed to the sink
+  bool feeding_ = false;  // inside feed(): a nested feed only appends
   bool scanning_ = false;       // inside a contiguous resync run
   bool frame_was_split_ = false;  // head frame started in an earlier feed
   struct Instruments {

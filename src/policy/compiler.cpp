@@ -25,9 +25,6 @@ bool policy_unlocked(const PolicyDocument& p, const EvalContext& ctx) {
                      [&](const std::string& t) { return t == p.unlock_token; });
 }
 
-namespace {
-
-/// Folds one policy into a restriction (shared by both overloads).
 void fold_policy(const PolicyDocument& p, const std::string& mac,
                  const std::vector<std::string>& tags, const EvalContext& ctx,
                  DeviceRestriction& r) {
@@ -55,8 +52,6 @@ void fold_policy(const PolicyDocument& p, const std::string& mac,
                              p.sites.domains.end());
   }
 }
-
-}  // namespace
 
 DeviceRestriction compile_restriction(const std::vector<PolicyDocument>& policies,
                                       const std::string& mac,

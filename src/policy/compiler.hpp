@@ -54,6 +54,11 @@ DeviceRestriction compile_restriction(const std::vector<PolicyDocument>& policie
 DeviceRestriction compile_restriction(
     const std::vector<const PolicyDocument*>& policies, const std::string& mac,
     const std::vector<std::string>& tags, const EvalContext& ctx);
+/// Folds one policy into `r` — the step compile_restriction repeats per
+/// policy, for callers that walk their own policy container in place.
+void fold_policy(const PolicyDocument& p, const std::string& mac,
+                 const std::vector<std::string>& tags, const EvalContext& ctx,
+                 DeviceRestriction& r);
 
 /// True if `p` is currently suspended by an inserted unlock token.
 bool policy_unlocked(const PolicyDocument& p, const EvalContext& ctx);

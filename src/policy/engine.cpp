@@ -82,20 +82,25 @@ EvalContext PolicyEngine::context() const {
   return ctx;
 }
 
+DeviceRestriction PolicyEngine::fold_installed(
+    const std::string& mac, const std::vector<std::string>& tags) const {
+  DeviceRestriction r;
+  if (installed_.empty()) return r;
+  const EvalContext ctx = context();
+  for (const auto& [_, doc] : installed_) fold_policy(doc, mac, tags, ctx, r);
+  return r;
+}
+
 DeviceRestriction PolicyEngine::restriction_for(const std::string& mac) const {
-  std::vector<PolicyDocument> docs;
-  docs.reserve(installed_.size());
-  for (const auto& [_, doc] : installed_) docs.push_back(doc);
-  return compile_restriction(docs, to_lower(mac), tags_of(mac), context());
+  return fold_installed(to_lower(mac), tags_of(mac));
 }
 
 DeviceRestriction PolicyEngine::restriction_for(std::uint64_t dpid,
-                                                const std::string& mac) const {
-  std::vector<PolicyDocument> docs;
-  docs.reserve(installed_.size());
-  for (const auto& [_, doc] : installed_) docs.push_back(doc);
-  return compile_restriction(docs, to_lower(mac), tags_of(dpid, mac),
-                             context());
+                                                MacAddress mac) const {
+  // Nothing installed restricts anyone: skip rendering the address.
+  if (installed_.empty()) return {};
+  const std::string text = mac.to_string();  // lower-case hex
+  return fold_installed(text, tags_of(dpid, text));
 }
 
 namespace {

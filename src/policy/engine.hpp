@@ -45,13 +45,14 @@ class PolicyEngine final : public snapshot::Snapshottable {
 
   // -- Enforcement queries ------------------------------------------------------
   [[nodiscard]] DeviceRestriction restriction_for(const std::string& mac) const;
+  /// The per-home form the enforcement path asks: the address is rendered
+  /// as text only when an installed policy has to be checked against it.
   [[nodiscard]] DeviceRestriction restriction_for(std::uint64_t dpid,
-                                                  const std::string& mac) const;
+                                                  MacAddress mac) const;
   [[nodiscard]] bool network_allowed(const std::string& mac) const {
     return !restriction_for(mac).network_blocked;
   }
-  [[nodiscard]] bool network_allowed(std::uint64_t dpid,
-                                     const std::string& mac) const {
+  [[nodiscard]] bool network_allowed(std::uint64_t dpid, MacAddress mac) const {
     return !restriction_for(dpid, mac).network_blocked;
   }
   [[nodiscard]] bool domain_allowed(const std::string& mac,
@@ -59,7 +60,7 @@ class PolicyEngine final : public snapshot::Snapshottable {
     const auto r = restriction_for(mac);
     return !r.network_blocked && r.domain_allowed(domain);
   }
-  [[nodiscard]] bool domain_allowed(std::uint64_t dpid, const std::string& mac,
+  [[nodiscard]] bool domain_allowed(std::uint64_t dpid, MacAddress mac,
                                     const std::string& domain) const {
     const auto r = restriction_for(dpid, mac);
     return !r.network_blocked && r.domain_allowed(domain);
@@ -93,6 +94,9 @@ class PolicyEngine final : public snapshot::Snapshottable {
     for (const auto& fn : on_change_) fn();
   }
   [[nodiscard]] EvalContext context() const;
+  /// Folds every installed policy, in place, for one lower-case address.
+  [[nodiscard]] DeviceRestriction fold_installed(
+      const std::string& mac, const std::vector<std::string>& tags) const;
 
   std::function<Timestamp()> now_fn_;
   std::map<std::string, PolicyDocument> installed_;

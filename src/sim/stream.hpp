@@ -10,9 +10,13 @@
 //  - stall()/unstall(): delivery freezes while sends keep queueing — the
 //    half-open TCP connection a liveness watchdog must detect.
 //  - set_mangle(): per-byte corruption probability for fuzz/chaos runs.
+//
+// Each direction keeps its in-flight bytes in one contiguous byte queue plus
+// one (ready time, end offset) mark per send, and schedules one flush event
+// per due instant rather than one per send: sends that fall due together
+// share the event that delivers them.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <span>
 
@@ -50,6 +54,8 @@ class StreamLink {
 
   class End {
    public:
+    /// Receives a read. The span views the link's byte queue and is valid
+    /// for the duration of the call only.
     using DataFn = std::function<void(std::span<const std::uint8_t>)>;
 
     /// Appends bytes to the stream towards the peer end.
@@ -64,20 +70,31 @@ class StreamLink {
    private:
     friend class StreamLink;
     /// Per-direction in-flight state: bytes this end has *received* come
-    /// through peer_->send, so the queue lives on the receiving end.
-    struct Chunk {
+    /// through peer_->send, so the queue lives on the receiving end. Each
+    /// send leaves a mark: when it falls due and where its bytes end.
+    struct Mark {
       Timestamp ready_at = 0;
-      Bytes data;
+      std::size_t end = 0;  // offset in inbox_ one past the send's last byte
     };
+    static constexpr Timestamp kNoFlush = ~Timestamp{0};
 
-    void enqueue(Bytes data);
+    void enqueue(std::span<const std::uint8_t> data);
     void flush();
+    void deliver_due();
+    void compact();
+    void drop_in_flight();
 
     StreamLink* link_ = nullptr;
     End* peer_ = nullptr;
     DataFn on_data_;
-    std::deque<Chunk> inbox_;
-    Timestamp last_ready_ = 0;  // monotone delivery deadline (ordering)
+    Bytes inbox_;                // undelivered bytes start at inbox_head_
+    std::size_t inbox_head_ = 0;
+    std::vector<Mark> marks_;    // undelivered sends start at marks_head_
+    std::size_t marks_head_ = 0;
+    Timestamp last_ready_ = 0;   // monotone delivery deadline (ordering)
+    Timestamp flush_at_ = kNoFlush;  // latest scheduled flush not yet run
+    int flushing_ = 0;           // flush() nesting depth
+    std::uint64_t drops_ = 0;    // drop_in_flight() count: offsets went stale
   };
 
   StreamLink(EventLoop& loop, Config config, Rng* rng = nullptr);

@@ -20,6 +20,10 @@ class ByteWriter {
  public:
   ByteWriter() = default;
   explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
+  /// Writes into `reuse`'s storage (its contents are discarded): a caller
+  /// that encodes message after message moves one buffer in and back out
+  /// with take() instead of allocating per message.
+  explicit ByteWriter(Bytes&& reuse) : buf_(std::move(reuse)) { buf_.clear(); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
@@ -42,6 +46,13 @@ class ByteWriter {
  private:
   Bytes buf_;
 };
+
+/// Releases `buf`'s storage when its capacity has grown past `keep` bytes,
+/// so a buffer reused across messages is not pinned at the size of a one-off
+/// large one. Call it once the contents are no longer needed.
+inline void release_if_oversized(Bytes& buf, std::size_t keep) {
+  if (buf.capacity() > keep) Bytes().swap(buf);
+}
 
 /// Reads integral fields in network byte order from a fixed buffer. All reads
 /// are bounds-checked; failures surface as Result errors so malformed packets

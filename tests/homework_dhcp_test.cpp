@@ -271,5 +271,59 @@ TEST_F(ShortLeaseFixture, UnrenewedLeaseExpiresInRegistry) {
   EXPECT_EQ(rs.value().rows.size(), 1u);
 }
 
+TEST(DeviceRegistryByIp, EachHomeResolvesItsOwnLeases) {
+  // 64 homes (even dpids 2..128) hand out the same private addresses. Odd
+  // dpids between them have no devices: their lookups must stop at their
+  // own (empty) range instead of running into the next home's records.
+  DeviceRegistry registry(DeviceRegistry::AdmissionDefault::PermitAll);
+  constexpr std::uint64_t kHomes = 64;
+  constexpr std::uint32_t kLeased = 3;
+  const auto home_dpid = [](std::uint64_t h) { return 2 * (h + 1); };
+  const auto device_mac = [](std::uint64_t h, std::uint32_t i) {
+    return MacAddress::from_index(static_cast<std::uint32_t>(h * 16 + i + 1));
+  };
+  const auto lease_ip = [](std::uint32_t i) {
+    return Ipv4Address{192, 168, 1, static_cast<std::uint8_t>(100 + i)};
+  };
+  for (std::uint64_t h = 0; h < kHomes; ++h) {
+    const std::uint64_t dpid = home_dpid(h);
+    // One device in every home never leases; it sorts first by MAC.
+    registry.touch(dpid, MacAddress::from_index(0), 0, "quiet");
+    for (std::uint32_t i = 0; i < kLeased; ++i) {
+      registry.touch(dpid, device_mac(h, i), 0, "dev");
+      registry.record_lease(dpid, device_mac(h, i),
+                            Lease{lease_ip(i), 0, 3600 * kSecond, "dev"},
+                            /*renewal=*/false, 0);
+    }
+  }
+
+  for (std::uint64_t h = 0; h < kHomes; ++h) {
+    const std::uint64_t dpid = home_dpid(h);
+    for (std::uint32_t i = 0; i < kLeased; ++i) {
+      const DeviceRecord* rec = registry.find_by_ip(dpid, lease_ip(i));
+      ASSERT_NE(rec, nullptr) << "home " << dpid << " device " << i;
+      EXPECT_EQ(rec->dpid, dpid);
+      EXPECT_EQ(rec->mac, device_mac(h, i));
+    }
+    EXPECT_EQ(registry.find_by_ip(dpid, Ipv4Address{192, 168, 1, 99}), nullptr);
+    EXPECT_EQ(registry.find_by_ip(dpid + 1, lease_ip(0)), nullptr)
+        << "empty home " << dpid + 1;
+  }
+  EXPECT_EQ(registry.find_by_ip(0, lease_ip(0)), nullptr);
+  EXPECT_EQ(registry.find_by_ip(home_dpid(kHomes), lease_ip(0)), nullptr);
+
+  // A released and an expired lease are no longer found — in that home
+  // only.
+  const std::uint64_t home = home_dpid(10);
+  registry.clear_lease(home, device_mac(10, 0), /*expired=*/false, 0);
+  registry.clear_lease(home, device_mac(10, 1), /*expired=*/true, 0);
+  EXPECT_EQ(registry.find_by_ip(home, lease_ip(0)), nullptr);
+  EXPECT_EQ(registry.find_by_ip(home, lease_ip(1)), nullptr);
+  ASSERT_NE(registry.find_by_ip(home, lease_ip(2)), nullptr);
+  EXPECT_EQ(registry.find_by_ip(home, lease_ip(2))->mac, device_mac(10, 2));
+  ASSERT_NE(registry.find_by_ip(home_dpid(9), lease_ip(0)), nullptr);
+  ASSERT_NE(registry.find_by_ip(home_dpid(11), lease_ip(1)), nullptr);
+}
+
 }  // namespace
 }  // namespace hw::homework

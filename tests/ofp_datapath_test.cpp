@@ -4,6 +4,7 @@
 // the real secure-channel byte stream.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
 
 #include "net/checksum.hpp"
@@ -31,7 +32,10 @@ class FakeController {
  public:
   explicit FakeController(ChannelEndpoint& end) : end_(end) {
     end_.on_receive([this](const Bytes& encoded) {
-      auto env = decode(encoded);
+      // The channel's frame lives for one dispatch and a decoded PacketIn
+      // views it: keep a copy for the envelope to view instead.
+      const Bytes& kept = frames_.emplace_back(encoded);
+      auto env = decode(kept);
       ASSERT_TRUE(env.ok());
       received.push_back(std::move(env).take());
     });
@@ -54,6 +58,7 @@ class FakeController {
 
  private:
   ChannelEndpoint& end_;
+  std::deque<Bytes> frames_;  // what received's envelopes view
 };
 
 struct DatapathFixture : ::testing::Test {

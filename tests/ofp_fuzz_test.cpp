@@ -5,6 +5,7 @@
 // suite under ASan/UBSan.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <vector>
 
 #include "openflow/messages.hpp"
@@ -180,6 +181,25 @@ TEST(OfpFuzz, MangledStreamsNeverCrashTheDecoder) {
     // the mangled ones took the process down.
     EXPECT_LE(decoded_frames, 20u);
   }
+}
+
+TEST(OfpFuzz, ResyncScanIsLinearInTheBytesItSheds) {
+  // 4 MiB of zeros then one HELLO, in one read: the scan sheds every zero
+  // byte as one bad run and re-anchors on the HELLO. Shedding by moving the
+  // rest of the buffer per byte took minutes here; by offset it is linear.
+  Bytes stream(4u << 20, 0);
+  const Bytes hello = encode({42, Hello{}});
+  stream.insert(stream.end(), hello.begin(), hello.end());
+  StreamFramer framer;
+  std::vector<Bytes> frames;
+  const auto start = std::chrono::steady_clock::now();
+  framer.feed(stream, [&frames](const Bytes& f) { frames.push_back(f); });
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0], hello);
+  EXPECT_EQ(framer.stats().frames_bad, 1u);
+  EXPECT_EQ(framer.buffered(), 0u);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 }  // namespace

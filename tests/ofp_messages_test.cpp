@@ -10,6 +10,8 @@
 namespace hw::ofp {
 namespace {
 
+/// Encodes and decodes through a temporary wire buffer: for messages that
+/// own their fields (a decoded PacketIn views the wire; see its test).
 Envelope round_trip(const Envelope& env) {
   const Bytes wire = encode(env);
   // Wire framing invariants.
@@ -64,19 +66,26 @@ TEST(OfpCodec, FeaturesReplyWithPorts) {
 }
 
 TEST(OfpCodec, PacketIn) {
+  // PacketIn::data is a view both ways: the frame it is built from and the
+  // wire it is decoded from must outlive it, so neither is a temporary here.
+  const Bytes frame(64, 0xaa);
   PacketIn pi;
   pi.buffer_id = 77;
   pi.total_len = 1500;
   pi.in_port = 3;
   pi.reason = PacketInReason::Action;
-  pi.data = Bytes(64, 0xaa);
-  auto out = round_trip({9, pi});
-  const auto& m = std::get<PacketIn>(out.msg);
+  pi.data = frame;
+  const Bytes wire = encode({9, pi});
+  auto decoded = decode(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().message;
+  const auto& m = std::get<PacketIn>(decoded.value().msg);
   EXPECT_EQ(m.buffer_id, 77u);
   EXPECT_EQ(m.total_len, 1500);
   EXPECT_EQ(m.in_port, 3);
   EXPECT_EQ(m.reason, PacketInReason::Action);
-  EXPECT_EQ(m.data.size(), 64u);
+  EXPECT_TRUE(std::equal(m.data.begin(), m.data.end(), frame.begin(), frame.end()));
+  // The decoded frame is the wire's own bytes, not a copy of them.
+  EXPECT_EQ(m.data.data(), wire.data() + kHeaderSize + 10);
 }
 
 TEST(OfpCodec, PacketOutWithActionsAndData) {

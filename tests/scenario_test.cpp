@@ -3,6 +3,8 @@
 // TableFull/microflow promises hold under randomized hostile interleavings.
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include <map>
 #include <string>
 
@@ -208,9 +210,12 @@ TEST(TableFullProperty, EveryRejectionAnswersAllTablesFull) {
   sim::EventLoop loop;
   ofp::Datapath dp(loop, {.datapath_id = 1, .table_capacity = 8});
   ofp::StreamConnection conn(loop);
+  // A decoded PacketIn views its frame, which the channel reuses after the
+  // dispatch: the envelopes view kept copies.
+  std::deque<Bytes> frames;
   std::vector<ofp::Envelope> received;
   conn.controller_end().on_receive([&](const Bytes& encoded) {
-    auto env = ofp::decode(encoded);
+    auto env = ofp::decode(frames.emplace_back(encoded));
     ASSERT_TRUE(env.ok());
     received.push_back(std::move(env).take());
   });
@@ -246,9 +251,12 @@ TEST(TableFullProperty, MicroflowNeverServesEvictedFlow) {
   sim::EventLoop loop;
   ofp::Datapath dp(loop, {.datapath_id = 1, .table_capacity = 4});
   ofp::StreamConnection conn(loop);
+  // A decoded PacketIn views its frame, which the channel reuses after the
+  // dispatch: the envelopes view kept copies.
+  std::deque<Bytes> frames;
   std::vector<ofp::Envelope> received;
   conn.controller_end().on_receive([&](const Bytes& encoded) {
-    auto env = ofp::decode(encoded);
+    auto env = ofp::decode(frames.emplace_back(encoded));
     ASSERT_TRUE(env.ok());
     received.push_back(std::move(env).take());
   });

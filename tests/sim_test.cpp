@@ -1,10 +1,16 @@
 // Simulator tests: event loop determinism and (debug builds) its
-// thread-ownership assert, link models, wireless signal model and the
-// host's DHCP client state machine against a scripted server.
+// thread-ownership assert, link models (frame links, and the byte-stream
+// link against a one-event-per-send reference), wireless signal model and
+// the host's DHCP client state machine against a scripted server.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <deque>
+#include <functional>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "net/dhcp.hpp"
 #include "net/packet.hpp"
@@ -12,6 +18,7 @@
 #include "sim/host.hpp"
 #include "sim/link.hpp"
 #include "sim/pcap.hpp"
+#include "sim/stream.hpp"
 #include "sim/trace.hpp"
 #include "sim/wireless.hpp"
 
@@ -586,6 +593,248 @@ TEST(Trace, RingCapDropsOldestAndCountsThem) {
   for (int i = 0; i < 100; ++i) unbounded.record(i, "p", Bytes{0});
   EXPECT_EQ(unbounded.size(), 100u);
   EXPECT_EQ(unbounded.dropped(), 0u);
+}
+
+
+// ---------------------------------------------------------------------------
+// StreamLink against a reference model
+//
+// The reference is the byte-stream link as it was built first: each send
+// copies its bytes into a chunk queue and schedules its own flush event. The
+// link keeps one contiguous byte queue and one flush event per due instant;
+// at each end it must deliver the same reads, at the same virtual times,
+// under any mix of latency, jitter, mtu, stalls, cuts and mangling.
+
+class OneEventPerSendLink {
+ public:
+  using DataFn = std::function<void(std::span<const std::uint8_t>)>;
+
+  class End {
+   public:
+    void send(std::span<const std::uint8_t> data) {
+      if (data.empty()) return;
+      OneEventPerSendLink& link = *link_;
+      if (!link.connected_) return;
+      Bytes bytes(data.begin(), data.end());
+      if (link.mangle_ > 0.0 && link.rng_ != nullptr) {
+        for (auto& byte : bytes) {
+          if (link.rng_->chance(link.mangle_)) {
+            byte ^= static_cast<std::uint8_t>(1 + link.rng_->uniform(255));
+          }
+        }
+      }
+      peer_->enqueue(std::move(bytes));
+    }
+    void on_data(DataFn fn) { on_data_ = std::move(fn); }
+
+   private:
+    friend class OneEventPerSendLink;
+    struct Chunk {
+      Timestamp ready_at = 0;
+      Bytes data;
+    };
+
+    void enqueue(Bytes data) {
+      OneEventPerSendLink& link = *link_;
+      Duration extra = 0;
+      if (link.config_.jitter > 0 && link.rng_ != nullptr) {
+        extra = static_cast<Duration>(link.rng_->uniform(
+            static_cast<std::uint64_t>(link.config_.jitter) + 1));
+      }
+      const Timestamp ready = std::max(
+          link.loop_.now() + link.config_.latency + extra, last_ready_);
+      last_ready_ = ready;
+      inbox_.push_back(Chunk{ready, std::move(data)});
+      link.loop_.schedule_at(ready, [this] { flush(); });
+    }
+
+    void flush() {
+      OneEventPerSendLink& link = *link_;
+      if (!link.connected_ || link.stalled_) return;
+      const Timestamp now = link.loop_.now();
+      while (!inbox_.empty() && inbox_.front().ready_at <= now) {
+        Bytes read = std::move(inbox_.front().data);
+        inbox_.pop_front();
+        while (!inbox_.empty() && inbox_.front().ready_at <= now &&
+               (link.config_.mtu == 0 || read.size() < link.config_.mtu)) {
+          Bytes& next = inbox_.front().data;
+          read.insert(read.end(), next.begin(), next.end());
+          inbox_.pop_front();
+        }
+        std::size_t offset = 0;
+        while (offset < read.size()) {
+          const std::size_t take =
+              link.config_.mtu == 0
+                  ? read.size() - offset
+                  : std::min(link.config_.mtu, read.size() - offset);
+          if (on_data_) {
+            on_data_(std::span<const std::uint8_t>(read.data() + offset, take));
+          }
+          if (!link.connected_ || link.stalled_) return;
+          offset += take;
+        }
+      }
+    }
+
+    OneEventPerSendLink* link_ = nullptr;
+    End* peer_ = nullptr;
+    DataFn on_data_;
+    std::deque<Chunk> inbox_;
+    Timestamp last_ready_ = 0;
+  };
+
+  OneEventPerSendLink(EventLoop& loop, StreamLink::Config config, Rng* rng)
+      : loop_(loop), config_(config), rng_(rng) {
+    a_.link_ = this;
+    b_.link_ = this;
+    a_.peer_ = &b_;
+    b_.peer_ = &a_;
+  }
+  End& a() { return a_; }
+  End& b() { return b_; }
+  void cut() {
+    if (!connected_) return;
+    connected_ = false;
+    for (End* end : {&a_, &b_}) {
+      end->inbox_.clear();
+      end->last_ready_ = 0;
+    }
+  }
+  void restore() { connected_ = true; }
+  void stall() { stalled_ = true; }
+  void unstall() {
+    if (!stalled_) return;
+    stalled_ = false;
+    a_.flush();
+    b_.flush();
+  }
+  void set_mangle(double probability) { mangle_ = probability; }
+
+ private:
+  EventLoop& loop_;
+  StreamLink::Config config_;
+  Rng* rng_;
+  double mangle_ = 0.0;
+  bool connected_ = true;
+  bool stalled_ = false;
+  End a_;
+  End b_;
+};
+
+/// One read as an end saw it.
+struct Read {
+  Timestamp at = 0;
+  Bytes bytes;
+  bool operator==(const Read&) const = default;
+};
+
+/// A scripted fault or send, applied at `at` to whichever link runs it.
+struct StreamOp {
+  enum class Kind { SendA, SendB, Stall, Unstall, Cut, Restore } kind;
+  Timestamp at = 0;
+  Bytes bytes;
+};
+
+/// Runs `ops` against one link and records every read at both ends. End b
+/// echoes reads that start with an even byte back to a from inside its
+/// handler; end a cuts the link from inside its handler when a read carries
+/// 0xEE — the two re-entrant paths a channel's handlers can take.
+template <typename Link>
+std::pair<std::vector<Read>, std::vector<Read>> run_stream_script(
+    const StreamLink::Config& config, double mangle, std::uint64_t link_seed,
+    const std::vector<StreamOp>& ops) {
+  EventLoop loop;
+  Rng rng(link_seed);
+  Link link(loop, config, &rng);
+  link.set_mangle(mangle);
+  std::vector<Read> at_a;
+  std::vector<Read> at_b;
+  link.a().on_data([&](std::span<const std::uint8_t> d) {
+    at_a.push_back({loop.now(), Bytes(d.begin(), d.end())});
+    if (std::find(d.begin(), d.end(), 0xEE) != d.end()) link.cut();
+  });
+  link.b().on_data([&](std::span<const std::uint8_t> d) {
+    at_b.push_back({loop.now(), Bytes(d.begin(), d.end())});
+    if (d[0] % 2 == 0) link.b().send(d);
+  });
+  for (const StreamOp& op : ops) {
+    loop.schedule_at(op.at, [&link, &op] {
+      switch (op.kind) {
+        case StreamOp::Kind::SendA: link.a().send(op.bytes); break;
+        case StreamOp::Kind::SendB: link.b().send(op.bytes); break;
+        case StreamOp::Kind::Stall: link.stall(); break;
+        case StreamOp::Kind::Unstall: link.unstall(); break;
+        case StreamOp::Kind::Cut: link.cut(); break;
+        case StreamOp::Kind::Restore: link.restore(); break;
+      }
+    });
+  }
+  loop.run_all();
+  return {std::move(at_a), std::move(at_b)};
+}
+
+TEST(StreamLinkProperty, DeliversWhatOneEventPerSendDelivers) {
+  constexpr std::size_t kMtus[] = {0, 1, 5, 16, 64, 1500};
+  std::size_t reads = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    StreamLink::Config config;
+    config.latency = static_cast<Duration>(rng.uniform(4) * 50);
+    config.jitter = rng.chance(0.5) ? static_cast<Duration>(rng.uniform(200)) : 0;
+    config.mtu = kMtus[rng.uniform(std::size(kMtus))];
+    const double mangle = rng.chance(0.3) ? 0.02 : 0.0;
+
+    // Sends cluster on a coarse time grid so that many share an instant.
+    std::vector<StreamOp> ops;
+    const int n_ops = 20 + static_cast<int>(rng.uniform(60));
+    for (int i = 0; i < n_ops; ++i) {
+      StreamOp op;
+      op.at = static_cast<Timestamp>(rng.uniform(40) * 25);
+      const std::uint64_t pick = rng.uniform(100);
+      if (pick < 40) {
+        op.kind = StreamOp::Kind::SendA;
+      } else if (pick < 80) {
+        op.kind = StreamOp::Kind::SendB;
+      } else if (pick < 86) {
+        op.kind = StreamOp::Kind::Stall;
+      } else if (pick < 92) {
+        op.kind = StreamOp::Kind::Unstall;
+      } else if (pick < 96) {
+        op.kind = StreamOp::Kind::Cut;
+      } else {
+        op.kind = StreamOp::Kind::Restore;
+      }
+      op.bytes.resize(1 + rng.uniform(40));
+      for (auto& byte : op.bytes) byte = static_cast<std::uint8_t>(rng.uniform(256));
+      ops.push_back(std::move(op));
+    }
+    // Leave the link connected and flowing so every backlog drains.
+    ops.push_back({StreamOp::Kind::Restore, 1200, {}});
+    ops.push_back({StreamOp::Kind::Unstall, 1200, {}});
+
+    const std::uint64_t link_seed = seed * 7919;
+    const auto expected =
+        run_stream_script<OneEventPerSendLink>(config, mangle, link_seed, ops);
+    const auto actual = run_stream_script<StreamLink>(config, mangle, link_seed, ops);
+    ASSERT_EQ(actual.first, expected.first) << "end a, seed " << seed;
+    ASSERT_EQ(actual.second, expected.second) << "end b, seed " << seed;
+    reads += expected.first.size() + expected.second.size();
+  }
+  EXPECT_GT(reads, 3000u);  // the scripts really exercised delivery
+}
+
+TEST(StreamLink, SendsDueTogetherShareOneFlushEvent) {
+  EventLoop loop;
+  StreamLink link(loop, {.latency = 100});
+  std::vector<Bytes> reads;
+  link.b().on_data([&](std::span<const std::uint8_t> d) {
+    reads.emplace_back(d.begin(), d.end());
+  });
+  for (std::uint8_t i = 0; i < 10; ++i) link.a().send(Bytes{i});
+  EXPECT_EQ(loop.pending(), 1u);  // one flush at now + latency
+  EXPECT_EQ(loop.run_all(), 1u);
+  ASSERT_EQ(reads.size(), 1u);  // coalesced into one read
+  EXPECT_EQ(reads[0].size(), 10u);
 }
 
 }  // namespace
