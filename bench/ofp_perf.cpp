@@ -380,6 +380,41 @@ void BM_DatapathSlowPathRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_DatapathSlowPathRoundTrip);
 
+/// A whole frame of `frame_size` bytes: the headers plus a zero payload.
+Bytes udp_frame_of(std::size_t frame_size) {
+  return net::build_udp(MacAddress::from_index(1), MacAddress::from_index(2),
+                        Ipv4Address{192, 168, 1, 100}, Ipv4Address{8, 8, 8, 8},
+                        40000, 5004, Bytes(frame_size - 42, 0));
+}
+
+Bytes tcp_frame_of(std::size_t frame_size) {
+  return net::build_tcp(MacAddress::from_index(1), MacAddress::from_index(2),
+                        Ipv4Address{192, 168, 1, 100}, Ipv4Address{8, 8, 8, 8},
+                        net::TcpHeader{40000, 443, 1, 1, net::TcpFlags::kAck, 65535},
+                        Bytes(frame_size - 54, 0));
+}
+
+Bytes arp_frame() {
+  return net::build_arp({net::ArpOp::Request, MacAddress::from_index(1),
+                         Ipv4Address{192, 168, 1, 100}, MacAddress::zero(),
+                         Ipv4Address{192, 168, 1, 1}});
+}
+
+/// One ParsedPacket::parse of a whole frame: the per-packet dissection cost
+/// every fast-path packet (and the microflow hit) pays once.
+void BM_ParsePacket(benchmark::State& state, const Bytes& frame) {
+  for (auto _ : state) {
+    auto parsed = net::ParsedPacket::parse(frame);
+    benchmark::DoNotOptimize(parsed);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_ParsePacket, udp_60B, udp_frame_of(60));
+BENCHMARK_CAPTURE(BM_ParsePacket, udp_1514B, udp_frame_of(1514));
+BENCHMARK_CAPTURE(BM_ParsePacket, tcp_60B, tcp_frame_of(60));
+BENCHMARK_CAPTURE(BM_ParsePacket, tcp_1514B, tcp_frame_of(1514));
+BENCHMARK_CAPTURE(BM_ParsePacket, arp_42B, arp_frame());
+
 void BM_MatchFromPacket(benchmark::State& state) {
   const Bytes frame = net::build_tcp(
       MacAddress::from_index(1), MacAddress::from_index(2),

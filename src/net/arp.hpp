@@ -6,6 +6,9 @@
 
 namespace hw::net {
 
+/// Ethernet/IPv4 ARP message: htype, ptype, hlen, plen, op, two MAC/IP pairs.
+inline constexpr std::size_t kArpMessageSize = 28;
+
 enum class ArpOp : std::uint16_t { Request = 1, Reply = 2 };
 
 struct ArpMessage {
@@ -15,7 +18,6 @@ struct ArpMessage {
   MacAddress target_mac;
   Ipv4Address target_ip;
 
-  static Result<ArpMessage> parse(ByteReader& r);
   void serialize(ByteWriter& w) const;
 };
 

@@ -21,8 +21,8 @@ inline constexpr std::size_t kEthernetHeaderSize = 14;
 inline constexpr std::size_t kMaxFrameSize = 1518;
 
 /// Reads a 6-byte MAC address through a view, copying the wire bytes only
-/// into the returned value. The ARP and OpenFlow codecs (matches, actions,
-/// port descriptions) read their MACs through it.
+/// into the returned value. The OpenFlow codecs (matches, actions, port
+/// descriptions) read their MACs through it.
 Result<MacAddress> read_mac(ByteReader& r);
 
 struct EthernetHeader {
@@ -30,7 +30,6 @@ struct EthernetHeader {
   MacAddress src;
   std::uint16_t ethertype = 0;
 
-  static Result<EthernetHeader> parse(ByteReader& r);
   void serialize(ByteWriter& w) const;
 
   [[nodiscard]] EtherType type() const { return static_cast<EtherType>(ethertype); }

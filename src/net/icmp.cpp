@@ -2,24 +2,6 @@
 
 namespace hw::net {
 
-Result<IcmpHeader> IcmpHeader::parse(ByteReader& r) {
-  IcmpHeader h;
-  auto type = r.u8();
-  if (!type) return type.error();
-  h.type = static_cast<IcmpType>(type.value());
-  auto code = r.u8();
-  if (!code) return code.error();
-  h.code = code.value();
-  if (auto c = r.u16(); !c) return c.error();  // checksum
-  auto ident = r.u16();
-  if (!ident) return ident.error();
-  h.identifier = ident.value();
-  auto seq = r.u16();
-  if (!seq) return seq.error();
-  h.sequence = seq.value();
-  return h;
-}
-
 void IcmpHeader::serialize(ByteWriter& w) const {
   w.u8(static_cast<std::uint8_t>(type));
   w.u8(code);

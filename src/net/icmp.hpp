@@ -7,6 +7,9 @@
 
 namespace hw::net {
 
+/// Type, code, checksum, then the echo identifier and sequence number.
+inline constexpr std::size_t kIcmpHeaderSize = 8;
+
 enum class IcmpType : std::uint8_t {
   EchoReply = 0,
   DestinationUnreachable = 3,
@@ -19,7 +22,6 @@ struct IcmpHeader {
   std::uint16_t identifier = 0;
   std::uint16_t sequence = 0;
 
-  static Result<IcmpHeader> parse(ByteReader& r);
   void serialize(ByteWriter& w) const;
 };
 

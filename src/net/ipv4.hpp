@@ -1,4 +1,7 @@
-// IPv4 header (RFC 791), no options beyond padding, with checksum handling.
+// IPv4 header (RFC 791). Serialization writes no options and computes the
+// header checksum. Frames are read by net::ParsedPacket::parse, which skips
+// options and does not verify the checksum: like an OpenFlow 1.0 switch, the
+// datapath forwards a frame with a bad IPv4 checksum unchanged.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +28,6 @@ struct Ipv4Header {
   Ipv4Address src;
   Ipv4Address dst;
 
-  /// Parses and verifies the header checksum.
-  static Result<Ipv4Header> parse(ByteReader& r);
   /// Serializes with computed checksum. `payload_len` sets total_length.
   void serialize(ByteWriter& w, std::size_t payload_len) const;
 

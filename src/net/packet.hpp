@@ -50,7 +50,10 @@ struct ParsedPacket {
   std::size_t frame_size = 0;
 
   /// Dissects as deep as the frame allows; the Ethernet layer must parse or
-  /// an error is returned. Unknown ethertypes/protocols keep outer layers.
+  /// an error is returned. Unknown ethertypes/protocols keep outer layers,
+  /// and a present but malformed ARP, IPv4, UDP, TCP or ICMP header is an
+  /// error. Each header is read with one bounds check. IPv4 options are
+  /// skipped and the IPv4 header checksum is not verified.
   static Result<ParsedPacket> parse(std::span<const std::uint8_t> frame);
 
   [[nodiscard]] bool is_ipv4() const { return ip.has_value(); }

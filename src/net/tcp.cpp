@@ -2,34 +2,6 @@
 
 namespace hw::net {
 
-Result<TcpHeader> TcpHeader::parse(ByteReader& r) {
-  TcpHeader h;
-  auto sp = r.u16();
-  if (!sp) return sp.error();
-  h.src_port = sp.value();
-  auto dp = r.u16();
-  if (!dp) return dp.error();
-  h.dst_port = dp.value();
-  auto seq = r.u32();
-  if (!seq) return seq.error();
-  h.seq = seq.value();
-  auto ack = r.u32();
-  if (!ack) return ack.error();
-  h.ack = ack.value();
-  auto off_flags = r.u16();
-  if (!off_flags) return off_flags.error();
-  const std::size_t data_offset = ((off_flags.value() >> 12) & 0xf) * 4u;
-  if (data_offset < kTcpMinHeaderSize) return make_error("TCP: bad data offset");
-  h.flags = static_cast<std::uint8_t>(off_flags.value() & 0x3f);
-  auto window = r.u16();
-  if (!window) return window.error();
-  h.window = window.value();
-  if (auto c = r.u16(); !c) return c.error();  // checksum
-  if (auto u = r.u16(); !u) return u.error();  // urgent pointer
-  if (auto s = r.skip(data_offset - kTcpMinHeaderSize); !s.ok()) return s.error();
-  return h;
-}
-
 void TcpHeader::serialize(ByteWriter& w) const {
   w.u16(src_port);
   w.u16(dst_port);

@@ -26,7 +26,6 @@ struct TcpHeader {
   std::uint8_t flags = 0;
   std::uint16_t window = 65535;
 
-  static Result<TcpHeader> parse(ByteReader& r);
   void serialize(ByteWriter& w) const;
 
   [[nodiscard]] bool syn() const { return flags & TcpFlags::kSyn; }

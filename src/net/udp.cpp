@@ -2,22 +2,6 @@
 
 namespace hw::net {
 
-Result<UdpHeader> UdpHeader::parse(ByteReader& r) {
-  UdpHeader h;
-  auto sp = r.u16();
-  if (!sp) return sp.error();
-  h.src_port = sp.value();
-  auto dp = r.u16();
-  if (!dp) return dp.error();
-  h.dst_port = dp.value();
-  auto len = r.u16();
-  if (!len) return len.error();
-  h.length = len.value();
-  if (h.length < kUdpHeaderSize) return make_error("UDP: bad length");
-  if (auto c = r.u16(); !c) return c.error();  // checksum (unvalidated: 0 allowed)
-  return h;
-}
-
 void UdpHeader::serialize(ByteWriter& w, std::size_t payload_len) const {
   w.u16(src_port);
   w.u16(dst_port);

@@ -14,7 +14,6 @@ struct UdpHeader {
   std::uint16_t dst_port = 0;
   std::uint16_t length = 0;  // header + payload; filled by serialize when 0
 
-  static Result<UdpHeader> parse(ByteReader& r);
   void serialize(ByteWriter& w, std::size_t payload_len) const;
 };
 

@@ -349,15 +349,21 @@ void Datapath::send_packet_in(std::uint16_t in_port, const Bytes& frame,
   pi.reason = reason;
   pi.total_len = static_cast<std::uint16_t>(frame.size());
 
-  // Buffer the full frame and send a (possibly truncated) copy.
+  // Buffer the full frame and send a (possibly truncated) copy. The copy
+  // goes into the storage of an evicted or released buffer when there is
+  // one, so a warm datapath punts without allocating.
+  BufferedPacket buf;
   if (buffers_.size() >= config_.n_buffers) {
+    buf.frame = std::move(buffers_.front().frame);
     buffers_.erase(buffers_.begin());
     metrics_.buffer_evictions.inc();
+  } else if (!spare_frames_.empty()) {
+    buf.frame = std::move(spare_frames_.back());
+    spare_frames_.pop_back();
   }
-  BufferedPacket buf;
   buf.id = next_buffer_id_++;
   buf.in_port = in_port;
-  buf.frame = frame;
+  buf.frame.assign(frame.begin(), frame.end());
   pi.buffer_id = buf.id;
   buffers_.push_back(std::move(buf));
 
@@ -377,6 +383,12 @@ std::optional<Bytes> Datapath::take_buffered(std::uint32_t buffer_id) {
   Bytes frame = std::move(it->frame);
   buffers_.erase(it);
   return frame;
+}
+
+void Datapath::recycle_frame(Bytes&& frame) {
+  if (buffers_.size() + spare_frames_.size() < config_.n_buffers) {
+    spare_frames_.push_back(std::move(frame));
+  }
 }
 
 template <typename T>
@@ -492,6 +504,7 @@ void Datapath::handle_flow_mod(FlowMod&& mod, std::uint32_t xid) {
     const FlowEntry* added = adds ? table_.find_strict(match, priority) : nullptr;
     apply_actions(added != nullptr ? added->actions : modified, match.in_port,
                   *frame);
+    recycle_frame(std::move(*frame));
   }
 }
 
@@ -507,6 +520,7 @@ void Datapath::handle_packet_out(const PacketOut& po, std::uint32_t xid) {
     return;
   }
   apply_actions(po.actions, po.in_port, *buffered);
+  recycle_frame(std::move(*buffered));
 }
 
 void Datapath::handle_stats_request(const StatsRequest& req, std::uint32_t xid) {

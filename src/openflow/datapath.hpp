@@ -169,7 +169,12 @@ class Datapath {
   void send_to_controller(const T& msg, std::uint32_t xid);
   void send_error(ErrorType type, std::uint16_t code, std::uint32_t xid,
                   const Bytes& offending);
+  /// Moves a buffered frame out of buffers_ (or nullopt if the id is
+  /// unknown). Actions run on the returned frame, never on a reference into
+  /// buffers_: an output to the controller punts again and grows buffers_.
   std::optional<Bytes> take_buffered(std::uint32_t buffer_id);
+  /// Keeps a released frame's storage for the next punt.
+  void recycle_frame(Bytes&& frame);
 
   sim::EventLoop& loop_;
   Config config_;
@@ -228,6 +233,9 @@ class Datapath {
     Bytes frame;
   };
   std::vector<BufferedPacket> buffers_;
+  /// Storage of released frames, reused by the next punt. buffers_ and
+  /// spare_frames_ together hold at most n_buffers frames.
+  std::vector<Bytes> spare_frames_;
   std::uint32_t next_buffer_id_ = 1;
 
   // L2 learning table backing the NORMAL action ("normal processing

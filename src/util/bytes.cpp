@@ -4,23 +4,6 @@
 
 namespace hw {
 
-void ByteWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 24));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v >> 32));
-  u32(static_cast<std::uint32_t>(v));
-}
-
 void ByteWriter::raw(std::span<const std::uint8_t> bytes) {
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }
@@ -50,18 +33,14 @@ Result<std::uint8_t> ByteReader::u8() {
 
 Result<std::uint16_t> ByteReader::u16() {
   if (remaining() < 2) return make_error("short read: u16");
-  std::uint16_t v = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(data_[pos_]) << 8) | data_[pos_ + 1]);
+  const std::uint16_t v = load_be16(data_.data() + pos_);
   pos_ += 2;
   return v;
 }
 
 Result<std::uint32_t> ByteReader::u32() {
   if (remaining() < 4) return make_error("short read: u32");
-  std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
-                    (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
-                    (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
-                    static_cast<std::uint32_t>(data_[pos_ + 3]);
+  const std::uint32_t v = load_be32(data_.data() + pos_);
   pos_ += 4;
   return v;
 }

@@ -26,9 +26,22 @@ class ByteWriter {
   explicit ByteWriter(Bytes&& reuse) : buf_(std::move(reuse)) { buf_.clear(); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u16(std::uint16_t v) {
+    const std::uint8_t be[2] = {static_cast<std::uint8_t>(v >> 8),
+                                static_cast<std::uint8_t>(v)};
+    buf_.insert(buf_.end(), be, be + 2);
+  }
+  void u32(std::uint32_t v) {
+    const std::uint8_t be[4] = {
+        static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
+        static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+    buf_.insert(buf_.end(), be, be + 4);
+  }
+  void u64(std::uint64_t v) {
+    std::uint8_t be[8];
+    for (int i = 0; i < 8; ++i) be[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+    buf_.insert(buf_.end(), be, be + 8);
+  }
   void raw(std::span<const std::uint8_t> bytes);
   void raw(const void* data, std::size_t len);
   /// Writes exactly `len` bytes: the string truncated or zero-padded.
@@ -52,6 +65,16 @@ class ByteWriter {
 /// large one. Call it once the contents are no longer needed.
 inline void release_if_oversized(Bytes& buf, std::size_t keep) {
   if (buf.capacity() > keep) Bytes().swap(buf);
+}
+
+/// Big-endian loads from bytes the caller has already bounds-checked: a
+/// fixed header is length-checked once, then read field by field with these.
+inline std::uint16_t load_be16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>(p[0] << 8 | p[1]);
+}
+inline std::uint32_t load_be32(const std::uint8_t* p) {
+  return std::uint32_t{p[0]} << 24 | std::uint32_t{p[1]} << 16 |
+         std::uint32_t{p[2]} << 8 | p[3];
 }
 
 /// Reads integral fields in network byte order from a fixed buffer. All reads

@@ -44,17 +44,17 @@ TEST(Checksum, Ipv4HeaderVerifies) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer round-trips
+// Layer round-trips: each header is serialized into a whole frame and read
+// back through ParsedPacket::parse, the one frame parser.
 
 TEST(Ethernet, RoundTrip) {
-  ByteWriter w;
-  EthernetHeader{kMacB, kMacA, 0x0800}.serialize(w);
-  ByteReader r(w.bytes());
-  auto h = EthernetHeader::parse(r);
-  ASSERT_TRUE(h.ok());
-  EXPECT_EQ(h.value().dst, kMacB);
-  EXPECT_EQ(h.value().src, kMacA);
-  EXPECT_EQ(h.value().type(), EtherType::Ipv4);
+  const Bytes frame = build_udp(kMacA, kMacB, kIpA, kIpB, 1, 2, {});
+  auto p = ParsedPacket::parse(frame);
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ(p.value().eth.dst, kMacB);
+  EXPECT_EQ(p.value().eth.src, kMacA);
+  EXPECT_EQ(p.value().eth.type(), EtherType::Ipv4);
+  EXPECT_EQ(p.value().frame_size, frame.size());
 }
 
 TEST(Arp, RoundTrip) {
@@ -64,14 +64,15 @@ TEST(Arp, RoundTrip) {
   m.sender_ip = kIpA;
   m.target_mac = kMacB;
   m.target_ip = kIpB;
-  ByteWriter w;
-  m.serialize(w);
-  ByteReader r(w.bytes());
-  auto parsed = ArpMessage::parse(r);
+  auto parsed = ParsedPacket::parse(build_arp(m));
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().op, ArpOp::Reply);
-  EXPECT_EQ(parsed.value().sender_ip, kIpA);
-  EXPECT_EQ(parsed.value().target_mac, kMacB);
+  ASSERT_TRUE(parsed.value().arp.has_value());
+  const ArpMessage& arp = *parsed.value().arp;
+  EXPECT_EQ(arp.op, ArpOp::Reply);
+  EXPECT_EQ(arp.sender_mac, kMacA);
+  EXPECT_EQ(arp.sender_ip, kIpA);
+  EXPECT_EQ(arp.target_mac, kMacB);
+  EXPECT_EQ(arp.target_ip, kIpB);
 }
 
 TEST(Arp, RejectsNonEthernetIpv4) {
@@ -82,8 +83,9 @@ TEST(Arp, RejectsNonEthernetIpv4) {
   w.u8(4);
   w.u16(1);
   w.zeros(20);
-  ByteReader r(w.bytes());
-  EXPECT_FALSE(ArpMessage::parse(r).ok());
+  EXPECT_FALSE(
+      ParsedPacket::parse(build_ethernet(kMacA, kMacB, EtherType::Arp, w.bytes()))
+          .ok());
 }
 
 TEST(Ipv4, RoundTrip) {
@@ -93,36 +95,58 @@ TEST(Ipv4, RoundTrip) {
   h.ttl = 7;
   h.protocol = 6;
   h.dscp = 0x20;
+  h.identification = 0xbeef;
   ByteWriter w;
   h.serialize(w, 42);
-  ByteReader r(w.bytes());
-  auto parsed = Ipv4Header::parse(r);
+  TcpHeader{}.serialize(w);
+  w.zeros(42 - kTcpMinHeaderSize);
+  auto parsed =
+      ParsedPacket::parse(build_ethernet(kMacA, kMacB, EtherType::Ipv4, w.bytes()));
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().src, kIpA);
-  EXPECT_EQ(parsed.value().dst, kIpB);
-  EXPECT_EQ(parsed.value().ttl, 7);
-  EXPECT_EQ(parsed.value().protocol, 6);
-  EXPECT_EQ(parsed.value().total_length, kIpv4MinHeaderSize + 42);
+  ASSERT_TRUE(parsed.value().ip.has_value());
+  const Ipv4Header& ip = *parsed.value().ip;
+  EXPECT_EQ(ip.src, kIpA);
+  EXPECT_EQ(ip.dst, kIpB);
+  EXPECT_EQ(ip.ttl, 7);
+  EXPECT_EQ(ip.protocol, 6);
+  EXPECT_EQ(ip.dscp, 0x20);
+  EXPECT_EQ(ip.identification, 0xbeef);
+  EXPECT_EQ(ip.total_length, kIpv4MinHeaderSize + 42);
 }
 
 TEST(Ipv4, RejectsBadVersion) {
   ByteWriter w;
   w.u8(0x55);  // version 5
   w.zeros(19);
-  ByteReader r(w.bytes());
-  EXPECT_FALSE(Ipv4Header::parse(r).ok());
+  EXPECT_FALSE(
+      ParsedPacket::parse(build_ethernet(kMacA, kMacB, EtherType::Ipv4, w.bytes()))
+          .ok());
+}
+
+// The IPv4 header checksum is not verified on parse: an OpenFlow 1.0 switch
+// matches and forwards such a frame like any other.
+TEST(Ipv4, WrongChecksumStillParses) {
+  Bytes frame = build_udp(kMacA, kMacB, kIpA, kIpB, 5353, 53, Bytes(10, 7));
+  frame[kEthernetHeaderSize + 10] ^= 0x5a;
+  ASSERT_NE(internet_checksum(std::span(frame).subspan(kEthernetHeaderSize,
+                                                       kIpv4MinHeaderSize)),
+            0);
+  auto p = ParsedPacket::parse(frame);
+  ASSERT_TRUE(p.ok());
+  ASSERT_TRUE(p.value().udp.has_value());
+  EXPECT_EQ(p.value().ip->src, kIpA);
+  EXPECT_EQ(p.value().udp->dst_port, 53);
+  EXPECT_EQ(p.value().l4_payload.size(), 10u);
 }
 
 TEST(Udp, RoundTrip) {
-  UdpHeader h{5353, 53, 0};
-  ByteWriter w;
-  h.serialize(w, 10);
-  ByteReader r(w.bytes());
-  auto parsed = UdpHeader::parse(r);
+  auto parsed =
+      ParsedPacket::parse(build_udp(kMacA, kMacB, kIpA, kIpB, 5353, 53, Bytes(10, 1)));
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().src_port, 5353);
-  EXPECT_EQ(parsed.value().dst_port, 53);
-  EXPECT_EQ(parsed.value().length, kUdpHeaderSize + 10);
+  ASSERT_TRUE(parsed.value().udp.has_value());
+  EXPECT_EQ(parsed.value().udp->src_port, 5353);
+  EXPECT_EQ(parsed.value().udp->dst_port, 53);
+  EXPECT_EQ(parsed.value().udp->length, kUdpHeaderSize + 10);
 }
 
 TEST(Tcp, RoundTripWithFlags) {
@@ -131,28 +155,30 @@ TEST(Tcp, RoundTripWithFlags) {
   h.dst_port = 443;
   h.seq = 12345;
   h.ack = 67890;
+  h.window = 1024;
   h.flags = TcpFlags::kSyn | TcpFlags::kAck;
-  ByteWriter w;
-  h.serialize(w);
-  ByteReader r(w.bytes());
-  auto parsed = TcpHeader::parse(r);
+  auto parsed = ParsedPacket::parse(build_tcp(kMacA, kMacB, kIpA, kIpB, h, {}));
   ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed.value().syn());
-  EXPECT_TRUE(parsed.value().ack_set());
-  EXPECT_FALSE(parsed.value().fin());
-  EXPECT_EQ(parsed.value().seq, 12345u);
+  ASSERT_TRUE(parsed.value().tcp.has_value());
+  const TcpHeader& tcp = *parsed.value().tcp;
+  EXPECT_TRUE(tcp.syn());
+  EXPECT_TRUE(tcp.ack_set());
+  EXPECT_FALSE(tcp.fin());
+  EXPECT_EQ(tcp.src_port, 40000);
+  EXPECT_EQ(tcp.dst_port, 443);
+  EXPECT_EQ(tcp.seq, 12345u);
+  EXPECT_EQ(tcp.ack, 67890u);
+  EXPECT_EQ(tcp.window, 1024);
 }
 
 TEST(Icmp, RoundTrip) {
-  IcmpHeader h{IcmpType::EchoRequest, 0, 77, 3};
-  ByteWriter w;
-  h.serialize(w);
-  ByteReader r(w.bytes());
-  auto parsed = IcmpHeader::parse(r);
+  auto parsed = ParsedPacket::parse(
+      build_icmp_echo(kMacA, kMacB, kIpA, kIpB, IcmpType::EchoRequest, 77, 3));
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().type, IcmpType::EchoRequest);
-  EXPECT_EQ(parsed.value().identifier, 77);
-  EXPECT_EQ(parsed.value().sequence, 3);
+  ASSERT_TRUE(parsed.value().icmp.has_value());
+  EXPECT_EQ(parsed.value().icmp->type, IcmpType::EchoRequest);
+  EXPECT_EQ(parsed.value().icmp->identifier, 77);
+  EXPECT_EQ(parsed.value().icmp->sequence, 3);
 }
 
 // ---------------------------------------------------------------------------

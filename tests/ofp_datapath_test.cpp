@@ -317,6 +317,28 @@ TEST_F(DatapathFixture, NwAndTpRewriteOnOptionsFrameKeepsChecksumValid) {
                       {{ip + 10, 2}, {ip + 12, 8}, {tcp + 2, 2}});
 }
 
+// An OpenFlow 1.0 switch does not verify the IPv4 header checksum: a frame
+// with a wrong one matches its exact flow and leaves unchanged.
+TEST_F(DatapathFixture, WrongIpv4ChecksumForwardsUnchanged) {
+  Bytes frame = udp_frame(kHostA, kIpA, kIpB, 80);
+  FlowMod mod;
+  mod.match = Match::from_packet(net::ParsedPacket::parse(frame).value(), 1);
+  mod.actions = output_to(2);
+  controller.send(std::move(mod));
+  loop.run_for(kMillisecond);
+
+  frame[net::kEthernetHeaderSize + 11] ^= 0x01;
+  ASSERT_NE(net::internet_checksum(std::span(frame).subspan(
+                net::kEthernetHeaderSize, net::kIpv4MinHeaderSize)),
+            0);
+  const std::size_t pis_before = controller.of_type<PacketIn>().size();
+  dp.receive_frame(1, frame);
+  loop.run_for(kMillisecond);
+  ASSERT_EQ(port2_out.frames.size(), 1u);
+  EXPECT_EQ(port2_out.frames[0], frame);
+  EXPECT_EQ(controller.of_type<PacketIn>().size(), pis_before);
+}
+
 TEST_F(DatapathFixture, DropRuleSwallowsTraffic) {
   FlowMod mod;
   mod.match = Match::any();
@@ -501,6 +523,46 @@ TEST_F(DatapathFixture, BufferEvictionWhenFull) {
   controller.send(std::move(po), 80);
   loop.run_for(kMillisecond);
   EXPECT_EQ(controller.of_type<ErrorMsg>().size(), 1u);
+}
+
+// Released buffers lend their storage to later punts. A release whose
+// actions punt the frame again buffers it afresh while the released copy is
+// still being forwarded, and frames of other sizes reuse that storage intact.
+TEST_F(DatapathFixture, ReleasedBufferStorageServesLaterPunts) {
+  const Bytes big = udp_frame(kHostA, kIpA, kIpB, 80, 300);
+  dp.receive_frame(1, big);
+  loop.run_for(kMillisecond);
+  PacketOut po;
+  po.buffer_id = controller.of_type<PacketIn>().back()->buffer_id;
+  po.in_port = 1;
+  po.actions = {ActionOutput{port_no(Port::Controller), 0}, ActionOutput{2, 0}};
+  controller.send(std::move(po));
+  loop.run_for(kMillisecond);
+  ASSERT_EQ(port2_out.frames.size(), 1u);
+  EXPECT_EQ(port2_out.frames[0], big);
+  auto pis = controller.of_type<PacketIn>();
+  ASSERT_EQ(pis.size(), 2u);
+  EXPECT_EQ(pis[1]->reason, PacketInReason::Action);
+  EXPECT_EQ(Bytes(pis[1]->data.begin(), pis[1]->data.end()), big);
+
+  const auto release = [&](std::uint32_t buffer_id) {
+    PacketOut out;
+    out.buffer_id = buffer_id;
+    out.in_port = 1;
+    out.actions = output_to(2);
+    controller.send(std::move(out));
+    loop.run_for(kMillisecond);
+  };
+  release(pis[1]->buffer_id);
+  for (const std::size_t payload : {300, 10, 600, 0}) {
+    const Bytes frame = udp_frame(kHostA, kIpA, kIpB, 81, payload);
+    dp.receive_frame(1, frame);
+    loop.run_for(kMillisecond);
+    release(controller.of_type<PacketIn>().back()->buffer_id);
+    EXPECT_EQ(port2_out.frames.back(), frame) << "payload " << payload;
+  }
+  EXPECT_TRUE(controller.of_type<ErrorMsg>().empty());
+  EXPECT_EQ(dp.stats().buffer_evictions, 0u);
 }
 
 TEST_F(DatapathFixture, EnqueuePolicesAboveRate) {
