@@ -1,7 +1,8 @@
 // OpenFlow path performance: flow-table lookup scaling (exact hit vs
 // wildcard vs miss), flow-mod application rate, wire codec throughput, and
 // the full datapath fast path vs the packet-in slow path — the crossover
-// that justifies the architecture.
+// that justifies the architecture — plus the per-packet costs around it:
+// frame parse and build, and one event-loop dispatch.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "net/packet.hpp"
 #include "openflow/stream_channel.hpp"
 #include "openflow/datapath.hpp"
+#include "sim/event_loop.hpp"
 #include "telemetry/metrics.hpp"
 
 using namespace hw;
@@ -428,6 +430,49 @@ void BM_MatchFromPacket(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MatchFromPacket);
+
+/// Builds one UDP frame of `frame_size` bytes the way a simulated host does
+/// per packet: one reserved buffer, each header appended and filled in place.
+void BM_BuildUdp(benchmark::State& state, std::size_t frame_size) {
+  const Bytes payload(frame_size - 42, 0xab);
+  const MacAddress src_mac = MacAddress::from_index(1);
+  const MacAddress dst_mac = MacAddress::from_index(2);
+  const Ipv4Address src{192, 168, 1, 100};
+  const Ipv4Address dst{8, 8, 8, 8};
+  for (auto _ : state) {
+    Bytes frame = net::build_udp(src_mac, dst_mac, src, dst, 40000, 5004, payload);
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_BuildUdp, 60B, 60);
+BENCHMARK_CAPTURE(BM_BuildUdp, 1514B, 1514);
+
+/// One event-loop dispatch at a steady pending depth of range(0) events:
+/// each event re-arms itself at a scattered later time, so every dispatch is
+/// one heap pop, one callback and one schedule. The callback fits
+/// std::function's inline buffer, so this is the loop's own cost.
+void BM_EventLoopScheduleRun(benchmark::State& state) {
+  const auto depth = static_cast<std::uint64_t>(state.range(0));
+  sim::EventLoop loop;
+  std::uint64_t fired = 0;
+  struct Rearm {
+    sim::EventLoop* loop;
+    std::uint64_t* fired;
+    void operator()() const {
+      ++*fired;
+      // A multiplicative hash spreads the delays over [1, 4096] µs.
+      loop->schedule(1 + (*fired * 2654435761u) % 4096, *this);
+    }
+  };
+  for (std::uint64_t i = 0; i < depth; ++i) loop.schedule(i, Rearm{&loop, &fired});
+  for (auto _ : state) loop.run_until(loop.next_event_at());
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(fired));
+  state.counters["pending"] = static_cast<double>(loop.pending());
+}
+BENCHMARK(BM_EventLoopScheduleRun)->Arg(16)->Arg(64)->Arg(1024);
 
 }  // namespace
 

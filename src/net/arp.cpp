@@ -1,17 +1,20 @@
 #include "net/arp.hpp"
 
+#include <cstring>
+
 namespace hw::net {
 
 void ArpMessage::serialize(ByteWriter& w) const {
-  w.u16(1);       // Ethernet
-  w.u16(0x0800);  // IPv4
-  w.u8(6);
-  w.u8(4);
-  w.u16(static_cast<std::uint16_t>(op));
-  w.raw(sender_mac.octets().data(), 6);
-  w.u32(sender_ip.value());
-  w.raw(target_mac.octets().data(), 6);
-  w.u32(target_ip.value());
+  std::uint8_t* p = w.append(kArpMessageSize);
+  store_be16(p, 1);           // Ethernet
+  store_be16(p + 2, 0x0800);  // IPv4
+  p[4] = 6;
+  p[5] = 4;
+  store_be16(p + 6, static_cast<std::uint16_t>(op));
+  std::memcpy(p + 8, sender_mac.octets().data(), 6);
+  store_be32(p + 14, sender_ip.value());
+  std::memcpy(p + 18, target_mac.octets().data(), 6);
+  store_be32(p + 24, target_ip.value());
 }
 
 }  // namespace hw::net

@@ -1,5 +1,7 @@
 #include "net/ethernet.hpp"
 
+#include <cstring>
+
 namespace hw::net {
 
 Result<MacAddress> read_mac(ByteReader& r) {
@@ -11,9 +13,10 @@ Result<MacAddress> read_mac(ByteReader& r) {
 }
 
 void EthernetHeader::serialize(ByteWriter& w) const {
-  w.raw(dst.octets().data(), 6);
-  w.raw(src.octets().data(), 6);
-  w.u16(ethertype);
+  std::uint8_t* p = w.append(kEthernetHeaderSize);
+  std::memcpy(p, dst.octets().data(), 6);
+  std::memcpy(p + 6, src.octets().data(), 6);
+  store_be16(p + 12, ethertype);
 }
 
 }  // namespace hw::net

@@ -172,11 +172,13 @@ Bytes build_ethernet(MacAddress src, MacAddress dst, EtherType type,
 }
 
 Bytes build_arp(const ArpMessage& arp) {
-  ByteWriter body;
-  arp.serialize(body);
+  ByteWriter w(kEthernetHeaderSize + kArpMessageSize);
   const MacAddress dst =
       arp.op == ArpOp::Request ? MacAddress::broadcast() : arp.target_mac;
-  return build_ethernet(arp.sender_mac, dst, EtherType::Arp, body.bytes());
+  EthernetHeader{dst, arp.sender_mac, static_cast<std::uint16_t>(EtherType::Arp)}
+      .serialize(w);
+  arp.serialize(w);
+  return std::move(w).take();
 }
 
 Bytes build_udp(MacAddress src_mac, MacAddress dst_mac, Ipv4Address src_ip,
@@ -217,7 +219,7 @@ Bytes build_tcp(MacAddress src_mac, MacAddress dst_mac, Ipv4Address src_ip,
 Bytes build_icmp_echo(MacAddress src_mac, MacAddress dst_mac, Ipv4Address src_ip,
                       Ipv4Address dst_ip, IcmpType type, std::uint16_t ident,
                       std::uint16_t seq) {
-  ByteWriter w;
+  ByteWriter w(kEthernetHeaderSize + kIpv4MinHeaderSize + kIcmpHeaderSize);
   EthernetHeader{dst_mac, src_mac, static_cast<std::uint16_t>(EtherType::Ipv4)}
       .serialize(w);
   Ipv4Header ip;

@@ -3,14 +3,15 @@
 namespace hw::net {
 
 void TcpHeader::serialize(ByteWriter& w) const {
-  w.u16(src_port);
-  w.u16(dst_port);
-  w.u32(seq);
-  w.u32(ack);
-  w.u16(static_cast<std::uint16_t>((5u << 12) | flags));
-  w.u16(window);
-  w.u16(0);  // checksum elided in the simulator
-  w.u16(0);  // urgent
+  std::uint8_t* p = w.append(kTcpMinHeaderSize);
+  store_be16(p, src_port);
+  store_be16(p + 2, dst_port);
+  store_be32(p + 4, seq);
+  store_be32(p + 8, ack);
+  store_be16(p + 12, static_cast<std::uint16_t>((5u << 12) | flags));
+  store_be16(p + 14, window);
+  // p[16..19], the checksum (elided in the simulator) and the urgent
+  // pointer, stay zero.
 }
 
 }  // namespace hw::net

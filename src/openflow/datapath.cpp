@@ -16,6 +16,9 @@ constexpr std::string_view kLog = "datapath";
 /// packet-in, an echo or a flow-removed, not for a features reply's port
 /// list or a flow-stats fragment.
 constexpr std::size_t kKeepTxBytes = 4096;
+/// Capacity the kept rewrite buffer keeps between frames: any Ethernet
+/// frame, not a jumbo one.
+constexpr std::size_t kKeepRewriteBytes = 4096;
 
 /// Where set-field actions write, found from the frame's one parse. A frame
 /// that does not parse takes no rewrites; a layer it lacks takes none of
@@ -34,25 +37,14 @@ FieldOffsets field_offsets(const net::ParsedPacket& p, const Bytes& frame) {
   return at;
 }
 
-void store_u16(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v >> 8);
-  p[1] = static_cast<std::uint8_t>(v);
-}
-
 /// Writes an IPv4 address field at `field` and adjusts the header checksum
 /// at `ip + 10` for it (RFC 1624), leaving every other byte as it was.
 void patch_nw(Bytes& frame, std::size_t ip, std::size_t field, Ipv4Address addr) {
   std::uint8_t* f = frame.data() + field;
-  const std::uint32_t old_value = (std::uint32_t{f[0]} << 24) |
-                                  (std::uint32_t{f[1]} << 16) |
-                                  (std::uint32_t{f[2]} << 8) | f[3];
-  const std::uint32_t v = addr.value();
-  store_u16(f, static_cast<std::uint16_t>(v >> 16));
-  store_u16(f + 2, static_cast<std::uint16_t>(v));
+  const std::uint32_t old_value = load_be32(f);
+  store_be32(f, addr.value());
   std::uint8_t* sum = frame.data() + ip + 10;
-  store_u16(sum, net::checksum_adjust(
-                     static_cast<std::uint16_t>((sum[0] << 8) | sum[1]),
-                     old_value, v));
+  store_be16(sum, net::checksum_adjust(load_be16(sum), old_value, addr.value()));
 }
 
 }  // namespace
@@ -211,8 +203,10 @@ void Datapath::apply_actions(const ActionList& actions, std::uint16_t in_port,
   if (actions.empty()) return;  // drop
 
   // Copy on first write: outputs forward the caller's bytes until a
-  // set-field action changes them. That action takes the one private copy;
-  // it and every later one patch header fields in place.
+  // set-field action changes them. That action copies the frame into the
+  // kept rewrite buffer; it and every later one patch header fields in
+  // place. The buffer is moved out until the call returns, so an output
+  // that re-enters the datapath finds it empty and cannot clobber it.
   Bytes copy;
   const Bytes* current = &frame;
   std::optional<FieldOffsets> offsets;
@@ -229,7 +223,8 @@ void Datapath::apply_actions(const ActionList& actions, std::uint16_t in_port,
   };
   const auto writable = [&]() -> Bytes& {
     if (current != &copy) {
-      copy = frame;
+      copy = std::move(rewrite_);
+      copy.assign(frame.begin(), frame.end());
       current = &copy;
     }
     return copy;
@@ -250,9 +245,9 @@ void Datapath::apply_actions(const ActionList& actions, std::uint16_t in_port,
           } else if constexpr (std::is_same_v<T, ActionSetNwDst>) {
             if (at().ip != 0) patch_nw(writable(), at().ip, at().ip + 16, a.addr);
           } else if constexpr (std::is_same_v<T, ActionSetTpSrc>) {
-            if (at().l4 != 0) store_u16(writable().data() + at().l4, a.port);
+            if (at().l4 != 0) store_be16(writable().data() + at().l4, a.port);
           } else if constexpr (std::is_same_v<T, ActionSetTpDst>) {
-            if (at().l4 != 0) store_u16(writable().data() + at().l4 + 2, a.port);
+            if (at().l4 != 0) store_be16(writable().data() + at().l4 + 2, a.port);
           } else if constexpr (std::is_same_v<T, ActionEnqueue>) {
             const Bytes& out = *current;
             auto it = queues_.find({a.port, a.queue_id});
@@ -269,6 +264,11 @@ void Datapath::apply_actions(const ActionList& actions, std::uint16_t in_port,
           }
         },
         action);
+  }
+  if (current == &copy) {
+    // A jumbo rewrite must not pin its size.
+    release_if_oversized(copy, kKeepRewriteBytes);
+    rewrite_ = std::move(copy);
   }
 }
 

@@ -97,6 +97,10 @@ class Datapath {
   [[nodiscard]] const MicroflowCache& microflow_cache() const {
     return microflow_;
   }
+  /// Storage the kept rewrite buffer holds between frames (at most 4 KiB).
+  [[nodiscard]] std::size_t rewrite_capacity() const {
+    return rewrite_.capacity();
+  }
   [[nodiscard]] const PortCounters* port_counters(std::uint16_t port) const;
   [[nodiscard]] std::vector<PhyPort> port_descriptions() const;
 
@@ -186,6 +190,8 @@ class Datapath {
   ChannelEndpoint* channel_ = nullptr;
   /// Every message to the controller is encoded here (see ofp::encode_into).
   Bytes tx_;
+  /// apply_actions' copy-on-first-write copy, kept between frames.
+  Bytes rewrite_;
   struct Instruments {
     explicit Instruments(telemetry::MetricRegistry& reg)
         : packet_ins{reg, "openflow.datapath.packet_ins"},

@@ -6,51 +6,69 @@ namespace hw::sim {
 
 EventLoop::EventId EventLoop::schedule_at(Timestamp when, Callback fn) {
   check_owner();
-  const EventId id = next_id_++;
-  heap_.push(Entry{std::max(when, now_), id, std::move(fn)});
-  return id;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  if (++s.uses == 0) s.uses = 1;  // on wrap: a use count of 0 is never issued
+  s.seq = next_seq_++;
+  s.fn = std::move(fn);
+  ++live_;
+  heap_.push_back(Key{std::max(when, now_), s.seq, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return EventId{s.uses} << 32 | slot;
+}
+
+void EventLoop::free_slot(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.seq = 0;
+  s.fn = nullptr;
+  free_slots_.push_back(slot);
+  --live_;
 }
 
 void EventLoop::cancel(EventId id) {
   check_owner();
-  if (id == 0 || id >= next_id_) return;
-  cancelled_ids_.push_back(id);
-  ++cancelled_;
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size()) return;
+  const Slot& s = slots_[slot];
+  // Fired, cancelled, or the slot now holds a later event.
+  if (s.seq == 0 || s.uses != id >> 32) return;
+  free_slot(slot);
+}
+
+void EventLoop::skip_stale() {
+  while (!heap_.empty() && slots_[heap_.front().slot].seq != heap_.front().seq) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  }
 }
 
 bool EventLoop::pop_one(Timestamp deadline) {
-  while (!heap_.empty()) {
-    const Entry& top = heap_.top();
-    if (top.when > deadline) return false;
-    // Lazily discard cancelled entries.
-    auto it = std::find(cancelled_ids_.begin(), cancelled_ids_.end(), top.id);
-    if (it != cancelled_ids_.end()) {
-      cancelled_ids_.erase(it);
-      --cancelled_;
-      heap_.pop();
-      continue;
-    }
-    Entry entry = std::move(const_cast<Entry&>(top));
-    heap_.pop();
-    now_ = entry.when;
-    ++executed_;
-    entry.fn();
-    return true;
-  }
-  return false;
+  skip_stale();
+  if (heap_.empty() || heap_.front().when > deadline) return false;
+  const Key top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  // Move the callback out and free its slot before running it: the callback
+  // may schedule (growing slots_) or cancel its own, now stale, id.
+  Callback fn = std::move(slots_[top.slot].fn);
+  free_slot(top.slot);
+  now_ = top.when;
+  ++executed_;
+  fn();
+  return true;
 }
 
 Timestamp EventLoop::next_event_at() {
   check_owner();
-  while (!heap_.empty()) {
-    const Entry& top = heap_.top();
-    auto it = std::find(cancelled_ids_.begin(), cancelled_ids_.end(), top.id);
-    if (it == cancelled_ids_.end()) return top.when;
-    cancelled_ids_.erase(it);
-    --cancelled_;
-    heap_.pop();
-  }
-  return kNoEvent;
+  skip_stale();
+  return heap_.empty() ? kNoEvent : heap_.front().when;
 }
 
 std::size_t EventLoop::run_until(Timestamp deadline) {

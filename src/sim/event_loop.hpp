@@ -6,7 +6,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <type_traits>
 #include <vector>
 
 #ifndef NDEBUG
@@ -21,7 +21,9 @@ namespace hw::sim {
 class EventLoop {
  public:
   using Callback = std::function<void()>;
-  /// Handle for cancelling a scheduled event.
+  /// Handle for cancelling a scheduled event: the event's callback slot in
+  /// the low 32 bits, that slot's use count in the high 32. Use counts start
+  /// at 1, so 0 is never a valid id.
   using EventId = std::uint64_t;
 
   EventLoop() = default;
@@ -39,7 +41,7 @@ class EventLoop {
   EventId schedule(Duration delay, Callback fn) {
     return schedule_at(now_ + delay, std::move(fn));
   }
-  /// Cancels a pending event; no-op if already fired or cancelled.
+  /// Cancels a pending event in O(1); no-op if already fired or cancelled.
   void cancel(EventId id);
 
   /// Runs events until the queue is empty or the virtual clock passes
@@ -50,15 +52,15 @@ class EventLoop {
   /// periodic timers must be stopped first or this never returns.
   std::size_t run_all();
 
-  [[nodiscard]] std::size_t pending() const { return heap_.size() - cancelled_; }
+  [[nodiscard]] std::size_t pending() const { return live_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// next_event_at() when nothing is pending.
   static constexpr Timestamp kNoEvent = ~Timestamp{0};
   /// Virtual time of the earliest pending (non-cancelled) event without
   /// running it — what a residency manager records as a hibernated home's
-  /// next-wakeup so no timer is ever missed. Discards lazily-cancelled heap
-  /// entries along the way, exactly as pop_one() would.
+  /// next-wakeup so no timer is ever missed. Discards the heap keys of
+  /// cancelled events along the way, exactly as pop_one() would.
   [[nodiscard]] Timestamp next_event_at();
 
   // -- Thread ownership (debug builds) -----------------------------------------
@@ -97,25 +99,38 @@ class EventLoop {
   void check_owner() {}
 #endif
 
-  struct Entry {
+  // The heap orders plain keys; callbacks stay put in slots_. A cancel
+  // frees its slot at once and leaves the key behind: the key is stale once
+  // its slot's seq no longer matches, and pop_one() discards it.
+  struct Key {
     Timestamp when;
-    EventId id;  // also breaks ties: FIFO among same-time events
-    Callback fn;
+    std::uint64_t seq;  // schedule order: FIFO among same-time events
+    std::uint32_t slot;
   };
+  static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return a.when != b.when ? a.when > b.when : a.id > b.id;
+    bool operator()(const Key& a, const Key& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
+  };
+  struct Slot {
+    Callback fn;
+    std::uint64_t seq = 0;  // the pending event's key; 0 while the slot is free
+    std::uint32_t uses = 0;
   };
 
   bool pop_one(Timestamp deadline);
+  /// Drops stale keys off the top of the heap.
+  void skip_stale();
+  void free_slot(std::uint32_t slot);
 
   Timestamp now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::size_t cancelled_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::vector<EventId> cancelled_ids_;
+  std::size_t live_ = 0;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 /// Repeating timer helper: reschedules itself every `period` until stopped.

@@ -42,6 +42,14 @@ class ByteWriter {
     for (int i = 0; i < 8; ++i) be[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
     buf_.insert(buf_.end(), be, be + 8);
   }
+  /// Grows the buffer by `n` zero bytes and returns where they start, so a
+  /// fixed header is written in place with store_be16/32. The pointer is
+  /// valid until the next write.
+  std::uint8_t* append(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
   void raw(std::span<const std::uint8_t> bytes);
   void raw(const void* data, std::size_t len);
   /// Writes exactly `len` bytes: the string truncated or zero-padded.
@@ -75,6 +83,17 @@ inline std::uint16_t load_be16(const std::uint8_t* p) {
 inline std::uint32_t load_be32(const std::uint8_t* p) {
   return std::uint32_t{p[0]} << 24 | std::uint32_t{p[1]} << 16 |
          std::uint32_t{p[2]} << 8 | p[3];
+}
+
+/// Big-endian stores into bytes the caller owns: a fixed header is appended
+/// once (ByteWriter::append) or patched in place, then written with these.
+inline void store_be16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+}
+inline void store_be32(std::uint8_t* p, std::uint32_t v) {
+  store_be16(p, static_cast<std::uint16_t>(v >> 16));
+  store_be16(p + 2, static_cast<std::uint16_t>(v));
 }
 
 /// Reads integral fields in network byte order from a fixed buffer. All reads

@@ -6,10 +6,13 @@
 // byte flips, with their allocation bounded by the input's size.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <string>
 
+#include "net/checksum.hpp"
 #include "net/dhcp.hpp"
 #include "net/dns.hpp"
 #include "net/packet.hpp"
@@ -448,6 +451,249 @@ TEST(ParseDifferential, SeededRandomBytesAgree) {
     }
     expect_same_parse(frame);
     if (HasFatalFailure()) return;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Serializer differential: each header is appended once and filled in
+// place; the oracle writes it field by field through ByteWriter.
+
+namespace oracle_build {
+
+void ethernet(ByteWriter& w, MacAddress dst, MacAddress src, std::uint16_t type) {
+  w.raw(dst.octets().data(), 6);
+  w.raw(src.octets().data(), 6);
+  w.u16(type);
+}
+
+void ipv4(ByteWriter& w, const Ipv4Header& ip, std::size_t payload_len) {
+  const std::size_t start = w.size();
+  w.u8(0x45);
+  w.u8(ip.dscp);
+  w.u16(ip.total_length != 0
+            ? ip.total_length
+            : static_cast<std::uint16_t>(kIpv4MinHeaderSize + payload_len));
+  w.u16(ip.identification);
+  w.u16(0x4000);
+  w.u8(ip.ttl);
+  w.u8(ip.protocol);
+  w.u16(0);
+  w.u32(ip.src.value());
+  w.u32(ip.dst.value());
+  w.patch_u16(start + 10, internet_checksum(std::span(w.bytes()).subspan(
+                              start, kIpv4MinHeaderSize)));
+}
+
+void udp(ByteWriter& w, const UdpHeader& h, std::size_t payload_len) {
+  w.u16(h.src_port);
+  w.u16(h.dst_port);
+  w.u16(h.length != 0 ? h.length
+                      : static_cast<std::uint16_t>(kUdpHeaderSize + payload_len));
+  w.u16(0);
+}
+
+void tcp(ByteWriter& w, const TcpHeader& h) {
+  w.u16(h.src_port);
+  w.u16(h.dst_port);
+  w.u32(h.seq);
+  w.u32(h.ack);
+  w.u16(static_cast<std::uint16_t>((5u << 12) | h.flags));
+  w.u16(h.window);
+  w.u16(0);
+  w.u16(0);
+}
+
+void icmp(ByteWriter& w, const IcmpHeader& h) {
+  w.u8(static_cast<std::uint8_t>(h.type));
+  w.u8(h.code);
+  w.u16(0);
+  w.u16(h.identifier);
+  w.u16(h.sequence);
+}
+
+void arp(ByteWriter& w, const ArpMessage& m) {
+  w.u16(1);
+  w.u16(0x0800);
+  w.u8(6);
+  w.u8(4);
+  w.u16(static_cast<std::uint16_t>(m.op));
+  w.raw(m.sender_mac.octets().data(), 6);
+  w.u32(m.sender_ip.value());
+  w.raw(m.target_mac.octets().data(), 6);
+  w.u32(m.target_ip.value());
+}
+
+Ipv4Header ip_of(Ipv4Address src, Ipv4Address dst, IpProto proto, std::uint8_t ttl) {
+  Ipv4Header ip;
+  ip.src = src;
+  ip.dst = dst;
+  ip.ttl = ttl;
+  ip.protocol = static_cast<std::uint8_t>(proto);
+  return ip;
+}
+
+Bytes build_udp(MacAddress smac, MacAddress dmac, Ipv4Address sip, Ipv4Address dip,
+                std::uint16_t sport, std::uint16_t dport, const Bytes& payload,
+                std::uint8_t ttl) {
+  ByteWriter w;
+  ethernet(w, dmac, smac, static_cast<std::uint16_t>(EtherType::Ipv4));
+  ipv4(w, ip_of(sip, dip, IpProto::Udp, ttl), kUdpHeaderSize + payload.size());
+  udp(w, UdpHeader{sport, dport, 0}, payload.size());
+  w.raw(payload);
+  return std::move(w).take();
+}
+
+Bytes build_tcp(MacAddress smac, MacAddress dmac, Ipv4Address sip, Ipv4Address dip,
+                const TcpHeader& h, const Bytes& payload) {
+  ByteWriter w;
+  ethernet(w, dmac, smac, static_cast<std::uint16_t>(EtherType::Ipv4));
+  ipv4(w, ip_of(sip, dip, IpProto::Tcp, 64), kTcpMinHeaderSize + payload.size());
+  tcp(w, h);
+  w.raw(payload);
+  return std::move(w).take();
+}
+
+Bytes build_icmp_echo(MacAddress smac, MacAddress dmac, Ipv4Address sip,
+                      Ipv4Address dip, IcmpType type, std::uint16_t ident,
+                      std::uint16_t seq) {
+  ByteWriter w;
+  ethernet(w, dmac, smac, static_cast<std::uint16_t>(EtherType::Ipv4));
+  ipv4(w, ip_of(sip, dip, IpProto::Icmp, 64), kIcmpHeaderSize);
+  icmp(w, IcmpHeader{type, 0, ident, seq});
+  return std::move(w).take();
+}
+
+Bytes build_arp(const ArpMessage& m) {
+  ByteWriter w;
+  ethernet(w, m.op == ArpOp::Request ? MacAddress::broadcast() : m.target_mac,
+           m.sender_mac, static_cast<std::uint16_t>(EtherType::Arp));
+  arp(w, m);
+  return std::move(w).take();
+}
+
+}  // namespace oracle_build
+
+MacAddress random_mac(Rng& rng) {
+  std::array<std::uint8_t, 6> octets{};
+  for (auto& o : octets) o = static_cast<std::uint8_t>(rng.next());
+  return MacAddress{octets};
+}
+
+Ipv4Address random_ip(Rng& rng) {
+  return Ipv4Address{static_cast<std::uint32_t>(rng.next())};
+}
+
+std::uint16_t random_u16(Rng& rng) { return static_cast<std::uint16_t>(rng.next()); }
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+/// The IPv4 header of an Ethernet frame sums to zero with its checksum in.
+void expect_ipv4_checksum_verifies(const Bytes& frame) {
+  ASSERT_GE(frame.size(), kEthernetHeaderSize + kIpv4MinHeaderSize);
+  EXPECT_EQ(internet_checksum(std::span(frame).subspan(kEthernetHeaderSize,
+                                                       kIpv4MinHeaderSize)),
+            0)
+      << hex_dump(frame, 40);
+}
+
+TEST(SerializeDifferential, FrameBuildersMatchFieldByFieldOracle) {
+  Rng rng(0x5e71a112e);
+  for (int round = 0; round < 200; ++round) {
+    for (const std::size_t len : {0, 1, 17, 18, 1472}) {
+      const Bytes payload = random_bytes(rng, len);
+      const MacAddress smac = random_mac(rng);
+      const MacAddress dmac = random_mac(rng);
+      const Ipv4Address sip = random_ip(rng);
+      const Ipv4Address dip = random_ip(rng);
+      const std::uint16_t sport = random_u16(rng);
+      const std::uint16_t dport = random_u16(rng);
+      const auto ttl = static_cast<std::uint8_t>(rng.next());
+      const std::string where = "round " + std::to_string(round) + ", payload " +
+                                std::to_string(len);
+
+      const Bytes udp = build_udp(smac, dmac, sip, dip, sport, dport, payload, ttl);
+      ASSERT_EQ(udp, oracle_build::build_udp(smac, dmac, sip, dip, sport, dport,
+                                             payload, ttl))
+          << where;
+      expect_ipv4_checksum_verifies(udp);
+
+      const TcpHeader th{sport, dport, static_cast<std::uint32_t>(rng.next()),
+                         static_cast<std::uint32_t>(rng.next()),
+                         static_cast<std::uint8_t>(rng.next() & 0x3f),
+                         random_u16(rng)};
+      const Bytes tcp = build_tcp(smac, dmac, sip, dip, th, payload);
+      ASSERT_EQ(tcp, oracle_build::build_tcp(smac, dmac, sip, dip, th, payload))
+          << where;
+      expect_ipv4_checksum_verifies(tcp);
+
+      const bool from_client = rng.chance(0.5);
+      const Bytes dhcp = build_dhcp_frame(smac, dmac, sip, dip, from_client, payload);
+      ASSERT_EQ(dhcp, oracle_build::build_udp(
+                          smac, dmac, sip, dip,
+                          from_client ? kDhcpClientPort : kDhcpServerPort,
+                          from_client ? kDhcpServerPort : kDhcpClientPort, payload, 64))
+          << where;
+      expect_ipv4_checksum_verifies(dhcp);
+    }
+    const IcmpType type = rng.chance(0.5) ? IcmpType::EchoRequest : IcmpType::EchoReply;
+    const MacAddress smac = random_mac(rng);
+    const MacAddress dmac = random_mac(rng);
+    const Ipv4Address sip = random_ip(rng);
+    const Ipv4Address dip = random_ip(rng);
+    const std::uint16_t ident = random_u16(rng);
+    const std::uint16_t seq = random_u16(rng);
+    const Bytes icmp = build_icmp_echo(smac, dmac, sip, dip, type, ident, seq);
+    ASSERT_EQ(icmp, oracle_build::build_icmp_echo(smac, dmac, sip, dip, type, ident, seq))
+        << "round " << round;
+    expect_ipv4_checksum_verifies(icmp);
+
+    ArpMessage arp{rng.chance(0.5) ? ArpOp::Request : ArpOp::Reply, smac, sip, dmac,
+                   dip};
+    ASSERT_EQ(build_arp(arp), oracle_build::build_arp(arp)) << "round " << round;
+  }
+}
+
+TEST(SerializeDifferential, HeaderFieldsMatchFieldByFieldOracle) {
+  // Fields the frame builders leave at their defaults: DSCP, identification,
+  // explicit IPv4 total and UDP lengths, ICMP code.
+  Rng rng(0x4ead3e5);
+  for (int i = 0; i < 2000; ++i) {
+    Ipv4Header ip;
+    ip.dscp = static_cast<std::uint8_t>(rng.next());
+    ip.total_length = rng.chance(0.5) ? random_u16(rng) : 0;
+    ip.identification = random_u16(rng);
+    ip.ttl = static_cast<std::uint8_t>(rng.next());
+    ip.protocol = static_cast<std::uint8_t>(rng.next());
+    ip.src = random_ip(rng);
+    ip.dst = random_ip(rng);
+    const UdpHeader udp{random_u16(rng), random_u16(rng),
+                        rng.chance(0.5) ? random_u16(rng) : std::uint16_t{0}};
+    const IcmpHeader icmp{static_cast<IcmpType>(rng.next()),
+                          static_cast<std::uint8_t>(rng.next()), random_u16(rng),
+                          random_u16(rng)};
+    const std::size_t payload_len = rng.uniform(1500);
+
+    // Written behind a few bytes of prefix, as behind an Ethernet header.
+    ByteWriter got;
+    ByteWriter want;
+    const Bytes prefix = random_bytes(rng, rng.uniform(15));
+    got.raw(prefix);
+    want.raw(prefix);
+    ip.serialize(got, payload_len);
+    udp.serialize(got, payload_len);
+    icmp.serialize(got);
+    oracle_build::ipv4(want, ip, payload_len);
+    oracle_build::udp(want, udp, payload_len);
+    oracle_build::icmp(want, icmp);
+    ASSERT_EQ(got.bytes(), want.bytes()) << "case " << i;
+    EXPECT_EQ(internet_checksum(std::span(got.bytes()).subspan(prefix.size(),
+                                                               kIpv4MinHeaderSize)),
+              0)
+        << "case " << i;
   }
 }
 

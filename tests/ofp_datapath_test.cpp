@@ -968,6 +968,121 @@ TEST_F(DatapathFixture, InPlaceActionsMatchRebuildOracle) {
   }
 }
 
+/// Forwards every frame to a collector, and on the first one first feeds
+/// `reinject` back into the datapath on `in_port`, from inside the output.
+class ReinjectingSink final : public sim::FrameSink {
+ public:
+  ReinjectingSink(Datapath& dp, std::uint16_t in_port, Bytes reinject,
+                  Collector& out)
+      : dp_(dp), in_port_(in_port), reinject_(std::move(reinject)), out_(out) {}
+  void deliver(const Bytes& frame) override {
+    if (!reinjected_) {
+      reinjected_ = true;
+      dp_.receive_frame(in_port_, reinject_);
+    }
+    out_.deliver(frame);
+  }
+
+ private:
+  Datapath& dp_;
+  std::uint16_t in_port_;
+  Bytes reinject_;
+  Collector& out_;
+  bool reinjected_ = false;
+};
+
+TEST_F(DatapathFixture, ReentrantOutputKeepsBothRewrites) {
+  // Port 2's sink re-injects a second frame on port 3 while the first
+  // frame's action list is mid-way: the nested rewrite must not clobber the
+  // outer one, which rewrites again after the output.
+  Collector emitted;
+  const Bytes outer = udp_frame(kHostA, kIpA, kIpB, 80, 40);
+  const Bytes inner = udp_frame(MacAddress::from_index(7), Ipv4Address{10, 0, 0, 7},
+                                kIpB, 53, 90);
+  ReinjectingSink reinjecting(dp, 3, inner, emitted);
+  dp.add_port(2, "p2", MacAddress::from_index(0xa2), &reinjecting);
+  dp.add_port(3, "p3", MacAddress::from_index(0xa3), &emitted);
+  dp.add_port(4, "p4", MacAddress::from_index(0xa4), &emitted);
+
+  const ActionList outer_actions = {ActionSetDlDst{MacAddress::from_index(0xcc)},
+                                    ActionSetNwDst{Ipv4Address{99, 1, 2, 3}},
+                                    ActionOutput{2, 0},
+                                    ActionSetTpDst{8080},
+                                    ActionOutput{4, 0}};
+  const ActionList inner_actions = {ActionSetDlSrc{MacAddress::from_index(0xdd)},
+                                    ActionSetNwSrc{Ipv4Address{172, 16, 0, 9}},
+                                    ActionSetTpSrc{4242},
+                                    ActionOutput{4, 0}};
+  for (const auto& [port, actions] :
+       {std::pair{std::uint16_t{1}, outer_actions},
+        std::pair{std::uint16_t{3}, inner_actions}}) {
+    FlowMod mod;
+    mod.match = Match::any();
+    mod.match.with_in_port(port);
+    mod.actions = actions;
+    ASSERT_EQ(dp.table().apply(mod, loop.now()), FlowModResult::Added);
+  }
+
+  dp.receive_frame(1, outer);
+  const std::vector<Bytes> outer_out = oracle_outputs(outer_actions, outer);
+  const std::vector<Bytes> inner_out = oracle_outputs(inner_actions, inner);
+  // The nested frame leaves first: port 2's sink re-injects before it
+  // forwards the outer frame.
+  ASSERT_EQ(emitted.frames.size(), 3u);
+  EXPECT_EQ(emitted.frames[0], inner_out[0]);
+  EXPECT_EQ(emitted.frames[1], outer_out[0]);
+  EXPECT_EQ(emitted.frames[2], outer_out[1]);
+  for (const Bytes& f : emitted.frames) {
+    EXPECT_EQ(net::internet_checksum(std::span(f).subspan(net::kEthernetHeaderSize,
+                                                          net::kIpv4MinHeaderSize)),
+              0);
+  }
+}
+
+TEST_F(DatapathFixture, OutputBeforeSetFieldCarriesOriginalBytes) {
+  Collector emitted;
+  dp.add_port(2, "p2", MacAddress::from_index(0xa2), &emitted);
+  FlowMod mod;
+  mod.match = Match::any();
+  mod.actions = {ActionOutput{2, 0}, ActionSetDlDst{MacAddress::from_index(0xcc)},
+                 ActionSetTpDst{8080}, ActionOutput{2, 0}};
+  ASSERT_EQ(dp.table().apply(mod, loop.now()), FlowModResult::Added);
+  // Twice: the second frame's first output must not see the kept buffer's
+  // rewrite of the first frame.
+  for (int i = 0; i < 2; ++i) {
+    const Bytes frame = udp_frame(kHostA, kIpA, kIpB, static_cast<std::uint16_t>(80 + i));
+    emitted.frames.clear();
+    dp.receive_frame(1, frame);
+    ASSERT_EQ(emitted.frames.size(), 2u);
+    EXPECT_EQ(emitted.frames[0], frame);
+    EXPECT_EQ(emitted.frames[1], oracle_outputs(mod.actions, frame)[1]);
+  }
+}
+
+TEST_F(DatapathFixture, JumboRewriteReleasesKeptBuffer) {
+  Collector emitted;
+  dp.add_port(2, "p2", MacAddress::from_index(0xa2), &emitted);
+  const ActionList actions = {ActionSetNwDst{Ipv4Address{99, 99, 99, 99}},
+                              ActionOutput{2, 0}};
+  const auto packet_out = [&](const Bytes& frame) {
+    PacketOut po;
+    po.in_port = 1;
+    po.actions = actions;
+    po.data = frame;
+    controller.send(std::move(po));
+    loop.run_for(kMillisecond);
+  };
+
+  packet_out(udp_frame(kHostA, kIpA, kIpB, 80, 200));
+  EXPECT_GE(dp.rewrite_capacity(), 200u);  // kept for the next rewrite
+
+  const Bytes jumbo = udp_frame(kHostA, kIpA, kIpB, 80, 9000);
+  packet_out(jumbo);
+  ASSERT_EQ(emitted.frames.size(), 2u);
+  EXPECT_EQ(emitted.frames[1], oracle_outputs(actions, jumbo)[0]);
+  EXPECT_EQ(dp.rewrite_capacity(), 0u);
+}
+
 TEST_F(DatapathFixture, IngressAdapterRoutesToPort) {
   sim::FrameSink* ingress = dp.ingress(1);
   ASSERT_NE(ingress, nullptr);

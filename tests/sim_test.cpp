@@ -90,6 +90,116 @@ TEST(EventLoop, PastSchedulingClampsToNow) {
   EXPECT_EQ(fired_at, 500u);
 }
 
+TEST(EventLoop, CancelAfterFireIsNoOp) {
+  EventLoop loop;
+  int ran = 0;
+  const auto fired = loop.schedule_at(10, [&] { ++ran; });
+  loop.run_until(20);
+  ASSERT_EQ(ran, 1);
+  // The fired event's slot is reused by the next schedule; the stale id
+  // must not reach the new event, once or twice.
+  loop.schedule_at(30, [&] { ++ran; });
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.cancel(fired);
+  loop.cancel(fired);
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_all();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, SecondCancelIsNoOp) {
+  EventLoop loop;
+  int ran = 0;
+  const auto id = loop.schedule_at(10, [&] { ran += 1; });
+  loop.cancel(id);
+  EXPECT_EQ(loop.pending(), 0u);
+  const auto later = loop.schedule_at(10, [&] { ran += 10; });
+  loop.cancel(id);
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_all();
+  EXPECT_EQ(ran, 10);
+  loop.cancel(later);
+  loop.cancel(0);
+  loop.cancel(~EventLoop::EventId{0});
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, PendingExactOverStaleCancels) {
+  EventLoop loop;
+  std::vector<EventLoop::EventId> fired;
+  std::uint64_t ran = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const auto keep = loop.schedule(5, [&] { ++ran; });
+    const auto drop = loop.schedule(3, [&] { ran += 1000000; });
+    fired.push_back(loop.schedule(1, [&] { ++ran; }));
+    ASSERT_EQ(loop.pending(), 3u);
+    loop.cancel(drop);
+    ASSERT_EQ(loop.pending(), 2u);
+    loop.run_for(2);  // fires the 1 µs event only
+    ASSERT_EQ(loop.pending(), 1u);
+    // Cancels of events that already fired, here and many cycles ago.
+    loop.cancel(fired.back());
+    loop.cancel(fired[static_cast<std::size_t>(i) / 2]);
+    loop.cancel(drop);
+    ASSERT_EQ(loop.pending(), 1u) << "cycle " << i;
+    loop.run_for(5);
+    ASSERT_EQ(loop.pending(), 0u);
+    loop.cancel(keep);
+    ASSERT_EQ(loop.pending(), 0u);
+  }
+  EXPECT_EQ(ran, 20000u);
+  EXPECT_EQ(loop.executed(), 20000u);
+}
+
+TEST(EventLoop, FifoAmongSameTimestampAcrossSlotReuse) {
+  EventLoop loop;
+  std::vector<int> order;
+  // Free slots in a scrambled order, then refill them: same-time events
+  // still run in the order they were scheduled, not in slot order.
+  std::vector<EventLoop::EventId> ids;
+  for (int i = 0; i < 8; ++i) ids.push_back(loop.schedule_at(100, [] {}));
+  for (int i : {5, 1, 7, 3, 0, 6, 2, 4}) loop.cancel(ids[static_cast<std::size_t>(i)]);
+  for (int i = 0; i < 12; ++i) {
+    loop.schedule_at(50, [&, i] { order.push_back(i); });
+  }
+  loop.run_all();
+  std::vector<int> want(12);
+  for (int i = 0; i < 12; ++i) want[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(loop.executed(), 12u);
+}
+
+TEST(EventLoop, NextEventAtSkipsCancelledHeads) {
+  EventLoop loop;
+  EXPECT_EQ(loop.next_event_at(), EventLoop::kNoEvent);
+  const auto a = loop.schedule_at(10, [] {});
+  const auto b = loop.schedule_at(20, [] {});
+  loop.schedule_at(30, [] {});
+  EXPECT_EQ(loop.next_event_at(), 10u);
+  loop.cancel(a);
+  loop.cancel(b);
+  EXPECT_EQ(loop.next_event_at(), 30u);
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_all();
+  EXPECT_EQ(loop.next_event_at(), EventLoop::kNoEvent);
+}
+
+TEST(PeriodicTimer, StopOnceFiredFromOwnCallback) {
+  EventLoop loop;
+  int fires = 0;
+  PeriodicTimer* self = nullptr;
+  PeriodicTimer timer(loop, 10, [&] {
+    // The fired event's id is stale here; stopping cancels it as a no-op.
+    if (++fires == 3) self->stop();
+  });
+  self = &timer;
+  timer.start();
+  loop.run_until(1000);
+  EXPECT_EQ(fires, 3);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
 TEST(PeriodicTimer, FiresAtPeriodUntilStopped) {
   EventLoop loop;
   int fires = 0;
