@@ -46,7 +46,8 @@ struct Rig {
 /// Reports packet-in dispatch percentiles from the controller's registry
 /// histogram — the same instrument MetricsExport publishes into hwdb.
 void report_dispatch_latency(benchmark::State& state, Rig& rig) {
-  const telemetry::Histogram& h = rig.router->controller().packet_in_latency();
+  const telemetry::Histogram& h =
+      rig.router->controller().stats().packet_in_dispatch_ns;
   state.counters["dispatch_p50_ns"] = h.percentile(0.50);
   state.counters["dispatch_p99_ns"] = h.percentile(0.99);
 }

@@ -59,9 +59,10 @@ int main() {
       board.drag_to_denied(mac);
       // Enforcement is immediate at the server; the device learns on its
       // next DHCP exchange (NAK).
-      int naks_before = static_cast<int>(home.router().dhcp().stats().naks);
+      const auto& naks = home.router().dhcp().stats().naks;
+      const std::uint64_t naks_before = naks.value();
       dev->host->start_dhcp();
-      while (static_cast<int>(home.router().dhcp().stats().naks) == naks_before &&
+      while (naks.value() == naks_before &&
              home.loop().now() < decided + 30 * kSecond) {
         home.run_for(50 * kMillisecond);
       }
@@ -86,11 +87,11 @@ int main() {
   const auto& stats = home.router().dhcp().stats();
   std::printf("\nDHCP server totals: %llu discovers / %llu offers / %llu acks "
               "/ %llu naks / %llu silenced-pending\n",
-              static_cast<unsigned long long>(stats.discovers),
-              static_cast<unsigned long long>(stats.offers),
-              static_cast<unsigned long long>(stats.acks),
-              static_cast<unsigned long long>(stats.naks),
-              static_cast<unsigned long long>(stats.ignored_pending));
+              static_cast<unsigned long long>(stats.discovers.value()),
+              static_cast<unsigned long long>(stats.offers.value()),
+              static_cast<unsigned long long>(stats.acks.value()),
+              static_cast<unsigned long long>(stats.naks.value()),
+              static_cast<unsigned long long>(stats.ignored_pending.value()));
   std::printf("\nshape checks: permit latency ~ one DHCP retry interval (<= ~4 s);"
               "\n  deny/revocation take effect on the next transaction.\n");
   return 0;

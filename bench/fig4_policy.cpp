@@ -96,7 +96,7 @@ int main() {
     const auto& dns = home.router().dns().stats();
     std::printf("%-28s netflix=%-8s dns_blocked_total=%llu\n", phase,
                 nf ? "allowed" : "blocked",
-                static_cast<unsigned long long>(dns.blocked));
+                static_cast<unsigned long long>(dns.blocked.value()));
   };
   state("before key");
   const auto key = ui::PolicyEditor::make_unlock_key("parent-key");

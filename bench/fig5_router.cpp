@@ -56,46 +56,52 @@ int main() {
   std::printf("%-34s %14.1f\n", "datapath rx volume [MB]",
               static_cast<double>(rx_bytes) / 1e6);
   std::printf("%-34s %14llu\n", "table lookups",
-              static_cast<unsigned long long>(dp.table().stats().lookups));
+              static_cast<unsigned long long>(
+                  dp.table().stats().lookups.value()));
   std::printf("%-34s %14llu\n", "table matches",
-              static_cast<unsigned long long>(dp.table().stats().matches));
+              static_cast<unsigned long long>(
+                  dp.table().stats().matches.value()));
   std::printf("%-34s %14llu\n", "microflow cache hits",
-              static_cast<unsigned long long>(dp.stats().microflow_hits));
+              static_cast<unsigned long long>(
+                  dp.stats().microflow_hits.value()));
   std::printf("%-34s %14llu\n", "microflow cache misses",
-              static_cast<unsigned long long>(dp.stats().microflow_misses));
+              static_cast<unsigned long long>(
+                  dp.stats().microflow_misses.value()));
   std::printf("%-34s %14llu\n", "microflow invalidations",
               static_cast<unsigned long long>(
-                  dp.stats().microflow_invalidations));
+                  dp.stats().microflow_invalidations.value()));
   std::printf("%-34s %14zu\n", "classifier subtables",
               dp.table().subtable_count());
   std::printf("%-34s %14llu\n", "packet-ins to NOX",
-              static_cast<unsigned long long>(dp.stats().packet_ins));
+              static_cast<unsigned long long>(dp.stats().packet_ins.value()));
   std::printf("%-34s %14llu\n", "flow-mods from NOX",
-              static_cast<unsigned long long>(dp.stats().flow_mods));
+              static_cast<unsigned long long>(dp.stats().flow_mods.value()));
   std::printf("%-34s %14llu\n", "packet-outs from NOX",
-              static_cast<unsigned long long>(dp.stats().packet_outs));
+              static_cast<unsigned long long>(dp.stats().packet_outs.value()));
   std::printf("%-34s %14llu\n", "dhcp transactions (acks)",
-              static_cast<unsigned long long>(router.dhcp().stats().acks));
+              static_cast<unsigned long long>(
+                  router.dhcp().stats().acks.value()));
   std::printf("%-34s %14llu\n", "dns queries proxied",
-              static_cast<unsigned long long>(router.dns().stats().forwarded));
+              static_cast<unsigned long long>(
+                  router.dns().stats().forwarded.value()));
   std::printf("%-34s %14llu\n", "flows admitted",
               static_cast<unsigned long long>(
-                  router.forwarding().stats().flows_installed));
+                  router.forwarding().stats().flows_installed.value()));
   std::printf("%-34s %14llu\n", "hwdb Flows rows",
               static_cast<unsigned long long>(
-                  router.event_export().stats().flow_rows));
+                  router.event_export().stats().flow_rows.value()));
   std::printf("%-34s %14llu\n", "hwdb Links rows",
               static_cast<unsigned long long>(
-                  router.event_export().stats().link_rows));
+                  router.event_export().stats().link_rows.value()));
   std::printf("%-34s %14llu\n", "hwdb Leases rows",
               static_cast<unsigned long long>(
-                  router.event_export().stats().lease_rows));
+                  router.event_export().stats().lease_rows.value()));
 
   // The architectural payoff: flows set up once, then forwarded in the
   // datapath — controller involvement must be a small fraction.
   const double ctrl_fraction =
       rx_pkts == 0 ? 0
-                   : static_cast<double>(dp.stats().packet_ins) /
+                   : static_cast<double>(dp.stats().packet_ins.value()) /
                          static_cast<double>(rx_pkts);
   std::printf("\n-- control/data plane split --\n");
   std::printf("controller sees %.2f%% of packets; %.2f%% forwarded by flows\n",
@@ -113,10 +119,10 @@ int main() {
               "grow with traffic;\n  every module in the diagram shows activity.\n");
   std::printf("\ncontroller stats: %llu pktin / %llu flowmod / %llu pktout / "
               "%llu errors\n",
-              static_cast<unsigned long long>(ctl.stats().packet_ins),
-              static_cast<unsigned long long>(ctl.stats().flow_mods),
-              static_cast<unsigned long long>(ctl.stats().packet_outs),
-              static_cast<unsigned long long>(ctl.stats().errors));
+              static_cast<unsigned long long>(ctl.stats().packet_ins.value()),
+              static_cast<unsigned long long>(ctl.stats().flow_mods.value()),
+              static_cast<unsigned long long>(ctl.stats().packet_outs.value()),
+              static_cast<unsigned long long>(ctl.stats().errors.value()));
 
   // The telemetry registry as a client sees it: MetricsExport has been
   // writing every series that moved all along; read each series' latest

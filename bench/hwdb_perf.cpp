@@ -16,7 +16,7 @@ namespace {
 /// Reports insert latency percentiles from the database's registry
 /// histogram — the same instrument MetricsExport publishes into hwdb.
 void report_insert_latency(benchmark::State& state, const Database& db) {
-  const telemetry::Histogram& h = db.insert_latency();
+  const telemetry::Histogram& h = db.stats().insert_ns;
   state.counters["insert_p50_ns"] = h.percentile(0.50);
   state.counters["insert_p99_ns"] = h.percentile(0.99);
 }

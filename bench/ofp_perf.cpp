@@ -22,7 +22,7 @@ namespace {
 /// Reports lookup latency percentiles from the table's registry histogram —
 /// the same instrument MetricsExport publishes into the hwdb Metrics table.
 void report_lookup_latency(benchmark::State& state, const FlowTable& table) {
-  const telemetry::Histogram& h = table.lookup_latency();
+  const telemetry::Histogram& h = table.stats().lookup_ns;
   state.counters["lookup_p50_ns"] = h.percentile(0.50);
   state.counters["lookup_p99_ns"] = h.percentile(0.99);
 }
@@ -256,13 +256,14 @@ void install_exact_rule(Datapath& dp, const Bytes& frame) {
 }
 
 void report_microflow(benchmark::State& state, const Datapath& dp) {
-  const DatapathStats s = dp.stats();
+  const auto& s = dp.stats();
   const double total =
-      static_cast<double>(s.microflow_hits + s.microflow_misses);
+      static_cast<double>(s.microflow_hits.value() +
+                          s.microflow_misses.value());
   state.counters["microflow_hit_ratio"] =
-      total > 0 ? static_cast<double>(s.microflow_hits) / total : 0.0;
+      total > 0 ? static_cast<double>(s.microflow_hits.value()) / total : 0.0;
   state.counters["microflow_invalidations"] =
-      static_cast<double>(s.microflow_invalidations);
+      static_cast<double>(s.microflow_invalidations.value());
 }
 
 void BM_DatapathMicroflowHit(benchmark::State& state) {

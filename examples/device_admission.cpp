@@ -49,9 +49,9 @@ int main() {
 
   const auto& stats = home.router().dhcp().stats();
   std::printf("\nDHCP server: %llu discovers, %llu offers, %llu acks, %llu naks\n",
-              static_cast<unsigned long long>(stats.discovers),
-              static_cast<unsigned long long>(stats.offers),
-              static_cast<unsigned long long>(stats.acks),
-              static_cast<unsigned long long>(stats.naks));
+              static_cast<unsigned long long>(stats.discovers.value()),
+              static_cast<unsigned long long>(stats.offers.value()),
+              static_cast<unsigned long long>(stats.acks.value()),
+              static_cast<unsigned long long>(stats.naks.value()));
   return 0;
 }

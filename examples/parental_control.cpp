@@ -78,9 +78,9 @@ int main() {
 
   const auto& dns_stats = home.router().dns().stats();
   std::printf("\nDNS proxy: %llu queries, %llu blocked, %llu forwarded\n",
-              static_cast<unsigned long long>(dns_stats.queries),
-              static_cast<unsigned long long>(dns_stats.blocked),
-              static_cast<unsigned long long>(dns_stats.forwarded));
+              static_cast<unsigned long long>(dns_stats.queries.value()),
+              static_cast<unsigned long long>(dns_stats.blocked.value()),
+              static_cast<unsigned long long>(dns_stats.forwarded.value()));
 
   // Epilogue: a gentler policy — instead of blocking, throttle the console
   // to 80 kbit/s so homework-adjacent browsing stays possible but streaming
@@ -105,7 +105,7 @@ int main() {
   }
   auto measure = [&](const char* label) {
     const Ipv4Address netflix{45, 57, 3, 1};
-    const std::uint64_t sent_before = console->host->stats().tx_bytes;
+    const std::uint64_t sent_before = console->host->stats().tx_bytes.value();
     for (int i = 0; i < 300; ++i) {
       console->host->send_udp(netflix, 5000, 1935, 1000);
       home.run_for(10 * kMillisecond);
@@ -114,7 +114,7 @@ int main() {
     const auto* q = home.router().datapath().queue_counters(
         home.router().config().uplink_port, queue_id);
     std::printf("  %-18s offered %.0f KB, delivered upstream %.0f KB\n", label,
-                static_cast<double>(console->host->stats().tx_bytes -
+                static_cast<double>(console->host->stats().tx_bytes.value() -
                                     sent_before) / 1024.0,
                 q == nullptr ? -1.0
                              : static_cast<double>(q->tx_bytes) / 1024.0);

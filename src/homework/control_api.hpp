@@ -32,16 +32,6 @@
 
 namespace hw::homework {
 
-/// Snapshot view over the module's telemetry instruments.
-struct ControlApiStats {
-  std::uint64_t requests = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t permits = 0;
-  std::uint64_t denies = 0;
-  std::uint64_t usb_inserts = 0;
-  std::uint64_t usb_removes = 0;
-};
-
 class ControlApi final : public nox::Component {
  public:
   static constexpr const char* kName = "control-api";
@@ -65,14 +55,16 @@ class ControlApi final : public nox::Component {
   /// Convenience: parse a raw HTTP/1.1 request text, serve, serialize.
   std::string handle_raw(std::string_view request_text);
 
-  [[nodiscard]] ControlApiStats stats() const {
-    return {metrics_.requests.value(),
-            metrics_.errors.value(),
-            metrics_.permits.value(),
-            metrics_.denies.value(),
-            metrics_.usb_inserts.value(),
-            metrics_.usb_removes.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    telemetry::Counter requests{"homework.control_api.requests"};
+    telemetry::Counter errors{"homework.control_api.errors"};
+    telemetry::Counter permits{"homework.control_api.permits"};
+    telemetry::Counter denies{"homework.control_api.denies"};
+    telemetry::Counter usb_inserts{"homework.control_api.usb_inserts"};
+    telemetry::Counter usb_removes{"homework.control_api.usb_removes"};
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
   [[nodiscard]] const HttpRouter& router() const { return router_; }
 
  private:
@@ -85,14 +77,7 @@ class ControlApi final : public nox::Component {
   reconcile::DesiredStore* desired_ = nullptr;
   std::function<void(nox::DatapathId)> desired_changed_;
   HttpRouter router_;
-  struct Instruments {
-    telemetry::Counter requests{"homework.control_api.requests"};
-    telemetry::Counter errors{"homework.control_api.errors"};
-    telemetry::Counter permits{"homework.control_api.permits"};
-    telemetry::Counter denies{"homework.control_api.denies"};
-    telemetry::Counter usb_inserts{"homework.control_api.usb_inserts"};
-    telemetry::Counter usb_removes{"homework.control_api.usb_removes"};
-  } metrics_;
+  Instruments metrics_;
   /// USB slot handles returned by /api/usb/insert.
   std::map<std::uint32_t, policy::UsbMonitor::SlotId> usb_slots_;
   std::uint32_t next_usb_handle_ = 1;

@@ -21,26 +21,6 @@
 
 namespace hw::homework {
 
-/// Snapshot view over the module's telemetry instruments.
-struct DhcpServerStats {
-  std::uint64_t discovers = 0;
-  std::uint64_t offers = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t acks = 0;
-  std::uint64_t naks = 0;
-  std::uint64_t releases = 0;
-  std::uint64_t declines = 0;
-  std::uint64_t ignored_pending = 0;  // silent treatment of pending devices
-  std::uint64_t pool_exhausted = 0;
-  std::uint64_t expired = 0;
-  /// Offered-but-never-ACKed allocations released back into the pool after
-  /// offer_hold — the recovery path from a spoofed-DISCOVER starvation.
-  std::uint64_t offers_expired = 0;
-  /// Retransmitted DISCOVER/REQUEST messages (lossy network re-sends)
-  /// answered idempotently from the existing allocation.
-  std::uint64_t retransmits = 0;
-};
-
 class DhcpServer final : public nox::Component, public snapshot::Snapshottable {
  public:
   struct Config {
@@ -71,20 +51,27 @@ class DhcpServer final : public nox::Component, public snapshot::Snapshottable {
                         nox::FlowIntentSink& sink) override;
   nox::Disposition handle_packet_in(const nox::PacketInEvent& ev) override;
 
-  [[nodiscard]] DhcpServerStats stats() const {
-    return {metrics_.discovers.value(),
-            metrics_.offers.value(),
-            metrics_.requests.value(),
-            metrics_.acks.value(),
-            metrics_.naks.value(),
-            metrics_.releases.value(),
-            metrics_.declines.value(),
-            metrics_.ignored_pending.value(),
-            metrics_.pool_exhausted.value(),
-            metrics_.expired.value(),
-            metrics_.offers_expired.value(),
-            metrics_.retransmits.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    telemetry::Counter discovers{"homework.dhcp.discovers"};
+    telemetry::Counter offers{"homework.dhcp.offers"};
+    telemetry::Counter requests{"homework.dhcp.requests"};
+    telemetry::Counter acks{"homework.dhcp.acks"};
+    telemetry::Counter naks{"homework.dhcp.naks"};
+    telemetry::Counter releases{"homework.dhcp.releases"};
+    telemetry::Counter declines{"homework.dhcp.declines"};
+    // Silent treatment of pending devices.
+    telemetry::Counter ignored_pending{"homework.dhcp.ignored_pending"};
+    telemetry::Counter pool_exhausted{"homework.dhcp.pool_exhausted"};
+    telemetry::Counter expired{"homework.dhcp.expired"};
+    /// Offered-but-never-ACKed allocations released back into the pool after
+    /// offer_hold — the recovery path from a spoofed-DISCOVER starvation.
+    telemetry::Counter offers_expired{"homework.dhcp.offers_expired"};
+    /// Retransmitted DISCOVER/REQUEST messages (lossy network re-sends)
+    /// answered idempotently from the existing allocation.
+    telemetry::Counter retransmits{"homework.dhcp.retransmits"};
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
   [[nodiscard]] const Config& config() const { return config_; }
   /// Current address allocation in `dpid`'s scope, incl. offered-not-acked.
   [[nodiscard]] std::optional<Ipv4Address> allocation(nox::DatapathId dpid,
@@ -130,20 +117,7 @@ class DhcpServer final : public nox::Component, public snapshot::Snapshottable {
 
   Config config_;
   DeviceRegistry& registry_;
-  struct Instruments {
-    telemetry::Counter discovers{"homework.dhcp.discovers"};
-    telemetry::Counter offers{"homework.dhcp.offers"};
-    telemetry::Counter requests{"homework.dhcp.requests"};
-    telemetry::Counter acks{"homework.dhcp.acks"};
-    telemetry::Counter naks{"homework.dhcp.naks"};
-    telemetry::Counter releases{"homework.dhcp.releases"};
-    telemetry::Counter declines{"homework.dhcp.declines"};
-    telemetry::Counter ignored_pending{"homework.dhcp.ignored_pending"};
-    telemetry::Counter pool_exhausted{"homework.dhcp.pool_exhausted"};
-    telemetry::Counter expired{"homework.dhcp.expired"};
-    telemetry::Counter offers_expired{"homework.dhcp.offers_expired"};
-    telemetry::Counter retransmits{"homework.dhcp.retransmits"};
-  } metrics_;
+  Instruments metrics_;
   /// One address binding: the allocation plus when it was offered.
   /// offered_at == 0 marks an ACKed (leased at least once) allocation,
   /// which is sticky forever; a non-zero offered_at means the offer was

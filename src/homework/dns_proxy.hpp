@@ -29,17 +29,6 @@
 
 namespace hw::homework {
 
-/// Snapshot view over the module's telemetry instruments.
-struct DnsProxyStats {
-  std::uint64_t queries = 0;
-  std::uint64_t blocked = 0;     // refused by policy
-  std::uint64_t forwarded = 0;   // relayed upstream
-  std::uint64_t responses = 0;   // upstream answers relayed back
-  std::uint64_t reverse_lookups = 0;
-  std::uint64_t cache_entries = 0;
-  std::uint64_t dropped_unpermitted = 0;
-};
-
 class DnsProxy final : public nox::Component {
  public:
   struct Config {
@@ -81,15 +70,18 @@ class DnsProxy final : public nox::Component {
     return names_for(registry_.default_dpid(), device);
   }
 
-  [[nodiscard]] DnsProxyStats stats() const {
-    return {metrics_.queries.value(),
-            metrics_.blocked.value(),
-            metrics_.forwarded.value(),
-            metrics_.responses.value(),
-            metrics_.reverse_lookups.value(),
-            metrics_.cache_entries.value(),
-            metrics_.dropped_unpermitted.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    telemetry::Counter queries{"homework.dns.queries"};
+    telemetry::Counter blocked{"homework.dns.blocked"};  // refused by policy
+    telemetry::Counter forwarded{"homework.dns.forwarded"};  // relayed upstream
+    // Upstream answers relayed back.
+    telemetry::Counter responses{"homework.dns.responses"};
+    telemetry::Counter reverse_lookups{"homework.dns.reverse_lookups"};
+    telemetry::Counter cache_entries{"homework.dns.cache_entries"};
+    telemetry::Counter dropped_unpermitted{"homework.dns.dropped_unpermitted"};
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
   /// Drops all cached name→address verdicts (policy changed).
   void flush_cache();
 
@@ -106,15 +98,7 @@ class DnsProxy final : public nox::Component {
   Config config_;
   DeviceRegistry& registry_;
   policy::PolicyEngine& policy_;
-  struct Instruments {
-    telemetry::Counter queries{"homework.dns.queries"};
-    telemetry::Counter blocked{"homework.dns.blocked"};
-    telemetry::Counter forwarded{"homework.dns.forwarded"};
-    telemetry::Counter responses{"homework.dns.responses"};
-    telemetry::Counter reverse_lookups{"homework.dns.reverse_lookups"};
-    telemetry::Counter cache_entries{"homework.dns.cache_entries"};
-    telemetry::Counter dropped_unpermitted{"homework.dns.dropped_unpermitted"};
-  } metrics_;
+  Instruments metrics_;
 
   /// Per-device name cache: (home, device) → (ip → {names, expiry}). Two
   /// homes resolving the same name must not share verdicts: their devices

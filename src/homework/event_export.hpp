@@ -23,14 +23,6 @@
 
 namespace hw::homework {
 
-/// Snapshot view over the module's telemetry instruments.
-struct EventExportStats {
-  std::uint64_t flow_rows = 0;
-  std::uint64_t link_rows = 0;
-  std::uint64_t lease_rows = 0;
-  std::uint64_t stats_polls = 0;
-};
-
 class EventExport final : public nox::Component {
  public:
   struct Config {
@@ -54,12 +46,14 @@ class EventExport final : public nox::Component {
   void handle_flow_removed(nox::DatapathId dpid,
                            const ofp::FlowRemoved& fr) override;
 
-  [[nodiscard]] EventExportStats stats() const {
-    return {metrics_.flow_rows.value(),
-            metrics_.link_rows.value(),
-            metrics_.lease_rows.value(),
-            metrics_.stats_polls.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    telemetry::Counter flow_rows{"homework.event_export.flow_rows"};
+    telemetry::Counter link_rows{"homework.event_export.link_rows"};
+    telemetry::Counter lease_rows{"homework.event_export.lease_rows"};
+    telemetry::Counter stats_polls{"homework.event_export.stats_polls"};
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
   /// One flow-stats poll cycle (normally timer-driven).
   void poll_flows();
   /// One link sample cycle (normally timer-driven).
@@ -76,12 +70,7 @@ class EventExport final : public nox::Component {
   hwdb::Database& db_;
   DeviceRegistry& registry_;
   WirelessMap* wireless_;
-  struct Instruments {
-    telemetry::Counter flow_rows{"homework.event_export.flow_rows"};
-    telemetry::Counter link_rows{"homework.event_export.link_rows"};
-    telemetry::Counter lease_rows{"homework.event_export.lease_rows"};
-    telemetry::Counter stats_polls{"homework.event_export.stats_polls"};
-  } metrics_;
+  Instruments metrics_;
   std::vector<nox::DatapathId> datapaths_;
 
   /// Previous cumulative counters per flow (keyed by rendered match).

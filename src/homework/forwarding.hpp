@@ -20,18 +20,6 @@
 
 namespace hw::homework {
 
-/// Snapshot view over the module's telemetry instruments.
-struct ForwardingStats {
-  std::uint64_t arp_replies = 0;
-  std::uint64_t flows_installed = 0;
-  std::uint64_t rate_limited_flows = 0;
-  std::uint64_t flows_denied = 0;
-  std::uint64_t reverse_lookups_triggered = 0;
-  std::uint64_t echo_replies = 0;
-  std::uint64_t dropped_unknown_source = 0;
-  std::uint64_t policy_revocations = 0;
-};
-
 class Forwarding final : public nox::Component {
  public:
   struct Config {
@@ -66,16 +54,18 @@ class Forwarding final : public nox::Component {
                             const ofp::FeaturesReply& features) override;
   nox::Disposition handle_packet_in(const nox::PacketInEvent& ev) override;
 
-  [[nodiscard]] ForwardingStats stats() const {
-    return {metrics_.arp_replies.value(),
-            metrics_.flows_installed.value(),
-            metrics_.rate_limited_flows.value(),
-            metrics_.flows_denied.value(),
-            metrics_.reverse_lookups_triggered.value(),
-            metrics_.echo_replies.value(),
-            metrics_.dropped_unknown_source.value(),
-            metrics_.policy_revocations.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    telemetry::Counter arp_replies{"homework.forwarding.arp_replies"};
+    telemetry::Counter flows_installed{"homework.forwarding.flows_installed"};
+    telemetry::Counter rate_limited_flows{"homework.forwarding.rate_limited_flows"};
+    telemetry::Counter flows_denied{"homework.forwarding.flows_denied"};
+    telemetry::Counter reverse_lookups_triggered{"homework.forwarding.reverse_lookups_triggered"};
+    telemetry::Counter echo_replies{"homework.forwarding.echo_replies"};
+    telemetry::Counter dropped_unknown_source{"homework.forwarding.dropped_unknown_source"};
+    telemetry::Counter policy_revocations{"homework.forwarding.policy_revocations"};
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
 
   /// Deletes every forwarding rule (policy changed / manual flush); traffic
   /// re-admits through fresh packet-ins.
@@ -105,16 +95,7 @@ class Forwarding final : public nox::Component {
   DeviceRegistry& registry_;
   policy::PolicyEngine& policy_;
   DnsProxy* dns_ = nullptr;  // resolved at install()
-  struct Instruments {
-    telemetry::Counter arp_replies{"homework.forwarding.arp_replies"};
-    telemetry::Counter flows_installed{"homework.forwarding.flows_installed"};
-    telemetry::Counter rate_limited_flows{"homework.forwarding.rate_limited_flows"};
-    telemetry::Counter flows_denied{"homework.forwarding.flows_denied"};
-    telemetry::Counter reverse_lookups_triggered{"homework.forwarding.reverse_lookups_triggered"};
-    telemetry::Counter echo_replies{"homework.forwarding.echo_replies"};
-    telemetry::Counter dropped_unknown_source{"homework.forwarding.dropped_unknown_source"};
-    telemetry::Counter policy_revocations{"homework.forwarding.policy_revocations"};
-  } metrics_;
+  Instruments metrics_;
   std::vector<nox::DatapathId> datapaths_;
 };
 

@@ -36,12 +36,6 @@
 
 namespace hw::homework {
 
-/// Snapshot view over the module's telemetry instruments.
-struct MetricsExportStats {
-  std::uint64_t polls = 0;
-  std::uint64_t rows_exported = 0;
-};
-
 class MetricsExport final : public nox::Component,
                             public snapshot::Snapshottable {
  public:
@@ -61,9 +55,15 @@ class MetricsExport final : public nox::Component,
 
   void install(nox::Controller& ctl) override;
 
-  [[nodiscard]] MetricsExportStats stats() const {
-    return {metrics_.polls.value(), metrics_.rows_exported.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    explicit Instruments(telemetry::MetricRegistry& reg)
+        : polls{reg, "homework.metrics_export.polls"},
+          rows_exported{reg, "homework.metrics_export.rows_exported"} {}
+    telemetry::Counter polls;
+    telemetry::Counter rows_exported;
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
 
   /// One registry-to-table cycle (normally timer-driven): writes the rows of
   /// every series that is due (see the file comment).
@@ -111,13 +111,7 @@ class MetricsExport final : public nox::Component,
   telemetry::MetricRegistry& registry_;  // the registry poll() reads
   std::map<std::string, Scalar, std::less<>> scalars_;
   std::map<std::string, Histogram, std::less<>> histograms_;
-  struct Instruments {
-    explicit Instruments(telemetry::MetricRegistry& reg)
-        : polls{reg, "homework.metrics_export.polls"},
-          rows_exported{reg, "homework.metrics_export.rows_exported"} {}
-    telemetry::Counter polls;
-    telemetry::Counter rows_exported;
-  } metrics_;
+  Instruments metrics_;
   std::unique_ptr<sim::PeriodicTimer> timer_;
 };
 

@@ -17,18 +17,6 @@
 
 namespace hw::homework {
 
-/// Snapshot view over the module's telemetry instruments.
-struct UpstreamStats {
-  std::uint64_t frames_in = 0;
-  std::uint64_t frames_out = 0;
-  std::uint64_t dns_queries = 0;
-  std::uint64_t dns_nxdomain = 0;
-  std::uint64_t tcp_syns = 0;
-  std::uint64_t tcp_data_segments = 0;
-  std::uint64_t bytes_served = 0;
-  std::uint64_t pings = 0;
-};
-
 class Upstream final : public sim::FrameSink {
  public:
   struct Config {
@@ -56,16 +44,18 @@ class Upstream final : public sim::FrameSink {
   // -- FrameSink: traffic leaving the home ---------------------------------
   void deliver(const Bytes& frame) override;
 
-  [[nodiscard]] UpstreamStats stats() const {
-    return {metrics_.frames_in.value(),
-            metrics_.frames_out.value(),
-            metrics_.dns_queries.value(),
-            metrics_.dns_nxdomain.value(),
-            metrics_.tcp_syns.value(),
-            metrics_.tcp_data_segments.value(),
-            metrics_.bytes_served.value(),
-            metrics_.pings.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    telemetry::Counter frames_in{"homework.upstream.frames_in"};
+    telemetry::Counter frames_out{"homework.upstream.frames_out"};
+    telemetry::Counter dns_queries{"homework.upstream.dns_queries"};
+    telemetry::Counter dns_nxdomain{"homework.upstream.dns_nxdomain"};
+    telemetry::Counter tcp_syns{"homework.upstream.tcp_syns"};
+    telemetry::Counter tcp_data_segments{"homework.upstream.tcp_data_segments"};
+    telemetry::Counter bytes_served{"homework.upstream.bytes_served"};
+    telemetry::Counter pings{"homework.upstream.pings"};
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
 
  private:
   void handle_dns(const net::ParsedPacket& p);
@@ -76,16 +66,7 @@ class Upstream final : public sim::FrameSink {
   sim::EventLoop& loop_;
   Config config_;
   sim::FrameSink* to_router_ = nullptr;
-  struct Instruments {
-    telemetry::Counter frames_in{"homework.upstream.frames_in"};
-    telemetry::Counter frames_out{"homework.upstream.frames_out"};
-    telemetry::Counter dns_queries{"homework.upstream.dns_queries"};
-    telemetry::Counter dns_nxdomain{"homework.upstream.dns_nxdomain"};
-    telemetry::Counter tcp_syns{"homework.upstream.tcp_syns"};
-    telemetry::Counter tcp_data_segments{"homework.upstream.tcp_data_segments"};
-    telemetry::Counter bytes_served{"homework.upstream.bytes_served"};
-    telemetry::Counter pings{"homework.upstream.pings"};
-  } metrics_;
+  Instruments metrics_;
   std::map<std::string, Ipv4Address> zone_;
   std::map<std::uint32_t, std::string> reverse_zone_;  // ip → name
   std::uint32_t tcp_seq_ = 1000;

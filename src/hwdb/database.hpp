@@ -28,14 +28,6 @@ enum class SubscriptionMode {
   OnInsert,  // re-run whenever the queried table receives an insert
 };
 
-/// Snapshot view over the database's telemetry instruments.
-struct DatabaseStats {
-  std::uint64_t inserts = 0;
-  std::uint64_t queries = 0;
-  std::uint64_t subscription_fires = 0;
-  std::uint64_t insert_errors = 0;
-};
-
 class Database final : public snapshot::Snapshottable {
  public:
   /// `metrics` scopes the database's instruments; defaults to the calling
@@ -82,15 +74,23 @@ class Database final : public snapshot::Snapshottable {
   void unsubscribe(SubscriptionId id);
   [[nodiscard]] std::size_t subscription_count() const { return subs_.size(); }
 
-  [[nodiscard]] DatabaseStats stats() const {
-    return {metrics_.inserts.value(), metrics_.queries.value(),
-            metrics_.subscription_fires.value(), metrics_.insert_errors.value()};
-  }
-  /// Insert latency histogram (nanoseconds) — the instrument hwdb_perf and
-  /// MetricsExport report from.
-  [[nodiscard]] const telemetry::Histogram& insert_latency() const {
-    return metrics_.insert_ns;
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    explicit Instruments(telemetry::MetricRegistry& reg)
+        : inserts{reg, "hwdb.database.inserts"},
+          queries{reg, "hwdb.database.queries"},
+          subscription_fires{reg, "hwdb.database.subscription_fires"},
+          insert_errors{reg, "hwdb.database.insert_errors"},
+          tables{reg, "hwdb.database.tables"},
+          insert_ns{reg, "hwdb.database.insert_ns"} {}
+    telemetry::Counter inserts;
+    telemetry::Counter queries;
+    telemetry::Counter subscription_fires;
+    telemetry::Counter insert_errors;
+    telemetry::Gauge tables;
+    telemetry::Histogram insert_ns;  // insert latency, nanoseconds
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
   [[nodiscard]] sim::EventLoop& loop() const { return loop_; }
 
  private:
@@ -109,21 +109,7 @@ class Database final : public snapshot::Snapshottable {
   std::map<SubscriptionId, std::unique_ptr<Subscription>> subs_;
   SubscriptionId next_sub_id_ = 1;
   // Mutable: query() is logically const but still counts.
-  mutable struct Instruments {
-    explicit Instruments(telemetry::MetricRegistry& reg)
-        : inserts{reg, "hwdb.database.inserts"},
-          queries{reg, "hwdb.database.queries"},
-          subscription_fires{reg, "hwdb.database.subscription_fires"},
-          insert_errors{reg, "hwdb.database.insert_errors"},
-          tables{reg, "hwdb.database.tables"},
-          insert_ns{reg, "hwdb.database.insert_ns"} {}
-    telemetry::Counter inserts;
-    telemetry::Counter queries;
-    telemetry::Counter subscription_fires;
-    telemetry::Counter insert_errors;
-    telemetry::Gauge tables;
-    telemetry::Histogram insert_ns;
-  } metrics_;
+  mutable Instruments metrics_;
 };
 
 }  // namespace hw::hwdb

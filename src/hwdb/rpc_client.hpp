@@ -40,12 +40,6 @@ struct RetryPolicy {
   [[nodiscard]] std::vector<Duration> schedule() const;
 };
 
-/// Snapshot view over the client's telemetry instruments.
-struct RpcClientStats {
-  std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
-};
-
 class RpcClient {
  public:
   using SendFn = std::function<void(const Bytes&)>;
@@ -90,9 +84,15 @@ class RpcClient {
 
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
   [[nodiscard]] const RetryPolicy& policy() const { return policy_; }
-  [[nodiscard]] RpcClientStats stats() const {
-    return {metrics_.retries.value(), metrics_.timeouts.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    explicit Instruments(telemetry::MetricRegistry& reg)
+        : retries{reg, "hwdb.rpc.retries"},
+          timeouts{reg, "hwdb.rpc.timeouts"} {}
+    telemetry::Counter retries;
+    telemetry::Counter timeouts;
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
 
  private:
   struct PendingCall {
@@ -112,13 +112,7 @@ class RpcClient {
   RetryPolicy policy_;
   std::map<std::uint32_t, PendingCall> pending_;
   std::uint32_t next_request_id_ = 1;
-  struct Instruments {
-    explicit Instruments(telemetry::MetricRegistry& reg)
-        : retries{reg, "hwdb.rpc.retries"},
-          timeouts{reg, "hwdb.rpc.timeouts"} {}
-    telemetry::Counter retries;
-    telemetry::Counter timeouts;
-  } metrics_;
+  Instruments metrics_;
 };
 
 }  // namespace hw::hwdb::rpc

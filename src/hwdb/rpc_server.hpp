@@ -48,14 +48,6 @@ class DedupCache {
   std::map<ClientAddress, State> clients_;
 };
 
-/// Snapshot view over the RPC server's telemetry instruments.
-struct ServerStats {
-  std::uint64_t requests = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t pushes = 0;
-  std::uint64_t dup_suppressed = 0;
-};
-
 class RpcServer {
  public:
   /// `send` transmits a datagram back to a client (responses and pushes).
@@ -76,20 +68,7 @@ class RpcServer {
   /// Drops all subscriptions owned by a client (transport saw it vanish).
   void drop_client(ClientAddress addr);
 
-  [[nodiscard]] ServerStats stats() const {
-    return {metrics_.requests.value(), metrics_.errors.value(),
-            metrics_.pushes.value(), metrics_.dup_suppressed.value()};
-  }
-
-  /// Duplicate-suppression window per client (answered request ids whose
-  /// responses are kept for replay).
-  static constexpr std::size_t kDedupWindow = 128;
-
- private:
-  Response process(ClientAddress from, const Request& req);
-
-  Database& db_;
-  SendFn send_;
+  /// The module's telemetry instruments, read in place (`.value()`).
   struct Instruments {
     explicit Instruments(telemetry::MetricRegistry& reg)
         : requests{reg, "hwdb.rpc_server.requests"},
@@ -100,7 +79,19 @@ class RpcServer {
     telemetry::Counter errors;
     telemetry::Counter pushes;
     telemetry::Counter dup_suppressed;
-  } metrics_;
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
+
+  /// Duplicate-suppression window per client (answered request ids whose
+  /// responses are kept for replay).
+  static constexpr std::size_t kDedupWindow = 128;
+
+ private:
+  Response process(ClientAddress from, const Request& req);
+
+  Database& db_;
+  SendFn send_;
+  Instruments metrics_;
   /// subscription id → owning client.
   std::map<SubscriptionId, ClientAddress> sub_owner_;
   DedupCache dedup_{kDedupWindow};

@@ -19,13 +19,6 @@
 
 namespace hw::hwdb::rpc {
 
-/// Snapshot view over the link's fault-filter telemetry.
-struct RpcLinkStats {
-  std::uint64_t fault_dropped = 0;
-  std::uint64_t fault_duplicated = 0;
-  std::uint64_t fault_delayed = 0;
-};
-
 /// In-process datagram link between one server and N clients.
 class InProcRpcLink {
  public:
@@ -54,10 +47,17 @@ class InProcRpcLink {
   void set_fault(const sim::DatagramFault& fault, Rng* rng);
 
   [[nodiscard]] RpcServer& server() { return *server_; }
-  [[nodiscard]] RpcLinkStats stats() const {
-    return {metrics_.fault_dropped.value(), metrics_.fault_duplicated.value(),
-            metrics_.fault_delayed.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    explicit Instruments(telemetry::MetricRegistry& reg)
+        : fault_dropped{reg, "hwdb.rpc_link.fault_dropped"},
+          fault_duplicated{reg, "hwdb.rpc_link.fault_duplicated"},
+          fault_delayed{reg, "hwdb.rpc_link.fault_delayed"} {}
+    telemetry::Counter fault_dropped;
+    telemetry::Counter fault_duplicated;
+    telemetry::Counter fault_delayed;
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
 
  private:
   /// Applies loss + the fault filter, then schedules `deliver` for every
@@ -72,15 +72,7 @@ class InProcRpcLink {
   Rng* fault_rng_ = nullptr;
   std::unique_ptr<RpcServer> server_;
   std::vector<std::unique_ptr<RpcClient>> clients_;
-  struct Instruments {
-    explicit Instruments(telemetry::MetricRegistry& reg)
-        : fault_dropped{reg, "hwdb.rpc_link.fault_dropped"},
-          fault_duplicated{reg, "hwdb.rpc_link.fault_duplicated"},
-          fault_delayed{reg, "hwdb.rpc_link.fault_delayed"} {}
-    telemetry::Counter fault_dropped;
-    telemetry::Counter fault_duplicated;
-    telemetry::Counter fault_delayed;
-  } metrics_;
+  Instruments metrics_;
 };
 
 /// Real-socket UDP server. Bind to 127.0.0.1:port (0 = ephemeral); call

@@ -31,17 +31,6 @@ namespace hw::live {
 
 using hwdb::rpc::ClientAddress;
 
-/// Snapshot view over the server's telemetry instruments.
-struct LiveServerStats {
-  std::uint64_t requests = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t mutations = 0;
-  std::uint64_t dup_suppressed = 0;
-  std::uint64_t frames = 0;
-  std::uint64_t dropped = 0;
-  std::int64_t subs = 0;
-};
-
 class LiveServer {
  public:
   using SendFn = hwdb::rpc::RpcServer::SendFn;
@@ -68,12 +57,25 @@ class LiveServer {
   [[nodiscard]] std::size_t subscriptions() const { return subs_.size(); }
   void drop_client(ClientAddress addr);
 
-  [[nodiscard]] LiveServerStats stats() const {
-    return {metrics_.requests.value(),      metrics_.errors.value(),
-            metrics_.mutations.value(),     metrics_.dup_suppressed.value(),
-            metrics_.frames.value(),        metrics_.dropped.value(),
-            metrics_.subs.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    explicit Instruments(telemetry::MetricRegistry& reg)
+        : requests{reg, "live.server.requests"},
+          errors{reg, "live.server.errors"},
+          mutations{reg, "live.server.mutations"},
+          dup_suppressed{reg, "live.server.dup_suppressed"},
+          frames{reg, "live.stream.frames"},
+          dropped{reg, "live.stream.dropped"},
+          subs{reg, "live.stream.subs"} {}
+    telemetry::Counter requests;
+    telemetry::Counter errors;
+    telemetry::Counter mutations;
+    telemetry::Counter dup_suppressed;
+    telemetry::Counter frames;
+    telemetry::Counter dropped;
+    telemetry::Gauge subs;
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
 
   /// True when `name` matches `pattern` (exact, or prefix ending in '*').
   [[nodiscard]] static bool series_matches(const std::string& pattern,
@@ -111,23 +113,7 @@ class LiveServer {
   std::size_t flush_budget_ = static_cast<std::size_t>(-1);
   hwdb::rpc::DedupCache dedup_{hwdb::rpc::RpcServer::kDedupWindow};
 
-  struct Instruments {
-    explicit Instruments(telemetry::MetricRegistry& reg)
-        : requests{reg, "live.server.requests"},
-          errors{reg, "live.server.errors"},
-          mutations{reg, "live.server.mutations"},
-          dup_suppressed{reg, "live.server.dup_suppressed"},
-          frames{reg, "live.stream.frames"},
-          dropped{reg, "live.stream.dropped"},
-          subs{reg, "live.stream.subs"} {}
-    telemetry::Counter requests;
-    telemetry::Counter errors;
-    telemetry::Counter mutations;
-    telemetry::Counter dup_suppressed;
-    telemetry::Counter frames;
-    telemetry::Counter dropped;
-    telemetry::Gauge subs;
-  } metrics_;
+  Instruments metrics_;
 };
 
 /// In-process datagram link between a LiveServer and N operator clients,

@@ -19,19 +19,6 @@
 
 namespace hw::nox {
 
-/// Snapshot view over the controller's telemetry instruments.
-struct ControllerStats {
-  std::uint64_t packet_ins = 0;
-  std::uint64_t packet_outs = 0;
-  std::uint64_t flow_mods = 0;
-  std::uint64_t flow_removed = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t unparseable_packets = 0;
-  std::uint64_t reconnects = 0;       // channel re-handshakes driven
-  std::uint64_t resynced_flows = 0;   // flow-mods replayed by re-syncs
-  std::uint64_t resync_skipped = 0;   // resyncs requested for unknown dpids
-};
-
 class Controller {
  public:
   /// `metrics` scopes the controller's instruments; defaults to the calling
@@ -120,18 +107,32 @@ class Controller {
   void confirm_resync(DatapathId dpid, std::uint64_t flows);
 
   [[nodiscard]] sim::EventLoop& loop() const { return loop_; }
-  [[nodiscard]] ControllerStats stats() const {
-    return {metrics_.packet_ins.value(),     metrics_.packet_outs.value(),
-            metrics_.flow_mods.value(),      metrics_.flow_removed.value(),
-            metrics_.errors.value(),         metrics_.unparseable_packets.value(),
-            metrics_.reconnects.value(),     metrics_.resynced_flows.value(),
-            metrics_.resync_skipped.value()};
-  }
-  /// Packet-in dispatch latency (nanoseconds through the component chain) —
-  /// the instrument ctrl_perf and MetricsExport report from.
-  [[nodiscard]] const telemetry::Histogram& packet_in_latency() const {
-    return metrics_.packet_in_dispatch_ns;
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    explicit Instruments(telemetry::MetricRegistry& reg)
+        : packet_ins{reg, "nox.controller.packet_ins"},
+          packet_outs{reg, "nox.controller.packet_outs"},
+          flow_mods{reg, "nox.controller.flow_mods"},
+          flow_removed{reg, "nox.controller.flow_removed"},
+          errors{reg, "nox.controller.errors"},
+          unparseable_packets{reg, "nox.controller.unparseable_packets"},
+          reconnects{reg, "nox.channel.reconnects"},
+          resynced_flows{reg, "nox.channel.resynced_flows"},
+          resync_skipped{reg, "nox.channel.resync_skipped"},
+          packet_in_dispatch_ns{reg, "nox.controller.packet_in_dispatch_ns"} {}
+    telemetry::Counter packet_ins;
+    telemetry::Counter packet_outs;
+    telemetry::Counter flow_mods;
+    telemetry::Counter flow_removed;
+    telemetry::Counter errors;
+    telemetry::Counter unparseable_packets;
+    telemetry::Counter reconnects;      // channel re-handshakes driven
+    telemetry::Counter resynced_flows;  // flow-mods replayed by re-syncs
+    telemetry::Counter resync_skipped;  // resyncs requested for unknown dpids
+    /// Packet-in dispatch latency (nanoseconds through the component chain).
+    telemetry::Histogram packet_in_dispatch_ns;
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
 
  private:
   struct Connection {
@@ -168,29 +169,7 @@ class Controller {
   /// FEATURES_REPLY naming them runs the full re-sync path.
   std::set<DatapathId> pending_resync_;
   std::uint32_t next_xid_ = 1;
-  struct Instruments {
-    explicit Instruments(telemetry::MetricRegistry& reg)
-        : packet_ins{reg, "nox.controller.packet_ins"},
-          packet_outs{reg, "nox.controller.packet_outs"},
-          flow_mods{reg, "nox.controller.flow_mods"},
-          flow_removed{reg, "nox.controller.flow_removed"},
-          errors{reg, "nox.controller.errors"},
-          unparseable_packets{reg, "nox.controller.unparseable_packets"},
-          reconnects{reg, "nox.channel.reconnects"},
-          resynced_flows{reg, "nox.channel.resynced_flows"},
-          resync_skipped{reg, "nox.channel.resync_skipped"},
-          packet_in_dispatch_ns{reg, "nox.controller.packet_in_dispatch_ns"} {}
-    telemetry::Counter packet_ins;
-    telemetry::Counter packet_outs;
-    telemetry::Counter flow_mods;
-    telemetry::Counter flow_removed;
-    telemetry::Counter errors;
-    telemetry::Counter unparseable_packets;
-    telemetry::Counter reconnects;
-    telemetry::Counter resynced_flows;
-    telemetry::Counter resync_skipped;
-    telemetry::Histogram packet_in_dispatch_ns;
-  } metrics_;
+  Instruments metrics_;
 };
 
 }  // namespace hw::nox

@@ -26,19 +26,16 @@ class ChannelEndpoint {
   void set_tap(Handler tap) { tap_ = std::move(tap); }
   [[nodiscard]] bool connected() const { return connected_; }
 
-  /// Snapshot view over the endpoint's telemetry instruments.
-  struct Stats {
-    std::uint64_t tx_messages = 0;
-    std::uint64_t tx_bytes = 0;
-    std::uint64_t rx_messages = 0;
-    std::uint64_t rx_bytes = 0;
-    std::uint64_t tx_dropped = 0;  // sends swallowed while disconnected
+  /// The endpoint's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    telemetry::Counter tx_messages{"openflow.channel.tx_messages"};
+    telemetry::Counter tx_bytes{"openflow.channel.tx_bytes"};
+    telemetry::Counter rx_messages{"openflow.channel.rx_messages"};
+    telemetry::Counter rx_bytes{"openflow.channel.rx_bytes"};
+    // Sends swallowed while disconnected.
+    telemetry::Counter tx_dropped{"openflow.channel.tx_dropped"};
   };
-  [[nodiscard]] Stats stats() const {
-    return {metrics_.tx_messages.value(), metrics_.tx_bytes.value(),
-            metrics_.rx_messages.value(), metrics_.rx_bytes.value(),
-            metrics_.tx_dropped.value()};
-  }
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
 
  protected:
   void dispatch(const Bytes& encoded) {
@@ -58,13 +55,7 @@ class ChannelEndpoint {
   bool connected_ = true;
 
  private:
-  struct Instruments {
-    telemetry::Counter tx_messages{"openflow.channel.tx_messages"};
-    telemetry::Counter tx_bytes{"openflow.channel.tx_bytes"};
-    telemetry::Counter rx_messages{"openflow.channel.rx_messages"};
-    telemetry::Counter rx_bytes{"openflow.channel.rx_bytes"};
-    telemetry::Counter tx_dropped{"openflow.channel.tx_dropped"};
-  } metrics_;
+  Instruments metrics_;
 };
 
 }  // namespace hw::ofp

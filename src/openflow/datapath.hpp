@@ -28,21 +28,6 @@ struct PortCounters {
   std::uint64_t tx_dropped = 0;
 };
 
-/// Snapshot view over the datapath's telemetry instruments.
-struct DatapathStats {
-  std::uint64_t packet_ins = 0;
-  std::uint64_t packet_outs = 0;
-  std::uint64_t flow_mods = 0;
-  std::uint64_t flow_removed_sent = 0;
-  std::uint64_t buffer_evictions = 0;
-  std::uint64_t microflow_hits = 0;
-  std::uint64_t microflow_misses = 0;
-  std::uint64_t microflow_invalidations = 0;
-  std::uint64_t failsafe_entries = 0;
-  std::uint64_t failsafe_dropped_packet_ins = 0;
-  std::uint64_t restarts = 0;
-};
-
 class Datapath {
  public:
   struct Config {
@@ -84,16 +69,43 @@ class Datapath {
   [[nodiscard]] std::uint64_t id() const { return config_.datapath_id; }
   [[nodiscard]] FlowTable& table() { return table_; }
   [[nodiscard]] const FlowTable& table() const { return table_; }
-  [[nodiscard]] DatapathStats stats() const {
-    return {metrics_.packet_ins.value(), metrics_.packet_outs.value(),
-            metrics_.flow_mods.value(), metrics_.flow_removed_sent.value(),
-            metrics_.buffer_evictions.value(), metrics_.microflow_hits.value(),
-            metrics_.microflow_misses.value(),
-            metrics_.microflow_invalidations.value(),
-            metrics_.failsafe_entries.value(),
-            metrics_.failsafe_dropped_packet_ins.value(),
-            metrics_.restarts.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    explicit Instruments(telemetry::MetricRegistry& reg)
+        : packet_ins{reg, "openflow.datapath.packet_ins"},
+          packet_outs{reg, "openflow.datapath.packet_outs"},
+          flow_mods{reg, "openflow.datapath.flow_mods"},
+          flow_removed_sent{reg, "openflow.datapath.flow_removed_sent"},
+          // Packet-in buffers and the microflow cache start cold after a
+          // restore, so their accounting is not replay-exact.
+          buffer_evictions{reg, "openflow.datapath.buffer_evictions",
+                           telemetry::Determinism::CacheWarmth},
+          microflow_hits{reg, "openflow.datapath.microflow_hits",
+                         telemetry::Determinism::CacheWarmth},
+          microflow_misses{reg, "openflow.datapath.microflow_misses",
+                           telemetry::Determinism::CacheWarmth},
+          microflow_invalidations{
+              reg, "openflow.datapath.microflow_invalidations",
+              telemetry::Determinism::CacheWarmth},
+          failsafe_entries{reg, "openflow.datapath.failsafe_entries"},
+          failsafe_dropped_packet_ins{
+              reg, "openflow.datapath.failsafe_dropped_packet_ins"},
+          restarts{reg, "openflow.datapath.restarts"},
+          fail_safe{reg, "openflow.datapath.fail_safe"} {}
+    telemetry::Counter packet_ins;
+    telemetry::Counter packet_outs;
+    telemetry::Counter flow_mods;
+    telemetry::Counter flow_removed_sent;
+    telemetry::Counter buffer_evictions;
+    telemetry::Counter microflow_hits;
+    telemetry::Counter microflow_misses;
+    telemetry::Counter microflow_invalidations;
+    telemetry::Counter failsafe_entries;
+    telemetry::Counter failsafe_dropped_packet_ins;
+    telemetry::Counter restarts;
+    telemetry::Gauge fail_safe;
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
   [[nodiscard]] const MicroflowCache& microflow_cache() const {
     return microflow_;
   }
@@ -192,41 +204,7 @@ class Datapath {
   Bytes tx_;
   /// apply_actions' copy-on-first-write copy, kept between frames.
   Bytes rewrite_;
-  struct Instruments {
-    explicit Instruments(telemetry::MetricRegistry& reg)
-        : packet_ins{reg, "openflow.datapath.packet_ins"},
-          packet_outs{reg, "openflow.datapath.packet_outs"},
-          flow_mods{reg, "openflow.datapath.flow_mods"},
-          flow_removed_sent{reg, "openflow.datapath.flow_removed_sent"},
-          // Packet-in buffers and the microflow cache start cold after a
-          // restore, so their accounting is not replay-exact.
-          buffer_evictions{reg, "openflow.datapath.buffer_evictions",
-                           telemetry::Determinism::CacheWarmth},
-          microflow_hits{reg, "openflow.datapath.microflow_hits",
-                         telemetry::Determinism::CacheWarmth},
-          microflow_misses{reg, "openflow.datapath.microflow_misses",
-                           telemetry::Determinism::CacheWarmth},
-          microflow_invalidations{
-              reg, "openflow.datapath.microflow_invalidations",
-              telemetry::Determinism::CacheWarmth},
-          failsafe_entries{reg, "openflow.datapath.failsafe_entries"},
-          failsafe_dropped_packet_ins{
-              reg, "openflow.datapath.failsafe_dropped_packet_ins"},
-          restarts{reg, "openflow.datapath.restarts"},
-          fail_safe{reg, "openflow.datapath.fail_safe"} {}
-    telemetry::Counter packet_ins;
-    telemetry::Counter packet_outs;
-    telemetry::Counter flow_mods;
-    telemetry::Counter flow_removed_sent;
-    telemetry::Counter buffer_evictions;
-    telemetry::Counter microflow_hits;
-    telemetry::Counter microflow_misses;
-    telemetry::Counter microflow_invalidations;
-    telemetry::Counter failsafe_entries;
-    telemetry::Counter failsafe_dropped_packet_ins;
-    telemetry::Counter restarts;
-    telemetry::Gauge fail_safe;
-  } metrics_;
+  Instruments metrics_;
   std::uint32_t next_xid_ = 1;
   std::function<void(const FlowMod&)> flow_mod_observer_;
   bool fail_safe_ = false;

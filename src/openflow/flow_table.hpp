@@ -43,14 +43,6 @@ struct FlowEntry {
   std::uint64_t seq = 0;
 };
 
-/// Snapshot view over the table's telemetry instruments.
-struct TableStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t matches = 0;
-  std::uint64_t subtable_scans = 0;
-  std::uint64_t table_full = 0;
-};
-
 /// Result of applying a FlowMod.
 enum class FlowModResult {
   Added,
@@ -123,16 +115,30 @@ class FlowTable final : public snapshot::Snapshottable {
   /// Number of live subtables (distinct wildcard patterns). Lookup cost is
   /// proportional to this, not to size().
   [[nodiscard]] std::size_t subtable_count() const { return subtables_.size(); }
-  [[nodiscard]] TableStats stats() const {
-    return {metrics_.lookups.value(), metrics_.matches.value(),
-            metrics_.subtable_scans.value(), metrics_.table_full.value()};
-  }
-  /// Classifier lookup latency histogram (nanoseconds; microflow hits are
-  /// not timed) — the instrument ofp_perf and the MetricsExport table both
-  /// report from.
-  [[nodiscard]] const telemetry::Histogram& lookup_latency() const {
-    return metrics_.lookup_ns;
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    explicit Instruments(telemetry::MetricRegistry& reg)
+        : lookups{reg, "openflow.flow_table.lookups"},
+          matches{reg, "openflow.flow_table.matches"},
+          entries{reg, "openflow.flow_table.entries"},
+          // Both count classifier work only, which the microflow cache
+          // in front of it skips on a hit (see record_hit).
+          lookup_ns{reg, "openflow.flow_table.lookup_ns",
+                    telemetry::Determinism::CacheWarmth},
+          subtables{reg, "openflow.flow_table.subtables"},
+          subtable_scans{reg, "openflow.flow_table.subtable_scans",
+                         telemetry::Determinism::CacheWarmth},
+          table_full{reg, "openflow.flow_table.table_full"} {}
+    telemetry::Counter lookups;
+    telemetry::Counter matches;
+    telemetry::Gauge entries;
+    /// Classifier lookup latency (nanoseconds; microflow hits are not timed).
+    telemetry::Histogram lookup_ns;
+    telemetry::Gauge subtables;
+    telemetry::Counter subtable_scans;
+    telemetry::Counter table_full;
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
 
   /// Visits every entry in descending priority order (diagnostics,
   /// EXPERIMENTS dumps).
@@ -189,27 +195,7 @@ class FlowTable final : public snapshot::Snapshottable {
   // Kept sorted by descending max_priority so find() can exit early.
   std::vector<std::unique_ptr<Subtable>> subtables_;
 
-  struct Instruments {
-    explicit Instruments(telemetry::MetricRegistry& reg)
-        : lookups{reg, "openflow.flow_table.lookups"},
-          matches{reg, "openflow.flow_table.matches"},
-          entries{reg, "openflow.flow_table.entries"},
-          // Both count classifier work only, which the microflow cache
-          // in front of it skips on a hit (see record_hit).
-          lookup_ns{reg, "openflow.flow_table.lookup_ns",
-                    telemetry::Determinism::CacheWarmth},
-          subtables{reg, "openflow.flow_table.subtables"},
-          subtable_scans{reg, "openflow.flow_table.subtable_scans",
-                         telemetry::Determinism::CacheWarmth},
-          table_full{reg, "openflow.flow_table.table_full"} {}
-    telemetry::Counter lookups;
-    telemetry::Counter matches;
-    telemetry::Gauge entries;
-    telemetry::Histogram lookup_ns;
-    telemetry::Gauge subtables;
-    telemetry::Counter subtable_scans;
-    telemetry::Counter table_full;
-  } metrics_;
+  Instruments metrics_;
 };
 
 }  // namespace hw::ofp

@@ -19,14 +19,6 @@
 
 namespace hw::ofp {
 
-/// Snapshot view over the framer's telemetry instruments.
-struct StreamFramerStats {
-  std::uint64_t frames_ok = 0;
-  std::uint64_t frames_partial = 0;    // completed from more than one read
-  std::uint64_t frames_coalesced = 0;  // shared one read with other frames
-  std::uint64_t frames_bad = 0;        // rejected headers / resync runs
-};
-
 /// Incremental OpenFlow 1.0 message reassembly. feed() accepts arbitrary
 /// byte chunks and emits exactly the complete messages they contain, in
 /// order. Header validation (per frame at the buffer head):
@@ -64,10 +56,17 @@ class StreamFramer {
   /// Drops all buffered bytes (stream reset / reconnect).
   void reset();
 
-  [[nodiscard]] StreamFramerStats stats() const {
-    return {metrics_.frames_ok.value(), metrics_.frames_partial.value(),
-            metrics_.frames_coalesced.value(), metrics_.frames_bad.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    telemetry::Counter frames_ok{"openflow.channel.frames_ok"};
+    // Completed from more than one read.
+    telemetry::Counter frames_partial{"openflow.channel.frames_partial"};
+    // Shared one read with other frames.
+    telemetry::Counter frames_coalesced{"openflow.channel.frames_coalesced"};
+    // Rejected headers / resync runs.
+    telemetry::Counter frames_bad{"openflow.channel.frames_bad"};
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
   [[nodiscard]] std::size_t buffered() const { return buffer_.size() - head_; }
 
  private:
@@ -82,12 +81,7 @@ class StreamFramer {
   bool feeding_ = false;  // inside feed(): a nested feed only appends
   bool scanning_ = false;       // inside a contiguous resync run
   bool frame_was_split_ = false;  // head frame started in an earlier feed
-  struct Instruments {
-    telemetry::Counter frames_ok{"openflow.channel.frames_ok"};
-    telemetry::Counter frames_partial{"openflow.channel.frames_partial"};
-    telemetry::Counter frames_coalesced{"openflow.channel.frames_coalesced"};
-    telemetry::Counter frames_bad{"openflow.channel.frames_bad"};
-  } metrics_;
+  Instruments metrics_;
 };
 
 /// ChannelEndpoint over one end of a byte-stream link: send() writes the

@@ -73,9 +73,9 @@ void DhcpStarvationScenario::drive(sim::EventLoop& loop) {
 }
 
 void DhcpStarvationScenario::verify(Report& report) {
-  const auto dhcp = router().dhcp().stats();
-  expect(report, "pool-exhausted-counted", dhcp.pool_exhausted > 0,
-         "pool_exhausted=" + std::to_string(dhcp.pool_exhausted));
+  const auto& dhcp = router().dhcp().stats();
+  expect(report, "pool-exhausted-counted", dhcp.pool_exhausted.value() > 0,
+         "pool_exhausted=" + std::to_string(dhcp.pool_exhausted.value()));
 
   // No legitimate lease lost: every resident still holds its address, was
   // never NAKed, and renewed at least once during/after the attack.
@@ -88,9 +88,9 @@ void DhcpStarvationScenario::verify(Report& report) {
     const auto* rec = router().registry().find(dev.host->mac());
     const bool kept = ip && rec != nullptr && rec->lease &&
                       rec->lease->ip == *ip &&
-                      dev.host->stats().dhcp_naks == 0;
+                      dev.host->stats().dhcp_naks.value() == 0;
     leases_kept = leases_kept && kept;
-    renewed = renewed && dev.host->stats().dhcp_acks >= 2;
+    renewed = renewed && dev.host->stats().dhcp_acks.value() >= 2;
     if (!kept) detail += dev.name + " lost its lease; ";
   }
   expect(report, "no-legitimate-lease-lost", leases_kept, detail);
@@ -116,8 +116,8 @@ void DhcpStarvationScenario::verify(Report& report) {
     late_bound = late_bound && home().devices()[i].host->ip().has_value();
   }
   expect(report, "pool-recovers-after-attack",
-         late_bound && dhcp.offers_expired > 0,
-         "offers_expired=" + std::to_string(dhcp.offers_expired) +
+         late_bound && dhcp.offers_expired.value() > 0,
+         "offers_expired=" + std::to_string(dhcp.offers_expired.value()) +
              ", late joiners bound=" + (late_bound ? "yes" : "no"));
 }
 

@@ -159,11 +159,11 @@ void GuestChurnScenario::verify(Report& report) {
              std::to_string(params_.burst_size) + " residents=" +
              std::to_string(residents_bound));
 
-  const auto api = router().control_api().stats();
+  const auto& api = router().control_api().stats();
   expect(report, "api-accounting-matches-bursts",
-         api.permits == guest_count() && api.denies == expelled,
-         "permits=" + std::to_string(api.permits) + " denies=" +
-             std::to_string(api.denies));
+         api.permits.value() == guest_count() && api.denies.value() == expelled,
+         "permits=" + std::to_string(api.permits.value()) + " denies=" +
+             std::to_string(api.denies.value()));
 
   // The 201/204 must have actually moved packets: block flows present and
   // matching mid-window, then compiled back out once the policy was deleted.

@@ -83,24 +83,25 @@ void IotSwarmScenario::verify(Report& report) {
          std::to_string(ips.size()) + " distinct of " +
              std::to_string(leased));
 
-  const auto dhcp = router().dhcp().stats();
-  const auto dp = router().datapath().stats();
+  const auto& dhcp = router().dhcp().stats();
+  const auto& dp = router().datapath().stats();
   expect(report, "no-starvation-at-scale",
-         dhcp.pool_exhausted == 0 && dp.failsafe_entries == 0,
-         "pool_exhausted=" + std::to_string(dhcp.pool_exhausted) +
-             " failsafe_entries=" + std::to_string(dp.failsafe_entries));
+         dhcp.pool_exhausted.value() == 0 && dp.failsafe_entries.value() == 0,
+         "pool_exhausted=" + std::to_string(dhcp.pool_exhausted.value()) +
+             " failsafe_entries=" +
+             std::to_string(dp.failsafe_entries.value()));
 
-  const auto table = router().datapath().table().stats();
+  const auto& table = router().datapath().table().stats();
   const std::size_t size = router().datapath().table().size();
   const std::size_t capacity = router().config().datapath.table_capacity;
-  const auto fwd = router().forwarding().stats();
+  const auto& fwd = router().forwarding().stats();
   expect(report, "chatter-flows-within-capacity",
-         fwd.flows_installed >= params_.devices && table.table_full == 0 &&
-             size <= capacity,
-         "flows_installed=" + std::to_string(fwd.flows_installed) +
+         fwd.flows_installed.value() >= params_.devices &&
+             table.table_full.value() == 0 && size <= capacity,
+         "flows_installed=" + std::to_string(fwd.flows_installed.value()) +
              " table=" + std::to_string(size) + "/" +
              std::to_string(capacity) +
-             " table_full=" + std::to_string(table.table_full));
+             " table_full=" + std::to_string(table.table_full.value()));
 
   auto* reconciler = router().reconciler();
   const auto& dpath = router().datapath();

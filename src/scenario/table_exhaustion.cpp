@@ -85,8 +85,9 @@ void TableExhaustionScenario::populate(workload::HomeScenario& home) {
   const Timestamp fresh_at = config_.duration - 1500 * kMillisecond;
   homework::Forwarding* fwd = &home.router().forwarding();
   loop.schedule_at(fresh_at - 100 * kMillisecond, [this, fwd] {
-    flows_installed_before_probe_ = fwd->stats().flows_installed;
-    table_full_before_probe_ = router().datapath().table().stats().table_full;
+    flows_installed_before_probe_ = fwd->stats().flows_installed.value();
+    table_full_before_probe_ =
+        router().datapath().table().stats().table_full.value();
   });
   loop.schedule_at(fresh_at, [victim_host] {
     (void)victim_host->send_udp(Ipv4Address{93, 184, 216, 99}, 42001, 8080, 64);
@@ -114,12 +115,12 @@ void TableExhaustionScenario::drive(sim::EventLoop& loop) {
 
 void TableExhaustionScenario::verify(Report& report) {
   ofp::Datapath& dp = router().datapath();
-  const auto table = dp.table().stats();
-  const auto ctl = router().controller().stats();
+  const auto& table = dp.table().stats();
+  const auto& ctl = router().controller().stats();
   expect(report, "table-full-surfaces-as-errors",
-         table.table_full > 0 && ctl.errors > 0,
-         "table_full=" + std::to_string(table.table_full) +
-             " controller_errors=" + std::to_string(ctl.errors));
+         table.table_full.value() > 0 && ctl.errors.value() > 0,
+         "table_full=" + std::to_string(table.table_full.value()) +
+             " controller_errors=" + std::to_string(ctl.errors.value()));
   expect(report, "capacity-never-exceeded",
          max_table_size_ > 0 && max_table_size_ <= params_.table_capacity,
          "max_observed=" + std::to_string(max_table_size_) + "/" +
@@ -128,20 +129,22 @@ void TableExhaustionScenario::verify(Report& report) {
          saw_fail_safe_ && !dp.fail_safe(),
          std::string("entered=") + (saw_fail_safe_ ? "yes" : "no") +
              " at_end=" + (dp.fail_safe() ? "STUCK" : "clear"));
-  const auto fwd = router().forwarding().stats();
+  const auto& fwd = router().forwarding().stats();
   const bool fresh_flow_clean =
-      fwd.flows_installed > flows_installed_before_probe_ &&
-      dp.table().stats().table_full == table_full_before_probe_;
+      fwd.flows_installed.value() > flows_installed_before_probe_ &&
+      dp.table().stats().table_full.value() == table_full_before_probe_;
   expect(report, "datapath-never-wedges",
          probe_reply_seen_ && fresh_flow_clean,
          std::string("echo=") + (probe_reply_seen_ ? "yes" : "no") +
              " post-expiry flow install clean=" +
              (fresh_flow_clean ? "yes" : "no"));
-  const auto dpstats = dp.stats();
+  const auto& dpstats = dp.stats();
   expect(report, "microflow-survives-churn",
-         dpstats.microflow_hits > 0 && dpstats.microflow_invalidations > 0,
-         "hits=" + std::to_string(dpstats.microflow_hits) + " invalidations=" +
-             std::to_string(dpstats.microflow_invalidations));
+         dpstats.microflow_hits.value() > 0 &&
+             dpstats.microflow_invalidations.value() > 0,
+         "hits=" + std::to_string(dpstats.microflow_hits.value()) +
+             " invalidations=" +
+             std::to_string(dpstats.microflow_invalidations.value()));
   auto* reconciler = router().reconciler();
   const bool converged =
       reconciler != nullptr &&

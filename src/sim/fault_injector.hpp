@@ -65,18 +65,6 @@ struct FaultPlan {
   std::vector<FaultWindow> windows;
 };
 
-/// Snapshot view over the injector's telemetry instruments.
-struct FaultInjectorStats {
-  std::uint64_t windows_started = 0;
-  std::uint64_t windows_ended = 0;
-  std::uint64_t link_faults = 0;
-  std::uint64_t controller_outages = 0;
-  std::uint64_t hwdb_faults = 0;
-  std::uint64_t datapath_restarts = 0;
-  std::uint64_t crash_restores = 0;
-  std::int64_t active = 0;
-};
-
 class FaultInjector {
  public:
   explicit FaultInjector(EventLoop& loop);
@@ -123,12 +111,18 @@ class FaultInjector {
 
   [[nodiscard]] bool armed() const { return armed_; }
   [[nodiscard]] Rng& rng() { return rng_; }
-  [[nodiscard]] FaultInjectorStats stats() const {
-    return {metrics_.windows_started.value(), metrics_.windows_ended.value(),
-            metrics_.link_faults.value(),     metrics_.controller_outages.value(),
-            metrics_.hwdb_faults.value(),     metrics_.datapath_restarts.value(),
-            metrics_.crash_restores.value(),  metrics_.active.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    telemetry::Counter windows_started{"sim.fault.windows_started"};
+    telemetry::Counter windows_ended{"sim.fault.windows_ended"};
+    telemetry::Counter link_faults{"sim.fault.link_faults"};
+    telemetry::Counter controller_outages{"sim.fault.controller_outages"};
+    telemetry::Counter hwdb_faults{"sim.fault.hwdb_faults"};
+    telemetry::Counter datapath_restarts{"sim.fault.datapath_restarts"};
+    telemetry::Counter crash_restores{"sim.fault.crash_restores"};
+    telemetry::Gauge active{"sim.fault.active"};
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
 
  private:
   void begin_window(const FaultWindow& window);
@@ -151,16 +145,7 @@ class FaultInjector {
   std::function<void()> restart_datapath_;
   std::function<void()> warm_restart_;
   std::vector<EventLoop::EventId> scheduled_;
-  struct Instruments {
-    telemetry::Counter windows_started{"sim.fault.windows_started"};
-    telemetry::Counter windows_ended{"sim.fault.windows_ended"};
-    telemetry::Counter link_faults{"sim.fault.link_faults"};
-    telemetry::Counter controller_outages{"sim.fault.controller_outages"};
-    telemetry::Counter hwdb_faults{"sim.fault.hwdb_faults"};
-    telemetry::Counter datapath_restarts{"sim.fault.datapath_restarts"};
-    telemetry::Counter crash_restores{"sim.fault.crash_restores"};
-    telemetry::Gauge active{"sim.fault.active"};
-  } metrics_;
+  Instruments metrics_;
 };
 
 }  // namespace hw::sim

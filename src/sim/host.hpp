@@ -32,18 +32,6 @@ enum class DhcpClientState {
 
 const char* to_string(DhcpClientState s);
 
-/// Snapshot view over the module's telemetry instruments.
-struct HostStats {
-  std::uint64_t tx_frames = 0;
-  std::uint64_t tx_bytes = 0;
-  std::uint64_t rx_frames = 0;
-  std::uint64_t rx_bytes = 0;
-  std::uint64_t dhcp_acks = 0;
-  std::uint64_t dhcp_naks = 0;
-  std::uint64_t dns_answers = 0;
-  std::uint64_t dns_failures = 0;
-};
-
 class Host final : public FrameSink {
  public:
   struct Config {
@@ -115,16 +103,18 @@ class Host final : public FrameSink {
               std::function<void(const net::ParsedPacket&)> handler);
 
   [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] HostStats stats() const {
-    return {metrics_.tx_frames.value(),
-            metrics_.tx_bytes.value(),
-            metrics_.rx_frames.value(),
-            metrics_.rx_bytes.value(),
-            metrics_.dhcp_acks.value(),
-            metrics_.dhcp_naks.value(),
-            metrics_.dns_answers.value(),
-            metrics_.dns_failures.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    telemetry::Counter tx_frames{"sim.host.tx_frames"};
+    telemetry::Counter tx_bytes{"sim.host.tx_bytes"};
+    telemetry::Counter rx_frames{"sim.host.rx_frames"};
+    telemetry::Counter rx_bytes{"sim.host.rx_bytes"};
+    telemetry::Counter dhcp_acks{"sim.host.dhcp_acks"};
+    telemetry::Counter dhcp_naks{"sim.host.dhcp_naks"};
+    telemetry::Counter dns_answers{"sim.host.dns_answers"};
+    telemetry::Counter dns_failures{"sim.host.dns_failures"};
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
   [[nodiscard]] MacAddress mac() const { return config_.mac; }
   [[nodiscard]] const std::string& name() const { return config_.name; }
 
@@ -153,16 +143,7 @@ class Host final : public FrameSink {
   Config config_;
   Rng& rng_;
   LinkChannel* uplink_ = nullptr;
-  struct Instruments {
-    telemetry::Counter tx_frames{"sim.host.tx_frames"};
-    telemetry::Counter tx_bytes{"sim.host.tx_bytes"};
-    telemetry::Counter rx_frames{"sim.host.rx_frames"};
-    telemetry::Counter rx_bytes{"sim.host.rx_bytes"};
-    telemetry::Counter dhcp_acks{"sim.host.dhcp_acks"};
-    telemetry::Counter dhcp_naks{"sim.host.dhcp_naks"};
-    telemetry::Counter dns_answers{"sim.host.dns_answers"};
-    telemetry::Counter dns_failures{"sim.host.dns_failures"};
-  } metrics_;
+  Instruments metrics_;
 
   // DHCP
   DhcpClientState dhcp_state_ = DhcpClientState::Init;

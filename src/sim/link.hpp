@@ -32,14 +32,6 @@ class CallbackSink final : public FrameSink {
   Fn fn_;
 };
 
-/// Snapshot view over the module's telemetry instruments.
-struct LinkStats {
-  std::uint64_t tx_frames = 0;
-  std::uint64_t tx_bytes = 0;
-  std::uint64_t dropped_frames = 0;
-  std::uint64_t retried_frames = 0;  // wireless retransmissions
-};
-
 /// Half of a duplex link: frames pushed in at one end arrive at the sink
 /// after propagation + serialization delay, subject to capacity and loss.
 /// Also a FrameSink so channels compose directly with ports and adapters.
@@ -62,12 +54,15 @@ class LinkChannel : public FrameSink {
   bool send(Bytes&& frame);
   void deliver(const Bytes& frame) override { send(frame); }
 
-  [[nodiscard]] LinkStats stats() const {
-    return {metrics_.tx_frames.value(),
-            metrics_.tx_bytes.value(),
-            metrics_.dropped_frames.value(),
-            metrics_.retried_frames.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    telemetry::Counter tx_frames{"sim.link.tx_frames"};
+    telemetry::Counter tx_bytes{"sim.link.tx_bytes"};
+    telemetry::Counter dropped_frames{"sim.link.dropped_frames"};
+    // Wireless retransmissions.
+    telemetry::Counter retried_frames{"sim.link.retried_frames"};
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
   [[nodiscard]] const Config& config() const { return config_; }
   void set_loss_probability(double p) { config_.loss_probability = p; }
   void set_bandwidth(std::uint64_t bps) { config_.bandwidth_bps = bps; }
@@ -77,12 +72,7 @@ class LinkChannel : public FrameSink {
   Config config_;
   Rng* rng_;
   FrameSink* sink_ = nullptr;
-  struct Instruments {
-    telemetry::Counter tx_frames{"sim.link.tx_frames"};
-    telemetry::Counter tx_bytes{"sim.link.tx_bytes"};
-    telemetry::Counter dropped_frames{"sim.link.dropped_frames"};
-    telemetry::Counter retried_frames{"sim.link.retried_frames"};
-  } metrics_;
+  Instruments metrics_;
   Timestamp busy_until_ = 0;
   /// Frames on the wire, oldest first: delivered in arrival order.
   std::deque<Bytes> in_flight_;

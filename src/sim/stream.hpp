@@ -27,15 +27,6 @@
 
 namespace hw::sim {
 
-/// Snapshot view over the link's telemetry instruments.
-struct StreamLinkStats {
-  std::uint64_t tx_bytes = 0;
-  std::uint64_t rx_bytes = 0;
-  std::uint64_t rx_chunks = 0;      // on_data invocations
-  std::uint64_t mangled_bytes = 0;  // bytes flipped by set_mangle
-  std::uint64_t cut_bytes = 0;      // in-flight bytes lost to cut()
-};
-
 /// Full-duplex ordered byte pipe between two ends, with latency, optional
 /// jitter (delivery order is still preserved: a chunk never overtakes an
 /// earlier one) and an optional mtu bounding the bytes handed to on_data per
@@ -119,11 +110,17 @@ class StreamLink {
   /// Per-byte flip probability applied at send time (needs the link Rng).
   void set_mangle(double probability) { mangle_ = probability; }
 
-  [[nodiscard]] StreamLinkStats stats() const {
-    return {metrics_.tx_bytes.value(), metrics_.rx_bytes.value(),
-            metrics_.rx_chunks.value(), metrics_.mangled_bytes.value(),
-            metrics_.cut_bytes.value()};
-  }
+  /// The module's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    telemetry::Counter tx_bytes{"sim.stream.tx_bytes"};
+    telemetry::Counter rx_bytes{"sim.stream.rx_bytes"};
+    telemetry::Counter rx_chunks{"sim.stream.rx_chunks"};  // on_data calls
+    // Bytes flipped by set_mangle.
+    telemetry::Counter mangled_bytes{"sim.stream.mangled_bytes"};
+    // In-flight bytes lost to cut().
+    telemetry::Counter cut_bytes{"sim.stream.cut_bytes"};
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
@@ -137,13 +134,7 @@ class StreamLink {
   bool stalled_ = false;
   End a_;
   End b_;
-  struct Instruments {
-    telemetry::Counter tx_bytes{"sim.stream.tx_bytes"};
-    telemetry::Counter rx_bytes{"sim.stream.rx_bytes"};
-    telemetry::Counter rx_chunks{"sim.stream.rx_chunks"};
-    telemetry::Counter mangled_bytes{"sim.stream.mangled_bytes"};
-    telemetry::Counter cut_bytes{"sim.stream.cut_bytes"};
-  } metrics_;
+  Instruments metrics_;
 };
 
 }  // namespace hw::sim

@@ -45,12 +45,6 @@ std::string MacAddress::to_string() const {
   return buf;
 }
 
-std::uint64_t MacAddress::to_u64() const {
-  std::uint64_t v = 0;
-  for (auto o : octets_) v = (v << 8) | o;
-  return v;
-}
-
 Result<Ipv4Address> Ipv4Address::parse(std::string_view text) {
   std::uint32_t value = 0;
   const char* p = text.data();

@@ -36,7 +36,11 @@ class MacAddress {
   [[nodiscard]] const std::array<std::uint8_t, 6>& octets() const { return octets_; }
   [[nodiscard]] std::string to_string() const;
   /// Packs into the low 48 bits of a u64 (OpenFlow stats keys, hashing).
-  [[nodiscard]] std::uint64_t to_u64() const;
+  [[nodiscard]] constexpr std::uint64_t to_u64() const {
+    std::uint64_t v = 0;
+    for (auto o : octets_) v = (v << 8) | o;
+    return v;
+  }
 
   auto operator<=>(const MacAddress&) const = default;
 

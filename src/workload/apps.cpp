@@ -108,11 +108,11 @@ void TrafficApp::start() {
                     return;
                   }
                   resolved_ = true;
-                  resolved(result.value());
+                  on_resolved(result.value());
                 });
 }
 
-void TrafficApp::resolved(Ipv4Address server) {
+void TrafficApp::on_resolved(Ipv4Address server) {
   server_ = server;
   if (profile_.tcp) {
     host_.send_tcp(server, src_port_, profile_.dst_port, net::TcpFlags::kSyn, 0);

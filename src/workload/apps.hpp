@@ -38,13 +38,6 @@ struct AppProfile {
   static AppProfile email(std::string domain);
 };
 
-/// Snapshot view over the app's telemetry instruments.
-struct AppStats {
-  std::uint64_t requests_sent = 0;
-  std::uint64_t dns_failures = 0;
-  bool resolved = false;
-};
-
 /// One running session. start() resolves and begins sending; stop() ends it.
 class TrafficApp {
  public:
@@ -56,24 +49,25 @@ class TrafficApp {
   void start();
   void stop();
   [[nodiscard]] bool running() const { return running_; }
-  [[nodiscard]] AppStats stats() const {
-    return {metrics_.requests_sent.value(), metrics_.dns_failures.value(),
-            resolved_};
-  }
+  /// The app's telemetry instruments, read in place (`.value()`).
+  struct Instruments {
+    telemetry::Counter requests_sent{"workload.app.requests_sent"};
+    telemetry::Counter dns_failures{"workload.app.dns_failures"};
+  };
+  [[nodiscard]] const Instruments& stats() const { return metrics_; }
+  /// Whether the service's domain has resolved.
+  [[nodiscard]] bool resolved() const { return resolved_; }
   [[nodiscard]] const AppProfile& profile() const { return profile_; }
 
  private:
-  void resolved(Ipv4Address server);
+  void on_resolved(Ipv4Address server);
   void send_next();
 
   sim::EventLoop& loop_;
   sim::Host& host_;
   Rng& rng_;
   AppProfile profile_;
-  struct Instruments {
-    telemetry::Counter requests_sent{"workload.app.requests_sent"};
-    telemetry::Counter dns_failures{"workload.app.dns_failures"};
-  } metrics_;
+  Instruments metrics_;
   bool resolved_ = false;
   bool running_ = false;
   bool handshake_done_ = false;

@@ -50,19 +50,18 @@ struct ChaosResult {
   std::vector<std::string> leases;          // "mac ip" per device, sorted
   std::set<std::int64_t> acked;             // insert seqs acked to the client
   std::multiset<std::int64_t> applied;      // insert seqs present in the db
-  hwdb::rpc::RpcClientStats rpc_client;
-  hwdb::rpc::ServerStats rpc_server;
-  hwdb::rpc::RpcLinkStats rpc_link;
-  sim::FaultInjectorStats faults;
-  nox::ControllerStats controller;
-  ofp::DatapathStats datapath;
-  DhcpServerStats dhcp;
   std::size_t flow_entries = 0;
   bool fail_safe_at_end = true;
   int resync_confirmations = 0;  // barrier-confirmed re-syncs observed
   /// Canonical "match|priority|actions|cookie" rows of the final table,
   /// sorted — the replay-vs-reconcile differential compares these.
   std::vector<std::string> flow_rows;
+
+  /// One counter or gauge of `telemetry`; every series this scenario reads
+  /// has exactly one instrument behind it.
+  [[nodiscard]] double count(const std::string& series) const {
+    return telemetry.at(series);
+  }
 };
 
 /// One full scripted run. Everything (router, hosts, faults, rpc) is local,
@@ -175,13 +174,6 @@ ChaosResult run_scenario(std::uint64_t seed,
       result.applied.insert(row[0].as_int());
     }
   }
-  result.rpc_client = rpc.stats();
-  result.rpc_server = rpc_link.server().stats();
-  result.rpc_link = rpc_link.stats();
-  result.faults = faults.stats();
-  result.controller = router.controller().stats();
-  result.datapath = router.datapath().stats();
-  result.dhcp = router.dhcp().stats();
   result.flow_entries = router.datapath().table().size();
   result.fail_safe_at_end = router.datapath().fail_safe();
   router.datapath().table().for_each([&result](const ofp::FlowEntry& e) {
@@ -206,13 +198,14 @@ TEST(ChaosSoak, SurvivesLossyHomeNetworkAndRecovers) {
   const ChaosResult r = run_scenario(seed);
 
   // The plan ran to completion and closed every window.
-  EXPECT_EQ(r.faults.windows_started, 4u) << "seed " << seed;
-  EXPECT_EQ(r.faults.windows_ended, 4u);
-  EXPECT_EQ(r.faults.active, 0);
-  EXPECT_EQ(r.faults.link_faults, 2u * 3u);  // loss applied per direction
-  EXPECT_EQ(r.faults.controller_outages, 1u);
-  EXPECT_EQ(r.faults.hwdb_faults, 1u);
-  EXPECT_EQ(r.faults.datapath_restarts, 1u);
+  EXPECT_EQ(r.count("sim.fault.windows_started"), 4.0) << "seed " << seed;
+  EXPECT_EQ(r.count("sim.fault.windows_ended"), 4.0);
+  EXPECT_EQ(r.count("sim.fault.active"), 0.0);
+  // Loss applied per direction.
+  EXPECT_EQ(r.count("sim.fault.link_faults"), 2.0 * 3.0);
+  EXPECT_EQ(r.count("sim.fault.controller_outages"), 1.0);
+  EXPECT_EQ(r.count("sim.fault.hwdb_faults"), 1.0);
+  EXPECT_EQ(r.count("sim.fault.datapath_restarts"), 1.0);
 
   // Every device ends bound, and no two devices share an address.
   std::set<std::string> ips;
@@ -224,7 +217,9 @@ TEST(ChaosSoak, SurvivesLossyHomeNetworkAndRecovers) {
         << "duplicate DHCP lease " << ip << " (seed " << seed << ")";
   }
   // Retransmissions happened (lossy window) yet never double-allocated.
-  EXPECT_GT(r.dhcp.retransmits + r.rpc_server.dup_suppressed, 0u);
+  EXPECT_GT(r.count("homework.dhcp.retransmits") +
+                r.count("hwdb.rpc.dup_suppressed"),
+            0.0);
 
   // Exactly-once hwdb writes: no sequence number landed twice, and every
   // insert the client saw acked is present.
@@ -238,35 +233,23 @@ TEST(ChaosSoak, SurvivesLossyHomeNetworkAndRecovers) {
 
   // The drop burst forced retries; suppression only ever happens when a
   // datagram was re-sent (client retry) or duplicated by the link.
-  EXPECT_GT(r.rpc_client.retries, 0u);
-  EXPECT_LE(r.rpc_server.dup_suppressed,
-            r.rpc_client.retries + r.rpc_link.fault_duplicated);
+  EXPECT_GT(r.count("hwdb.rpc.retries"), 0.0);
+  EXPECT_LE(r.count("hwdb.rpc.dup_suppressed"),
+            r.count("hwdb.rpc.retries") +
+                r.count("hwdb.rpc_link.fault_duplicated"));
 
   // Controller-channel recovery: the outage tripped the watchdog and the
   // restart re-sent HELLO; both ended in a barrier-confirmed re-sync that
   // re-installed the modules' flows.
-  EXPECT_GE(r.controller.reconnects, 2u) << "seed " << seed;
-  EXPECT_GE(r.controller.resynced_flows, 3u);
+  EXPECT_GE(r.count("nox.channel.reconnects"), 2.0) << "seed " << seed;
+  EXPECT_GE(r.count("nox.channel.resynced_flows"), 3.0);
   EXPECT_GE(r.resync_confirmations, 2);
   EXPECT_GE(r.flow_entries, 3u) << "flow table not re-populated after restart";
 
   // The datapath spent the outage in fail-safe and left it on recovery.
-  EXPECT_GE(r.datapath.failsafe_entries, 1u);
-  EXPECT_EQ(r.datapath.restarts, 1u);
+  EXPECT_GE(r.count("openflow.datapath.failsafe_entries"), 1.0);
+  EXPECT_EQ(r.count("openflow.datapath.restarts"), 1.0);
   EXPECT_FALSE(r.fail_safe_at_end);
-
-  // Spot-check the telemetry export view agrees with the struct snapshots
-  // (same numbers an external UI reads back over hwdb RPC).
-  EXPECT_EQ(r.telemetry.at("sim.fault.windows_started"), 4.0);
-  EXPECT_EQ(r.telemetry.at("sim.fault.active"), 0.0);
-  EXPECT_EQ(r.telemetry.at("hwdb.rpc.retries"),
-            static_cast<double>(r.rpc_client.retries));
-  EXPECT_EQ(r.telemetry.at("hwdb.rpc.dup_suppressed"),
-            static_cast<double>(r.rpc_server.dup_suppressed));
-  EXPECT_EQ(r.telemetry.at("nox.channel.reconnects"),
-            static_cast<double>(r.controller.reconnects));
-  EXPECT_EQ(r.telemetry.at("nox.channel.resynced_flows"),
-            static_cast<double>(r.controller.resynced_flows));
 }
 
 TEST(ChaosSoak, IdenticalSeedReplaysIdentically) {
@@ -280,8 +263,9 @@ TEST(ChaosSoak, IdenticalSeedReplaysIdentically) {
   EXPECT_EQ(a.leases, b.leases);
   EXPECT_EQ(a.acked, b.acked);
   EXPECT_EQ(a.applied, b.applied);
-  EXPECT_EQ(a.rpc_client.retries, b.rpc_client.retries);
-  EXPECT_EQ(a.rpc_server.dup_suppressed, b.rpc_server.dup_suppressed);
+  EXPECT_EQ(a.count("hwdb.rpc.retries"), b.count("hwdb.rpc.retries"));
+  EXPECT_EQ(a.count("hwdb.rpc.dup_suppressed"),
+            b.count("hwdb.rpc.dup_suppressed"));
   EXPECT_EQ(a.resync_confirmations, b.resync_confirmations);
 }
 
@@ -310,8 +294,8 @@ TEST(ChaosDifferential, ReplayAndReconcileConvergeToIdenticalState) {
   // flows than replaying every module's setup on each reconnect.
   EXPECT_GE(replay.resync_confirmations, 2);
   EXPECT_GE(reconcile.resync_confirmations, 2);
-  EXPECT_LT(reconcile.controller.resynced_flows,
-            replay.controller.resynced_flows)
+  EXPECT_LT(reconcile.count("nox.channel.resynced_flows"),
+            replay.count("nox.channel.resynced_flows"))
       << "delta resync must beat blind replay (seed " << seed << ")";
 }
 

@@ -145,7 +145,7 @@ TEST_F(ApiFixture, DenyEndpoint) {
   host.start_dhcp();
   loop.run_for(2 * kSecond);
   EXPECT_FALSE(host.ip().has_value());
-  EXPECT_EQ(router.control_api().stats().denies, 1u);
+  EXPECT_EQ(router.control_api().stats().denies.value(), 1u);
 }
 
 TEST_F(ApiFixture, MetadataUpdatesNameAndTags) {

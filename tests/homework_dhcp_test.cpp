@@ -20,8 +20,8 @@ TEST_F(DhcpFixture, PendingDeviceGetsSilence) {
   const DeviceRecord* rec = router.registry().find(host.mac());
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->state, DeviceState::Pending);
-  EXPECT_GT(router.dhcp().stats().ignored_pending, 0u);
-  EXPECT_EQ(router.dhcp().stats().offers, 0u);
+  EXPECT_GT(router.dhcp().stats().ignored_pending.value(), 0u);
+  EXPECT_EQ(router.dhcp().stats().offers.value(), 0u);
 }
 
 TEST_F(DhcpFixture, PermittedDeviceLeases) {
@@ -35,7 +35,7 @@ TEST_F(DhcpFixture, PermittedDeviceLeases) {
   ASSERT_TRUE(rec->lease.has_value());
   EXPECT_EQ(rec->lease->ip, *ip);
   EXPECT_EQ(rec->lease->hostname, "laptop");
-  EXPECT_EQ(router.dhcp().stats().acks, 1u);
+  EXPECT_EQ(router.dhcp().stats().acks.value(), 1u);
 }
 
 TEST_F(DhcpFixture, IsolationMaskIsSlash32) {
@@ -57,7 +57,7 @@ TEST_F(DhcpFixture, DeniedDeviceGetsNak) {
   loop.run_for(2 * kSecond);
   EXPECT_FALSE(host.ip().has_value());
   EXPECT_GE(naks, 1);
-  EXPECT_GE(router.dhcp().stats().naks, 1u);
+  EXPECT_GE(router.dhcp().stats().naks.value(), 1u);
 }
 
 TEST_F(DhcpFixture, PermitAfterPendingUnblocks) {
@@ -98,7 +98,7 @@ TEST_F(DhcpFixture, ReleaseClearsLeaseInRegistry) {
   const DeviceRecord* rec = router.registry().find(host.mac());
   ASSERT_NE(rec, nullptr);
   EXPECT_FALSE(rec->lease.has_value());
-  EXPECT_EQ(router.dhcp().stats().releases, 1u);
+  EXPECT_EQ(router.dhcp().stats().releases.value(), 1u);
 }
 
 TEST_F(DhcpFixture, RenewalKeepsAddress) {
@@ -108,7 +108,7 @@ TEST_F(DhcpFixture, RenewalKeepsAddress) {
   loop.run_for(1900 * kSecond);
   EXPECT_EQ(host.ip(), ip);
   EXPECT_EQ(host.dhcp_state(), sim::DhcpClientState::Bound);
-  EXPECT_GE(router.dhcp().stats().acks, 2u);
+  EXPECT_GE(router.dhcp().stats().acks.value(), 2u);
 }
 
 TEST_F(DhcpFixture, DenyAfterLeaseNaksRenewal) {
@@ -150,7 +150,7 @@ TEST_F(SmallPoolFixture, PoolExhaustionLeavesThirdDeviceUnserved) {
   ASSERT_TRUE(bind(a).has_value());
   ASSERT_TRUE(bind(b).has_value());
   EXPECT_FALSE(bind(c, 3 * kSecond).has_value());
-  EXPECT_GT(router.dhcp().stats().pool_exhausted, 0u);
+  EXPECT_GT(router.dhcp().stats().pool_exhausted.value(), 0u);
 }
 
 TEST_F(SmallPoolFixture, ExhaustionNeverDoubleAllocates) {
@@ -163,7 +163,7 @@ TEST_F(SmallPoolFixture, ExhaustionNeverDoubleAllocates) {
   // The two live leases stay distinct and the unserved device was ignored,
   // not NAKed (it may be served later when the pool frees up).
   EXPECT_NE(a.ip(), b.ip());
-  EXPECT_EQ(c.stats().dhcp_naks, 0u);
+  EXPECT_EQ(c.stats().dhcp_naks.value(), 0u);
   const DeviceRecord* rec_c = router.registry().find(c.mac());
   ASSERT_NE(rec_c, nullptr);
   EXPECT_FALSE(rec_c->lease.has_value());
@@ -189,15 +189,15 @@ TEST_F(SmallPoolShortLeaseFixture, RenewDuringExhaustionKeepsLease) {
   sim::Host& c = make_device("c");
   c.start_dhcp();
   loop.run_for(12 * kSecond);
-  EXPECT_GT(router.dhcp().stats().pool_exhausted, 0u);
+  EXPECT_GT(router.dhcp().stats().pool_exhausted.value(), 0u);
   // Renewals (REQUEST against the sticky allocation) succeeded: same
   // addresses, still bound, never NAKed.
   EXPECT_EQ(a.ip(), ip_a);
   EXPECT_EQ(b.ip(), ip_b);
   EXPECT_EQ(a.dhcp_state(), sim::DhcpClientState::Bound);
-  EXPECT_GE(a.stats().dhcp_acks, 2u);
-  EXPECT_EQ(a.stats().dhcp_naks, 0u);
-  EXPECT_EQ(b.stats().dhcp_naks, 0u);
+  EXPECT_GE(a.stats().dhcp_acks.value(), 2u);
+  EXPECT_EQ(a.stats().dhcp_naks.value(), 0u);
+  EXPECT_EQ(b.stats().dhcp_naks.value(), 0u);
   const DeviceRecord* rec_a = router.registry().find(a.mac());
   const DeviceRecord* rec_b = router.registry().find(b.mac());
   ASSERT_NE(rec_a, nullptr);
@@ -227,20 +227,20 @@ TEST_F(SpoofedPoolFixture, UnclaimedSpoofedOffersExpireBackIntoPool) {
         MacAddress::from_index(0x200000u + i), 0x1000u + i, "spoof"));
   }
   loop.run_for(200 * kMillisecond);
-  EXPECT_EQ(router.dhcp().stats().offers, 2u);
+  EXPECT_EQ(router.dhcp().stats().offers.value(), 2u);
 
   // A legitimate device now finds the pool dry (counted, silently ignored)…
   sim::Host& legit = make_device("legit");
   legit.start_dhcp();
   loop.run_for(500 * kMillisecond);
   EXPECT_FALSE(legit.ip().has_value());
-  EXPECT_GT(router.dhcp().stats().pool_exhausted, 0u);
-  EXPECT_EQ(legit.stats().dhcp_naks, 0u);
+  EXPECT_GT(router.dhcp().stats().pool_exhausted.value(), 0u);
+  EXPECT_EQ(legit.stats().dhcp_naks.value(), 0u);
 
   // …until the never-ACKed offers expire after offer_hold and the client's
   // periodic retry claims a freed address.
   loop.run_for(6 * kSecond);
-  EXPECT_GE(router.dhcp().stats().offers_expired, 2u);
+  EXPECT_GE(router.dhcp().stats().offers_expired.value(), 2u);
   EXPECT_TRUE(legit.ip().has_value());
 }
 
@@ -263,7 +263,7 @@ TEST_F(ShortLeaseFixture, UnrenewedLeaseExpiresInRegistry) {
   const DeviceRecord* rec = router.registry().find(host.mac());
   ASSERT_NE(rec, nullptr);
   EXPECT_FALSE(rec->lease.has_value());
-  EXPECT_GT(router.dhcp().stats().expired, 0u);
+  EXPECT_GT(router.dhcp().stats().expired.value(), 0u);
   // The expiry shows in hwdb's Leases table too (artifact mode 3 blue flash).
   auto rs = router.db().query(
       "SELECT mac FROM Leases WHERE event = 'lease_expired'");

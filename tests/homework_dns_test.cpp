@@ -36,16 +36,16 @@ TEST_F(DnsFixture, ResolvesThroughProxy) {
   const auto ip = resolve(host, "www.example.com");
   ASSERT_TRUE(ip.has_value());
   EXPECT_EQ(ip->to_string(), "93.184.216.34");
-  EXPECT_EQ(router.dns().stats().queries, 1u);
-  EXPECT_EQ(router.dns().stats().forwarded, 1u);
-  EXPECT_EQ(router.dns().stats().responses, 1u);
-  EXPECT_EQ(router.upstream().stats().dns_queries, 1u);
+  EXPECT_EQ(router.dns().stats().queries.value(), 1u);
+  EXPECT_EQ(router.dns().stats().forwarded.value(), 1u);
+  EXPECT_EQ(router.dns().stats().responses.value(), 1u);
+  EXPECT_EQ(router.upstream().stats().dns_queries.value(), 1u);
 }
 
 TEST_F(DnsFixture, UnknownNameGetsNxdomain) {
   sim::Host& host = admitted_device("laptop");
   EXPECT_FALSE(resolve(host, "no.such.host").has_value());
-  EXPECT_EQ(router.upstream().stats().dns_nxdomain, 1u);
+  EXPECT_EQ(router.upstream().stats().dns_nxdomain.value(), 1u);
 }
 
 TEST_F(DnsFixture, UnpermittedDeviceQueriesDropped) {
@@ -55,7 +55,7 @@ TEST_F(DnsFixture, UnpermittedDeviceQueriesDropped) {
   loop.run_for(kSecond);
   EXPECT_FALSE(host.ip().has_value());
   // Queries from unleased devices never reach upstream.
-  EXPECT_EQ(router.upstream().stats().dns_queries, 0u);
+  EXPECT_EQ(router.upstream().stats().dns_queries.value(), 0u);
 }
 
 TEST_F(DnsFixture, PolicyBlockedNameRefused) {
@@ -63,9 +63,9 @@ TEST_F(DnsFixture, PolicyBlockedNameRefused) {
   install_kids_policy(kid);
   EXPECT_FALSE(resolve(kid, "video.netflix.com").has_value());
   EXPECT_TRUE(resolve(kid, "www.facebook.com").has_value());
-  EXPECT_EQ(router.dns().stats().blocked, 1u);
+  EXPECT_EQ(router.dns().stats().blocked.value(), 1u);
   // The refused query never went upstream.
-  EXPECT_EQ(router.upstream().stats().dns_queries, 1u);
+  EXPECT_EQ(router.upstream().stats().dns_queries.value(), 1u);
 }
 
 TEST_F(DnsFixture, PolicyDoesNotAffectOtherDevices) {
@@ -109,7 +109,7 @@ TEST_F(DnsFixture, ReverseLookupAllowsMatchingDomain) {
   loop.run_for(kSecond);
   ASSERT_TRUE(verdict.has_value());
   EXPECT_EQ(*verdict, DnsProxy::FlowVerdict::Allow);
-  EXPECT_EQ(router.dns().stats().reverse_lookups, 1u);
+  EXPECT_EQ(router.dns().stats().reverse_lookups.value(), 1u);
   // And the verdict is cached for synchronous reuse.
   EXPECT_EQ(router.dns().check_flow(kid.mac(), Ipv4Address{31, 13, 72, 1}),
             DnsProxy::FlowVerdict::Allow);

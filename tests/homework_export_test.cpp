@@ -188,10 +188,10 @@ TEST_F(ExportFixture, StatsCountersAdvance) {
   }
   loop.run_for(3 * kSecond);
   const auto& stats = router.event_export().stats();
-  EXPECT_GT(stats.stats_polls, 0u);
-  EXPECT_GT(stats.flow_rows, 0u);
-  EXPECT_GT(stats.link_rows, 0u);
-  EXPECT_GT(stats.lease_rows, 0u);
+  EXPECT_GT(stats.stats_polls.value(), 0u);
+  EXPECT_GT(stats.flow_rows.value(), 0u);
+  EXPECT_GT(stats.link_rows.value(), 0u);
+  EXPECT_GT(stats.lease_rows.value(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -301,7 +301,8 @@ TEST(MetricsExportDifferential, LastValueMatchesExportEveryPollOracle) {
             << "seed " << seed << ", query after poll " << k;
       }
     }
-    EXPECT_LT(exporter.stats().rows_exported, every_poll_rows) << "seed " << seed;
+    EXPECT_LT(exporter.stats().rows_exported.value(), every_poll_rows)
+        << "seed " << seed;
   }
 }
 

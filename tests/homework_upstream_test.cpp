@@ -63,7 +63,7 @@ TEST_F(UpstreamFixture, NxdomainForUnknown) {
   loop.run_all();
   auto resp = net::DnsMessage::parse(router_side.parsed()[0].l4_payload);
   EXPECT_EQ(resp.value().rcode, net::DnsRcode::NxDomain);
-  EXPECT_EQ(up.stats().dns_nxdomain, 1u);
+  EXPECT_EQ(up.stats().dns_nxdomain.value(), 1u);
 }
 
 TEST_F(UpstreamFixture, PtrFromReverseZone) {
@@ -122,7 +122,7 @@ TEST_F(UpstreamFixture, TcpHandshakeAndDownload) {
   std::size_t served = 0;
   for (const auto& p : packets) served += p.l4_payload.size();
   EXPECT_EQ(served, 12000u);
-  EXPECT_EQ(up.stats().bytes_served, 12000u);
+  EXPECT_EQ(up.stats().bytes_served.value(), 12000u);
 
   // FIN gets FIN-ACK'd.
   router_side.frames.clear();
@@ -145,7 +145,7 @@ TEST_F(UpstreamFixture, UnknownPortDataJustAcked) {
   auto packets = router_side.parsed();
   ASSERT_EQ(packets.size(), 1u);
   EXPECT_TRUE(packets[0].l4_payload.empty());  // bare ACK
-  EXPECT_EQ(up.stats().bytes_served, 0u);
+  EXPECT_EQ(up.stats().bytes_served.value(), 0u);
 }
 
 TEST_F(UpstreamFixture, PingAnyAddress) {

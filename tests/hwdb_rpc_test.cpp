@@ -302,7 +302,7 @@ TEST_F(LinkFixture, QueryErrorPropagates) {
   });
   loop.run_for(10 * kMillisecond);
   EXPECT_NE(error.find("Ghost"), std::string::npos);
-  EXPECT_EQ(link.server().stats().errors, 1u);
+  EXPECT_EQ(link.server().stats().errors.value(), 1u);
 }
 
 TEST_F(LinkFixture, SubscriptionPushesPeriodically) {
@@ -393,8 +393,8 @@ TEST_F(LinkFixture, ReliableClientRetriesUntilResponse) {
   loop.run_for(100 * kMillisecond);
 
   EXPECT_TRUE(inserted);
-  EXPECT_GE(client.stats().retries, 1u);
-  EXPECT_EQ(client.stats().timeouts, 0u);
+  EXPECT_GE(client.stats().retries.value(), 1u);
+  EXPECT_EQ(client.stats().timeouts.value(), 0u);
   EXPECT_EQ(client.pending(), 0u);
   // The retried insert was applied exactly once.
   auto rs = db.query("SELECT mac FROM Links");
@@ -423,10 +423,10 @@ TEST_F(LinkFixture, ReliableClientTimesOutAfterMaxAttempts) {
   loop.run_for(kSecond);
 
   EXPECT_EQ(error, "RPC: timed out");
-  EXPECT_EQ(client.stats().retries, 2u);  // attempts 2 and 3
-  EXPECT_EQ(client.stats().timeouts, 1u);
+  EXPECT_EQ(client.stats().retries.value(), 2u);  // attempts 2 and 3
+  EXPECT_EQ(client.stats().timeouts.value(), 1u);
   EXPECT_EQ(client.pending(), 0u);
-  EXPECT_EQ(link.stats().fault_dropped, 3u);
+  EXPECT_EQ(link.stats().fault_dropped.value(), 3u);
   auto rs = db.query("SELECT mac FROM Links");
   ASSERT_TRUE(rs.ok());
   EXPECT_TRUE(rs.value().rows.empty());
@@ -447,8 +447,8 @@ TEST_F(LinkFixture, ServerSuppressesDuplicatedRequests) {
   loop.run_for(50 * kMillisecond);
 
   EXPECT_TRUE(inserted);
-  EXPECT_GE(link.stats().fault_duplicated, 1u);
-  EXPECT_EQ(link.server().stats().dup_suppressed, 1u);
+  EXPECT_GE(link.stats().fault_duplicated.value(), 1u);
+  EXPECT_EQ(link.server().stats().dup_suppressed.value(), 1u);
   auto rs = db.query("SELECT mac FROM Links");
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs.value().rows.size(), 1u);
@@ -481,12 +481,94 @@ TEST_F(LinkFixture, RetriedSubscribeCreatesOneSubscriptionInOrder) {
                    });
   loop.run_for(3 * kSecond + 10 * kMillisecond);
 
-  EXPECT_GE(link.server().stats().dup_suppressed, 1u);
+  EXPECT_GE(link.server().stats().dup_suppressed.value(), 1u);
   EXPECT_EQ(db.subscription_count(), 1u);
   // One push per period, all for the single subscription id — a doubled
   // subscription would interleave a second id (or double the count).
   EXPECT_EQ(push_ids.size(), 3u);
   for (const auto id : push_ids) EXPECT_EQ(id, sub_id);
+}
+
+TEST(RpcServerDedup, WindowEvictsPastItsCapPerClient) {
+  // Drive the server well past its per-client dedup window: ten windows of
+  // distinct request ids from one client. A retransmit still inside the
+  // window is answered from the cache; one evicted from it runs again.
+  sim::EventLoop loop;
+  Database db(loop);
+  ASSERT_TRUE(db.create_table(Schema("Seq", {{"client", ColumnType::Int},
+                                             {"seq", ColumnType::Int}}),
+                              8192)
+                  .ok());
+  Bytes last_answer;
+  RpcServer server(db, [&](ClientAddress, const Bytes& d) { last_answer = d; });
+  const auto& stats = server.stats();
+  auto send = [&](ClientAddress from, std::uint32_t id) {
+    const Request req{id, InsertRequest{"Seq", {Value{static_cast<int>(from)},
+                                                Value{static_cast<int>(id)}}}};
+    last_answer.clear();
+    server.handle_datagram(from, encode(req));
+  };
+  auto rows_for = [&](ClientAddress from, std::uint32_t id) {
+    const auto rs = db.query("SELECT client, seq FROM Seq");
+    EXPECT_TRUE(rs.ok());
+    std::size_t n = 0;
+    for (const auto& row : rs.value().rows) {
+      if (row[0].as_int() == static_cast<std::int64_t>(from) &&
+          row[1].as_int() == static_cast<std::int64_t>(id)) {
+        ++n;
+      }
+    }
+    return n;
+  };
+
+  constexpr std::uint32_t kIds = 10 * RpcServer::kDedupWindow;
+  constexpr ClientAddress kA = 1;
+  constexpr ClientAddress kB = 2;
+  for (std::uint32_t id = 1; id <= kIds; ++id) send(kA, id);
+  ASSERT_EQ(stats.requests.value(), kIds);
+  ASSERT_EQ(stats.dup_suppressed.value(), 0u);
+  ASSERT_EQ(db.table("Seq")->size(), kIds);
+  const Bytes newest_answer = last_answer;
+
+  // The newest id is suppressed: counted, answered with the cached
+  // response, not re-executed.
+  send(kA, kIds);
+  EXPECT_EQ(stats.requests.value(), kIds + 1);
+  EXPECT_EQ(stats.dup_suppressed.value(), 1u);
+  EXPECT_EQ(last_answer, newest_answer);
+  EXPECT_EQ(rows_for(kA, kIds), 1u);
+
+  // So is the oldest id the window still holds.
+  const std::uint32_t oldest_kept = kIds - RpcServer::kDedupWindow + 1;
+  send(kA, oldest_kept);
+  EXPECT_EQ(stats.dup_suppressed.value(), 2u);
+  EXPECT_EQ(rows_for(kA, oldest_kept), 1u);
+
+  // The id just past the window was evicted and runs again: the request
+  // counts, the suppression count does not move, and its insert lands a
+  // second time.
+  const std::uint32_t evicted = oldest_kept - 1;
+  send(kA, evicted);
+  EXPECT_EQ(stats.requests.value(), kIds + 3);
+  EXPECT_EQ(stats.dup_suppressed.value(), 2u);
+  EXPECT_EQ(rows_for(kA, evicted), 2u);
+  EXPECT_EQ(db.table("Seq")->size(), kIds + 1);
+
+  // A second client reusing the same ids has a window of its own: every one
+  // of its requests executes, and it evicts nothing from the first's.
+  for (std::uint32_t id = 1; id <= kIds; ++id) send(kB, id);
+  EXPECT_EQ(stats.requests.value(), 2 * kIds + 3);
+  EXPECT_EQ(stats.dup_suppressed.value(), 2u);
+  EXPECT_EQ(rows_for(kB, kIds), 1u);
+  const Bytes b_newest_answer = last_answer;
+  send(kA, kIds);
+  send(kA, evicted);
+  EXPECT_EQ(stats.dup_suppressed.value(), 4u);
+  EXPECT_EQ(rows_for(kA, evicted), 2u);
+  send(kB, kIds);
+  EXPECT_EQ(stats.dup_suppressed.value(), 5u);
+  EXPECT_EQ(last_answer, b_newest_answer);
+  EXPECT_EQ(db.table("Seq")->size(), 2 * kIds + 1);
 }
 
 TEST_F(LinkFixture, RetryScheduleIsDeterministic) {

@@ -547,8 +547,8 @@ TEST_F(DatabaseFixture, InsertStampsVirtualTime) {
                   .ok());
   EXPECT_EQ(db.table("Flows")->newest_ts(), 5 * kSecond);
   EXPECT_FALSE(db.insert("NoTable", {}).ok());
-  EXPECT_EQ(db.stats().inserts, 1u);
-  EXPECT_EQ(db.stats().insert_errors, 1u);
+  EXPECT_EQ(db.stats().inserts.value(), 1u);
+  EXPECT_EQ(db.stats().insert_errors.value(), 1u);
 }
 
 TEST_F(DatabaseFixture, QueryText) {

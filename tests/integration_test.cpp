@@ -99,7 +99,7 @@ TEST_F(IntegrationFixture, DevicesNeverLearnEachOthersMacs) {
   EXPECT_TRUE(ping(a, *b.ip()));
   // a's path to b resolved through proxy ARP: the ARP reply came from the
   // router's MAC for b's IP.
-  EXPECT_GE(router.forwarding().stats().arp_replies, 1u);
+  EXPECT_GE(router.forwarding().stats().arp_replies.value(), 1u);
   // No direct path exists: the datapath never forwarded a frame with a's MAC
   // to b's port (all frames to b bear the router MAC after rewrite).
 }
@@ -169,7 +169,7 @@ TEST_F(IntegrationFixture, TcpDownloadFlowsBothDirections) {
 
   // The upstream served responses (the download) and both directions appear
   // in the Flows table.
-  EXPECT_GT(router.upstream().stats().bytes_served, 0u);
+  EXPECT_GT(router.upstream().stats().bytes_served.value(), 0u);
   auto rs = router.db().query(
       "SELECT src_ip, sum(bytes) FROM Flows WHERE app = 'web' GROUP BY src_ip");
   ASSERT_TRUE(rs.ok());

@@ -145,7 +145,7 @@ TEST_F(HandshakeFixture, PacketInChainStopsAtConsumer) {
                             return s.rfind("pktin:second", 0) == 0;
                           }),
             0);
-  EXPECT_EQ(ctl.stats().packet_ins, 1u);
+  EXPECT_EQ(ctl.stats().packet_ins.value(), 1u);
 }
 
 TEST_F(HandshakeFixture, InstallFlowReachesDatapathTable) {
@@ -155,7 +155,7 @@ TEST_F(HandshakeFixture, InstallFlowReachesDatapathTable) {
   ctl.install_flow(7, m, ofp::output_to(2), 0x7000, 5, 0);
   loop.run_for(10 * kMillisecond);
   EXPECT_EQ(dp.table().size(), 1u);
-  EXPECT_EQ(ctl.stats().flow_mods, 1u);
+  EXPECT_EQ(ctl.stats().flow_mods.value(), 1u);
 
   ctl.delete_flows(7, ofp::Match::any());
   loop.run_for(10 * kMillisecond);
@@ -209,7 +209,7 @@ TEST_F(HandshakeFixture, FlowRemovedReachesComponents) {
                    /*notify_removal=*/true);
   loop.run_for(3 * kSecond);
   EXPECT_NE(std::find(log.begin(), log.end(), "flowrem:mod"), log.end());
-  EXPECT_EQ(ctl.stats().flow_removed, 1u);
+  EXPECT_EQ(ctl.stats().flow_removed.value(), 1u);
 }
 
 TEST_F(HandshakeFixture, LivenessMonitorTracksRttAndDeath) {
@@ -333,7 +333,7 @@ TEST_F(HandshakeFixture, ResyncAfterChannelOutageReinstallsFlows) {
 
   std::vector<DatapathId> resynced;
   ctl.on_resynced([&](DatapathId d) { resynced.push_back(d); });
-  const auto resynced_flows_before = ctl.stats().resynced_flows;
+  const auto resynced_flows_before = ctl.stats().resynced_flows.value();
 
   conn.reconnect();
   ctl.resync_datapath(7);
@@ -342,8 +342,8 @@ TEST_F(HandshakeFixture, ResyncAfterChannelOutageReinstallsFlows) {
   // The rejoin replayed every component's datapath-join flow setup and the
   // barrier confirmed it landed in the table.
   EXPECT_EQ(resynced, (std::vector<DatapathId>{7}));
-  EXPECT_GE(ctl.stats().reconnects, 1u);
-  EXPECT_GT(ctl.stats().resynced_flows, resynced_flows_before);
+  EXPECT_GE(ctl.stats().reconnects.value(), 1u);
+  EXPECT_GT(ctl.stats().resynced_flows.value(), resynced_flows_before);
   EXPECT_EQ(dp.table().size(), 1u);
   EXPECT_EQ(std::count(log.begin(), log.end(), "join:mod:7"), 2);
 }
@@ -358,7 +358,7 @@ TEST_F(HandshakeFixture, HelloOnIdentifiedChannelTriggersResync) {
   dp.restart();
   loop.run_for(100 * kMillisecond);
   EXPECT_EQ(resynced, (std::vector<DatapathId>{7}));
-  EXPECT_GE(ctl.stats().reconnects, 1u);
+  EXPECT_GE(ctl.stats().reconnects.value(), 1u);
 }
 
 TEST_F(HandshakeFixture, ResyncForUnknownDatapathIsCountedAndRearmed) {
@@ -366,9 +366,9 @@ TEST_F(HandshakeFixture, ResyncForUnknownDatapathIsCountedAndRearmed) {
 
   // Nothing has identified yet: the resync request cannot be served. It must
   // not vanish silently — it is counted and re-armed.
-  ASSERT_EQ(ctl.stats().resync_skipped, 0u);
+  ASSERT_EQ(ctl.stats().resync_skipped.value(), 0u);
   ctl.resync_datapath(7);
-  EXPECT_EQ(ctl.stats().resync_skipped, 1u);
+  EXPECT_EQ(ctl.stats().resync_skipped.value(), 1u);
 
   // When dpid 7 finally identifies, the armed request upgrades the fresh
   // join into a full re-sync: on_resynced fires even though this connection
@@ -378,14 +378,14 @@ TEST_F(HandshakeFixture, ResyncForUnknownDatapathIsCountedAndRearmed) {
   connect_all();
   loop.run_for(100 * kMillisecond);
   EXPECT_EQ(resynced, (std::vector<DatapathId>{7}));
-  EXPECT_GT(ctl.stats().resynced_flows, 0u);
+  EXPECT_GT(ctl.stats().resynced_flows.value(), 0u);
   EXPECT_EQ(dp.table().size(), 1u);
 
   // The armed request was consumed: a second request for a now-known dpid
   // is served immediately and does not bump the skip counter.
   ctl.resync_datapath(7);
   loop.run_for(100 * kMillisecond);
-  EXPECT_EQ(ctl.stats().resync_skipped, 1u);
+  EXPECT_EQ(ctl.stats().resync_skipped.value(), 1u);
   EXPECT_EQ(resynced, (std::vector<DatapathId>{7, 7}));
 }
 
@@ -395,7 +395,7 @@ TEST_F(HandshakeFixture, SendToUnknownDatapathIsSafe) {
   ctl.send_packet_out(999, {});
   ctl.request_stats(999, {}, [](const ofp::StatsReply&) { FAIL(); });
   loop.run_for(10 * kMillisecond);
-  EXPECT_EQ(ctl.stats().flow_mods, 0u);
+  EXPECT_EQ(ctl.stats().flow_mods.value(), 0u);
 }
 
 }  // namespace

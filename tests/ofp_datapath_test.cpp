@@ -514,7 +514,7 @@ TEST_F(DatapathFixture, BufferEvictionWhenFull) {
                                   static_cast<std::uint16_t>(1000 + i)));
   }
   loop.run_for(kMillisecond);
-  EXPECT_EQ(dp.stats().buffer_evictions, 1u);
+  EXPECT_EQ(dp.stats().buffer_evictions.value(), 1u);
   // The evicted (first) buffer is gone.
   const auto first_buffer = controller.of_type<PacketIn>()[0]->buffer_id;
   PacketOut po;
@@ -562,7 +562,7 @@ TEST_F(DatapathFixture, ReleasedBufferStorageServesLaterPunts) {
     EXPECT_EQ(port2_out.frames.back(), frame) << "payload " << payload;
   }
   EXPECT_TRUE(controller.of_type<ErrorMsg>().empty());
-  EXPECT_EQ(dp.stats().buffer_evictions, 0u);
+  EXPECT_EQ(dp.stats().buffer_evictions.value(), 0u);
 }
 
 TEST_F(DatapathFixture, EnqueuePolicesAboveRate) {
@@ -657,13 +657,13 @@ TEST_F(DatapathFixture, MicroflowCacheServesRepeatTraffic) {
   }
   EXPECT_EQ(port2_out.frames.size(), 3u);
   // First packet runs the classifier and seeds the cache; the rest hit.
-  EXPECT_EQ(dp.stats().microflow_misses, 1u);
-  EXPECT_EQ(dp.stats().microflow_hits, 2u);
-  EXPECT_EQ(dp.stats().microflow_invalidations, 0u);
+  EXPECT_EQ(dp.stats().microflow_misses.value(), 1u);
+  EXPECT_EQ(dp.stats().microflow_hits.value(), 2u);
+  EXPECT_EQ(dp.stats().microflow_invalidations.value(), 0u);
   EXPECT_EQ(dp.microflow_cache().size(), 1u);
   // Table-level stats still count every packet, hit or not.
-  EXPECT_EQ(dp.table().stats().lookups, 3u);
-  EXPECT_EQ(dp.table().stats().matches, 3u);
+  EXPECT_EQ(dp.table().stats().lookups.value(), 3u);
+  EXPECT_EQ(dp.table().stats().matches.value(), 3u);
 }
 
 TEST_F(DatapathFixture, FlowModInvalidatesMicroflowCache) {
@@ -677,7 +677,7 @@ TEST_F(DatapathFixture, FlowModInvalidatesMicroflowCache) {
   dp.receive_frame(1, udp_frame(kHostA, kIpA, kIpB, 80));
   dp.receive_frame(1, udp_frame(kHostA, kIpA, kIpB, 80));
   EXPECT_EQ(port2_out.frames.size(), 2u);
-  EXPECT_EQ(dp.stats().microflow_hits, 1u);
+  EXPECT_EQ(dp.stats().microflow_hits.value(), 1u);
 
   // A higher-priority rule arrives for the same traffic. The cached handle
   // must not keep winning: the next packet re-runs the classifier.
@@ -692,7 +692,7 @@ TEST_F(DatapathFixture, FlowModInvalidatesMicroflowCache) {
   dp.receive_frame(1, udp_frame(kHostA, kIpA, kIpB, 80));
   EXPECT_EQ(port1_out.frames.size(), 1u);  // new rule applied, not stale
   EXPECT_EQ(port2_out.frames.size(), 2u);
-  EXPECT_EQ(dp.stats().microflow_invalidations, 1u);
+  EXPECT_EQ(dp.stats().microflow_invalidations.value(), 1u);
 }
 
 TEST_F(DatapathFixture, CachedHitsFeedPerFlowCounters) {
@@ -705,7 +705,7 @@ TEST_F(DatapathFixture, CachedHitsFeedPerFlowCounters) {
   for (int i = 0; i < 3; ++i) {
     dp.receive_frame(1, udp_frame(kHostA, kIpA, kIpB, 80, 100));
   }
-  ASSERT_EQ(dp.stats().microflow_hits, 2u);
+  ASSERT_EQ(dp.stats().microflow_hits.value(), 2u);
 
   StatsRequest flow_req;
   flow_req.type = StatsType::Flow;
@@ -763,7 +763,7 @@ TEST(DatapathTableFull, RejectedAddAnswersWithError) {
   loop.run_for(kMillisecond);
 
   EXPECT_EQ(dp.table().size(), 1u);
-  EXPECT_EQ(dp.table().stats().table_full, 1u);
+  EXPECT_EQ(dp.table().stats().table_full.value(), 1u);
   auto errors = controller.of_type<ErrorMsg>();
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_EQ(errors[0]->type, ErrorType::FlowModFailed);

@@ -197,7 +197,7 @@ TEST(OfpFuzz, ResyncScanIsLinearInTheBytesItSheds) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0], hello);
-  EXPECT_EQ(framer.stats().frames_bad, 1u);
+  EXPECT_EQ(framer.stats().frames_bad.value(), 1u);
   EXPECT_EQ(framer.buffered(), 0u);
   EXPECT_LT(elapsed, std::chrono::seconds(1));
 }

@@ -36,9 +36,9 @@ TEST(StreamFramer, SplitsCoalescedReads) {
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0], wire(1));
   EXPECT_EQ(frames[1], wire(2));
-  EXPECT_EQ(framer.stats().frames_ok, 2u);
-  EXPECT_EQ(framer.stats().frames_coalesced, 2u);
-  EXPECT_EQ(framer.stats().frames_partial, 0u);
+  EXPECT_EQ(framer.stats().frames_ok.value(), 2u);
+  EXPECT_EQ(framer.stats().frames_coalesced.value(), 2u);
+  EXPECT_EQ(framer.stats().frames_partial.value(), 0u);
   EXPECT_EQ(framer.buffered(), 0u);
 }
 
@@ -52,8 +52,8 @@ TEST(StreamFramer, ReassemblesByteByByte) {
   }
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0], msg);
-  EXPECT_EQ(framer.stats().frames_partial, 1u);
-  EXPECT_EQ(framer.stats().frames_coalesced, 0u);
+  EXPECT_EQ(framer.stats().frames_partial.value(), 1u);
+  EXPECT_EQ(framer.stats().frames_coalesced.value(), 0u);
 }
 
 TEST(StreamFramer, ForeignVersionSkippedWholeKeepsAlignment) {
@@ -66,8 +66,8 @@ TEST(StreamFramer, ForeignVersionSkippedWholeKeepsAlignment) {
   const auto frames = collect(framer, stream);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0], valid);
-  EXPECT_EQ(framer.stats().frames_bad, 1u);
-  EXPECT_EQ(framer.stats().frames_ok, 1u);
+  EXPECT_EQ(framer.stats().frames_bad.value(), 1u);
+  EXPECT_EQ(framer.stats().frames_ok.value(), 1u);
 }
 
 TEST(StreamFramer, GarbagePrefixScansToNextValidHeader) {
@@ -80,7 +80,7 @@ TEST(StreamFramer, GarbagePrefixScansToNextValidHeader) {
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0], valid);
   // One contiguous scan run counts once, however many bytes it shed.
-  EXPECT_EQ(framer.stats().frames_bad, 1u);
+  EXPECT_EQ(framer.stats().frames_bad.value(), 1u);
   EXPECT_EQ(framer.buffered(), 0u);
 }
 
@@ -93,7 +93,7 @@ TEST(StreamFramer, OversizedHeaderRejectedWithoutSwallowingTheStream) {
   const auto frames = collect(framer, stream);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0], valid);
-  EXPECT_GE(framer.stats().frames_bad, 1u);
+  EXPECT_GE(framer.stats().frames_bad.value(), 1u);
 }
 
 TEST(StreamFramer, ResetDropsPartialFrame) {
@@ -209,7 +209,8 @@ TEST(StreamLiveness, StalledStreamGoesDeadThenResyncsAfterReconnect) {
   ASSERT_TRUE(a.ip().has_value());
 
   StreamConnection& conn = router.connection();
-  EXPECT_GT(conn.controller_channel().framer().stats().frames_partial, 0u)
+  EXPECT_GT(
+      conn.controller_channel().framer().stats().frames_partial.value(), 0u)
       << "tiny mtu must force reassembly from partial reads";
 
   std::vector<nox::DatapathId> dead;
@@ -225,7 +226,7 @@ TEST(StreamLiveness, StalledStreamGoesDeadThenResyncsAfterReconnect) {
   conn.link().unstall();
   conn.disconnect();
   conn.reconnect();
-  EXPECT_GT(conn.link().stats().cut_bytes, 0u)
+  EXPECT_GT(conn.link().stats().cut_bytes.value(), 0u)
       << "the stall left bytes in flight for the cut to drop";
   loop.run_for(5 * kSecond);
 
@@ -233,7 +234,7 @@ TEST(StreamLiveness, StalledStreamGoesDeadThenResyncsAfterReconnect) {
       router.liveness().peer(router.datapath().id());
   ASSERT_NE(peer, nullptr);
   EXPECT_TRUE(peer->alive);
-  EXPECT_GT(router.controller().stats().resynced_flows, 0u)
+  EXPECT_GT(router.controller().stats().resynced_flows.value(), 0u)
       << "recovery must replay module flow setup through the framed channel";
   EXPECT_GT(router.datapath().table().size(), 0u);
 }

@@ -202,7 +202,7 @@ TEST(TableFullProperty, CapacityHoldsUnderHostileInterleavings) {
       ASSERT_LE(table.size(), table.capacity()) << "seed " << seed;
     }
     EXPECT_GT(rejections, 0u) << "seed " << seed;
-    EXPECT_EQ(table.stats().table_full, rejections) << "seed " << seed;
+    EXPECT_EQ(table.stats().table_full.value(), rejections) << "seed " << seed;
   }
 }
 
@@ -244,7 +244,7 @@ TEST(TableFullProperty, EveryRejectionAnswersAllTablesFull) {
   }
   EXPECT_EQ(dp.table().size(), 8u);
   EXPECT_EQ(errors, 64u - 8u);
-  EXPECT_EQ(dp.table().stats().table_full, errors);
+  EXPECT_EQ(dp.table().stats().table_full.value(), errors);
 }
 
 TEST(TableFullProperty, MicroflowNeverServesEvictedFlow) {
@@ -288,7 +288,7 @@ TEST(TableFullProperty, MicroflowNeverServesEvictedFlow) {
   dp.receive_frame(1, frame);  // microflow hit
   loop.run_for(kMillisecond);
   ASSERT_EQ(out2.frames.size(), 2u);
-  EXPECT_GE(dp.stats().microflow_hits, 1u);
+  EXPECT_GE(dp.stats().microflow_hits.value(), 1u);
 
   loop.run_for(3 * kSecond);  // idle expiry sweeps the rule out
   const std::size_t packet_ins_before = [&] {
@@ -309,7 +309,7 @@ TEST(TableFullProperty, MicroflowNeverServesEvictedFlow) {
     if (std::get_if<ofp::PacketIn>(&env.msg) != nullptr) ++packet_ins_after;
   }
   EXPECT_EQ(packet_ins_after, packet_ins_before + 1);
-  EXPECT_GE(dp.stats().microflow_invalidations, 1u);
+  EXPECT_GE(dp.stats().microflow_invalidations.value(), 1u);
 }
 
 // -- spoofed_discover frame shape -------------------------------------------

@@ -331,7 +331,7 @@ TEST(Link, QueueLimitTailDrops) {
   EXPECT_TRUE(link.send(Bytes(100, 0)));
   EXPECT_TRUE(link.send(Bytes(100, 0)));
   EXPECT_FALSE(link.send(Bytes(100, 0)));  // dropped
-  EXPECT_EQ(link.stats().dropped_frames, 1u);
+  EXPECT_EQ(link.stats().dropped_frames.value(), 1u);
   loop.run_all();
   EXPECT_EQ(sink.frames.size(), 2u);
 }
@@ -350,7 +350,7 @@ TEST(Link, LossProbabilityDrops) {
   // Statistically ~500; allow a generous band.
   EXPECT_GT(sink.frames.size(), 350u);
   EXPECT_LT(sink.frames.size(), 650u);
-  EXPECT_EQ(sink.frames.size() + link.stats().dropped_frames, 1000u);
+  EXPECT_EQ(sink.frames.size() + link.stats().dropped_frames.value(), 1000u);
 }
 
 TEST(Link, NoSinkMeansNoDelivery) {
@@ -520,7 +520,7 @@ TEST_F(HostFixture, NakReturnsToInit) {
   EXPECT_EQ(naks, 1);
   EXPECT_EQ(host.dhcp_state(), DhcpClientState::Init);
   EXPECT_FALSE(host.ip().has_value());
-  EXPECT_EQ(host.stats().dhcp_naks, 1u);
+  EXPECT_EQ(host.stats().dhcp_naks.value(), 1u);
 }
 
 TEST_F(HostFixture, RenewsAtHalfLease) {
@@ -578,7 +578,7 @@ TEST_F(HostFixture, DnsTimeoutFailsClosed) {
   loop.run_for(4 * kSecond);
   EXPECT_TRUE(done);
   EXPECT_NE(error.find("timeout"), std::string::npos);
-  EXPECT_EQ(host.stats().dns_failures, 1u);
+  EXPECT_EQ(host.stats().dns_failures.value(), 1u);
 }
 
 TEST_F(HostFixture, ResolveWithoutBindingFailsImmediately) {

@@ -348,8 +348,8 @@ TEST(SnapshotFaults, CrashRestartRestoreFaultRestoresFromLastCheckpoint) {
   faults.arm(plan);
   rig.loop.run_for(4 * kSecond);
 
-  EXPECT_EQ(faults.stats().crash_restores, 1u);
-  EXPECT_EQ(faults.stats().active, 0);
+  EXPECT_EQ(faults.stats().crash_restores.value(), 1u);
+  EXPECT_EQ(faults.stats().active.value(), 0);
   EXPECT_GT(rig.registry.total("snapshot.captures").value_or(0), 0.0);
   EXPECT_GT(rig.router.datapath().table().size(), 0u)
       << "crash-restart-restore left the flow table cold";

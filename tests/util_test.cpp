@@ -112,6 +112,14 @@ TEST(MacAddress, FromIndexIsStableAndUnique) {
   EXPECT_EQ(MacAddress::from_index(0x010203).to_string(), "02:00:00:01:02:03");
 }
 
+TEST(MacAddress, ToU64PacksOctetsIntoLow48Bits) {
+  EXPECT_EQ(MacAddress::from_index(0x010203).to_u64(), 0x020000010203u);
+  EXPECT_EQ(MacAddress::broadcast().to_u64(), 0xffffffffffffu);
+  EXPECT_EQ(MacAddress::zero().to_u64(), 0u);
+  EXPECT_EQ(MacAddress::parse("aa:bb:cc:dd:ee:f0").value().to_u64(),
+            0xaabbccddeef0u);
+}
+
 TEST(Ipv4Address, ParseAndFormat) {
   auto ip = Ipv4Address::parse("192.168.1.42");
   ASSERT_TRUE(ip.ok());

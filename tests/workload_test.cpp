@@ -68,8 +68,8 @@ TEST_F(ScenarioFixture, AppsGenerateClassifiedTraffic) {
   auto* tv = home.device("living-room-tv");
   ASSERT_NE(tv, nullptr);
   ASSERT_FALSE(tv->apps.empty());
-  EXPECT_TRUE(tv->apps[0]->stats().resolved);
-  EXPECT_GT(tv->apps[0]->stats().requests_sent, 0u);
+  EXPECT_TRUE(tv->apps[0]->resolved());
+  EXPECT_GT(tv->apps[0]->stats().requests_sent.value(), 0u);
 }
 
 TEST_F(ScenarioFixture, DeterministicAcrossRuns) {
@@ -110,10 +110,10 @@ TEST_F(ScenarioFixture, BlockedAppRetriesNotCrashes) {
   auto* phone = home.device("kates-phone");
   bool some_failure = false;
   for (auto& app : phone->apps) {
-    if (app->stats().dns_failures > 0) some_failure = true;
+    if (app->stats().dns_failures.value() > 0) some_failure = true;
   }
   EXPECT_TRUE(some_failure);
-  EXPECT_GT(home.router().dns().stats().blocked, 0u);
+  EXPECT_GT(home.router().dns().stats().blocked.value(), 0u);
   home.stop_apps_all();
 }
 
