@@ -131,12 +131,7 @@ int main(int argc, char** argv) {
         scenario::IotSwarmScenario::default_config(), params);
   });
   bench([] { return std::make_unique<scenario::GuestChurnScenario>(); });
-  bench([smoke = smoke] {
-    scenario::RoamingScenario::Params params;
-    if (smoke) params.thread_counts = {1, 2};  // still a differential pair
-    return std::make_unique<scenario::RoamingScenario>(
-        scenario::RoamingScenario::default_config(), params);
-  });
+  bench([] { return std::make_unique<scenario::RoamingScenario>(); });
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {

@@ -259,7 +259,7 @@ void Forwarding::install_pair(nox::DatapathId dpid,
         const auto restriction = policy_.restriction_for(dpid, rec->mac);
         if (restriction.rate_limit_bps > 0) {
           const std::uint32_t queue_id = device_ip.value() & 0xffff;
-          config_.configure_queue(egress_port, queue_id,
+          config_.configure_queue(dpid, egress_port, queue_id,
                                   restriction.rate_limit_bps);
           metrics_.rate_limited_flows.inc();
           return ofp::ActionEnqueue{egress_port, queue_id};

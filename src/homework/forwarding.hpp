@@ -31,10 +31,11 @@ class Forwarding final : public nox::Component {
     std::uint16_t flow_idle_timeout = 10;  // seconds
     std::uint16_t deny_idle_timeout = 5;   // seconds for installed drop rules
     /// Out-of-band queue configuration (the ovs-vsctl role): invoked before
-    /// an enqueue action referencing (port, queue_id) is installed for a
-    /// rate-limited device. Null disables rate limiting.
-    std::function<void(std::uint16_t port, std::uint32_t queue_id,
-                       std::uint64_t rate_bps)>
+    /// an enqueue action referencing (port, queue_id) is installed on
+    /// datapath `dpid` for a rate-limited device. Null disables rate
+    /// limiting.
+    std::function<void(nox::DatapathId dpid, std::uint16_t port,
+                       std::uint32_t queue_id, std::uint64_t rate_bps)>
         configure_queue;
   };
 

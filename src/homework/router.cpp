@@ -1,6 +1,7 @@
 #include "homework/router.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace hw::homework {
 
@@ -58,12 +59,7 @@ HomeworkRouter::HomeworkRouter(sim::EventLoop& loop, Rng& rng, Config config,
   wireless_ = std::make_unique<WirelessMap>(config_.wireless, rng_,
                                             config_.ap_position);
 
-  datapath_ = std::make_unique<ofp::Datapath>(loop_, config_.datapath, metrics_);
-  ofp::StreamConnection::Config stream;
-  stream.link.latency = config_.channel_latency;
-  stream.link.jitter = config_.channel_jitter;
-  stream.link.mtu = config_.channel_mtu;
-  connection_ = std::make_unique<ofp::StreamConnection>(loop_, stream, &rng_);
+  first_home_ = build_home(config_.datapath.datapath_id);
   controller_ = std::make_unique<nox::Controller>(loop_, metrics_);
 
   upstream_ = std::make_unique<Upstream>(loop_, config_.upstream);
@@ -97,12 +93,10 @@ HomeworkRouter::HomeworkRouter(sim::EventLoop& loop, Rng& rng, Config config,
   fwd_config.uplink_port = config_.uplink_port;
   fwd_config.upstream_gw_mac = config_.upstream.gw_mac;
   fwd_config.flow_idle_timeout = config_.flow_idle_timeout;
-  // Queue configuration side channel (the ovs-vsctl role): policing buckets
-  // sized for ~250 ms of traffic at the cap, with a sane floor.
-  fwd_config.configure_queue = [this](std::uint16_t port, std::uint32_t queue_id,
+  fwd_config.configure_queue = [this](nox::DatapathId dpid, std::uint16_t port,
+                                      std::uint32_t queue_id,
                                       std::uint64_t rate_bps) {
-    const std::uint64_t burst = std::max<std::uint64_t>(rate_bps / 8 / 4, 3036);
-    datapath_->configure_queue(port, queue_id, rate_bps, burst);
+    configure_queue(dpid, port, queue_id, rate_bps);
   };
   auto fwd = std::make_unique<Forwarding>(fwd_config, *registry_, *policy_);
   forwarding_ = fwd.get();
@@ -197,8 +191,7 @@ HomeworkRouter::HomeworkRouter(sim::EventLoop& loop, Rng& rng, Config config,
       const DeviceRecord* rec = registry_->find(dpid, mac.value());
       if (rec == nullptr || !rec->lease) return false;
       const std::uint32_t queue_id = rec->lease->ip.value() & 0xffff;
-      const std::uint64_t burst = std::max<std::uint64_t>(rate_bps / 8 / 4, 3036);
-      datapath_->configure_queue(config_.uplink_port, queue_id, rate_bps, burst);
+      configure_queue(dpid, config_.uplink_port, queue_id, rate_bps);
       applied_qos_[key] = rate_bps;
       return true;
     };
@@ -223,9 +216,10 @@ HomeworkRouter::HomeworkRouter(sim::EventLoop& loop, Rng& rng, Config config,
         loop_, uplink_trace_, "uplink-tx", upstream_.get()));
     to_upstream = trace_shims_.back().get();
   }
-  datapath_->add_port(config_.uplink_port, "uplink",
-                      MacAddress::from_index(0xfffff0), to_upstream);
-  sim::FrameSink* from_upstream = datapath_->ingress(config_.uplink_port);
+  ofp::Datapath& first = datapath();
+  first.add_port(config_.uplink_port, "uplink",
+                 MacAddress::from_index(0xfffff0), to_upstream);
+  sim::FrameSink* from_upstream = first.ingress(config_.uplink_port);
   if (config_.capture_uplink) {
     trace_shims_.push_back(std::make_unique<TraceShim>(
         loop_, uplink_trace_, "uplink-rx", from_upstream));
@@ -236,7 +230,7 @@ HomeworkRouter::HomeworkRouter(sim::EventLoop& loop, Rng& rng, Config config,
   // Checkpoint/restore: the router's durable state layers, in the order a
   // restore must rebuild them. Callers append RNG/telemetry layers.
   snapshots_ = std::make_unique<snapshot::SnapshotCoordinator>(loop_, metrics_);
-  snapshots_->add_layer("flow-table", &datapath_->table());
+  snapshots_->add_layer("flow-table", &first.table());
   snapshots_->add_layer("hwdb", db_.get());
   snapshots_->add_layer("dhcp", dhcp_);
   snapshots_->add_layer("registry", registry_.get());
@@ -247,11 +241,61 @@ HomeworkRouter::HomeworkRouter(sim::EventLoop& loop, Rng& rng, Config config,
 
 HomeworkRouter::~HomeworkRouter() = default;
 
+HomeworkRouter::Home HomeworkRouter::build_home(nox::DatapathId dpid) {
+  ofp::Datapath::Config dp_config = config_.datapath;
+  dp_config.datapath_id = dpid;
+  ofp::StreamConnection::Config stream;
+  stream.link.latency = config_.channel_latency;
+  stream.link.jitter = config_.channel_jitter;
+  stream.link.mtu = config_.channel_mtu;
+  Home home;
+  home.datapath = std::make_unique<ofp::Datapath>(loop_, dp_config, metrics_);
+  home.connection =
+      std::make_unique<ofp::StreamConnection>(loop_, stream, &rng_);
+  return home;
+}
+
+void HomeworkRouter::connect_home(Home& home) {
+  home.datapath->connect(home.connection->datapath_end());
+  controller_->connect_datapath(home.connection->controller_end());
+}
+
+nox::DatapathId HomeworkRouter::add_home() {
+  telemetry::ScopedMetricRegistry scope(metrics_);
+  const nox::DatapathId dpid =
+      config_.datapath.datapath_id + 1 + added_homes_.size();
+  added_homes_.push_back(build_home(dpid));
+  if (started_) connect_home(added_homes_.back());
+  return dpid;
+}
+
+HomeworkRouter::Home* HomeworkRouter::find_home(nox::DatapathId dpid) {
+  if (first_home_.datapath->id() == dpid) return &first_home_;
+  for (Home& home : added_homes_) {
+    if (home.datapath->id() == dpid) return &home;
+  }
+  return nullptr;
+}
+
+ofp::Datapath* HomeworkRouter::find_datapath(nox::DatapathId dpid) {
+  Home* home = find_home(dpid);
+  return home == nullptr ? nullptr : home->datapath.get();
+}
+
+void HomeworkRouter::configure_queue(nox::DatapathId dpid, std::uint16_t port,
+                                     std::uint32_t queue_id,
+                                     std::uint64_t rate_bps) {
+  ofp::Datapath* dp = find_datapath(dpid);
+  if (dp == nullptr) return;
+  const std::uint64_t burst = std::max<std::uint64_t>(rate_bps / 8 / 4, 3036);
+  dp->configure_queue(port, queue_id, rate_bps, burst);
+}
+
 void HomeworkRouter::start() {
   if (started_) return;
   controller_->start();
-  datapath_->connect(connection_->datapath_end());
-  controller_->connect_datapath(connection_->controller_end());
+  connect_home(first_home_);
+  for (Home& home : added_homes_) connect_home(home);
   // Let HELLO/FEATURES and the modules' table setup settle.
   loop_.run_for(kBootSettle);
   started_ = true;
@@ -259,21 +303,23 @@ void HomeworkRouter::start() {
 
 HomeworkRouter::Attachment HomeworkRouter::attach_device(
     sim::Host& host, std::optional<sim::Position> position,
-    sim::LinkChannel::Config link_config) {
+    sim::LinkChannel::Config link_config, std::optional<nox::DatapathId> dpid) {
+  Home* home = dpid ? find_home(*dpid) : &first_home_;
+  assert(home != nullptr && "attach_device: no home with that dpid");
   // Per-attachment links carry bare instruments; keep them in this router's
   // registry no matter which scope the caller runs under.
   telemetry::ScopedMetricRegistry scope(metrics_);
-  const std::uint16_t port = next_port_++;
+  const std::uint16_t port = home->next_port++;
   links_.push_back(
       std::make_unique<sim::DuplexLink>(loop_, link_config, &rng_));
   sim::DuplexLink* link = links_.back().get();
 
-  datapath_->add_port(port, "port" + std::to_string(port),
-                      MacAddress::from_index(0xfff000u + port),
-                      &link->b_to_a());
+  ofp::Datapath& dp = *home->datapath;
+  dp.add_port(port, "port" + std::to_string(port),
+              MacAddress::from_index(0xfff000u + port), &link->b_to_a());
   link->b_to_a().connect(&host);
 
-  sim::FrameSink* ingress = datapath_->ingress(port);
+  sim::FrameSink* ingress = dp.ingress(port);
   if (position) {
     wireless_->place_station(host.mac(), *position);
     wireless_shims_.push_back(
@@ -282,11 +328,13 @@ HomeworkRouter::Attachment HomeworkRouter::attach_device(
   }
   link->a_to_b().connect(ingress);
   host.attach_uplink(&link->a_to_b());
-  return Attachment{port, link};
+  return Attachment{port, link, dp.id()};
 }
 
 void HomeworkRouter::detach_device(const Attachment& attachment, MacAddress mac) {
-  datapath_->remove_port(attachment.port);
+  if (ofp::Datapath* dp = find_datapath(attachment.dpid)) {
+    dp->remove_port(attachment.port);
+  }
   wireless_->remove_station(mac);
   if (attachment.link != nullptr) {
     attachment.link->a_to_b().connect(nullptr);
@@ -299,16 +347,16 @@ void HomeworkRouter::move_device(MacAddress mac, sim::Position position) {
 }
 
 Status HomeworkRouter::warm_restart() {
-  datapath_->restart();
+  datapath().restart();
   const auto& image = snapshots_->last_image();
   if (!image) return Status::success();  // nothing captured yet: cold restart
   return snapshots_->restore_layers(image->bytes, {"flow-table"});
 }
 
 void HomeworkRouter::attach_faults(sim::FaultInjector& faults) {
-  faults.set_controller_channel([this] { connection_->disconnect(); },
-                                [this] { connection_->reconnect(); });
-  faults.set_datapath_restart([this] { datapath_->restart(); });
+  faults.set_controller_channel([this] { connection().disconnect(); },
+                                [this] { connection().reconnect(); });
+  faults.set_datapath_restart([this] { datapath().restart(); });
   faults.set_warm_restart([this] { (void)warm_restart(); });
 }
 

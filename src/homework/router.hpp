@@ -7,6 +7,12 @@
 // Devices (sim::Host) attach to numbered ports over duplex links; wireless
 // devices additionally register with the wireless map so their RSSI and
 // retries appear in the Links table.
+//
+// One router can serve a street of homes: add_home() gives the controller one
+// more home datapath over its own framed channel. Every module keys its state
+// by datapath id, so homes that reuse the same device MACs and addresses stay
+// apart. The uplink, snapshots, warm restart and fault surfaces belong to the
+// first home, the one the router is built for.
 #pragma once
 
 #include <map>
@@ -112,15 +118,24 @@ class HomeworkRouter {
   /// OpenFlow handshake (runs the loop briefly).
   void start();
 
-  /// Attachment of a device on the next free port. Wireless devices give a
-  /// position in the home; wired pass std::nullopt.
+  /// Adds one more home datapath, built like the first and connected to
+  /// this router's controller (at once if started, else by start()). The
+  /// k-th added home gets dpid = first dpid + k. Added homes carry device
+  /// ports only: the uplink to the ISP cloud is the first home's.
+  nox::DatapathId add_home();
+
+  /// Attachment of a device on the next free port of home `dpid` (the first
+  /// home by default). Wireless devices give a position in the home; wired
+  /// pass std::nullopt.
   struct Attachment {
     std::uint16_t port = 0;
     sim::DuplexLink* link = nullptr;
+    nox::DatapathId dpid = 0;
   };
   Attachment attach_device(sim::Host& host,
                            std::optional<sim::Position> position,
-                           sim::LinkChannel::Config link_config = {});
+                           sim::LinkChannel::Config link_config = {},
+                           std::optional<nox::DatapathId> dpid = std::nullopt);
   void detach_device(const Attachment& attachment, MacAddress mac);
 
   /// Moves a wireless device (the Figure 2 artifact walks around the house).
@@ -128,8 +143,13 @@ class HomeworkRouter {
 
   // -- Subsystem access --------------------------------------------------------
   [[nodiscard]] sim::EventLoop& loop() { return loop_; }
-  [[nodiscard]] ofp::Datapath& datapath() { return *datapath_; }
-  [[nodiscard]] ofp::StreamConnection& connection() { return *connection_; }
+  /// The first home's datapath and controller channel.
+  [[nodiscard]] ofp::Datapath& datapath() { return *first_home_.datapath; }
+  [[nodiscard]] ofp::StreamConnection& connection() {
+    return *first_home_.connection;
+  }
+  /// The datapath of home `dpid`; null if this router serves no such home.
+  [[nodiscard]] ofp::Datapath* find_datapath(nox::DatapathId dpid);
   [[nodiscard]] nox::Controller& controller() { return *controller_; }
   [[nodiscard]] nox::LivenessMonitor& liveness() { return *liveness_; }
   [[nodiscard]] hwdb::Database& db() { return *db_; }
@@ -162,15 +182,15 @@ class HomeworkRouter {
   /// last) before capturing or restoring.
   [[nodiscard]] snapshot::SnapshotCoordinator& snapshots() { return *snapshots_; }
 
-  /// Restarts the datapath and restores its flow table from the last
-  /// captured snapshot instead of cold-wiping; falls back to a cold restart
-  /// when no snapshot exists. The controller's liveness resync then heals the
-  /// table: in Reconcile mode one reconcile round reads the restored table
-  /// back and sends only the delta; in Replay mode the legacy path re-sends
-  /// every module's (idempotent) flow setup.
+  /// Restarts the first home's datapath and restores its flow table from the
+  /// last captured snapshot instead of cold-wiping; falls back to a cold
+  /// restart when no snapshot exists. The controller's liveness resync then
+  /// heals the table: in Reconcile mode one reconcile round reads the
+  /// restored table back and sends only the delta; in Replay mode the legacy
+  /// path re-sends every module's (idempotent) flow setup.
   Status warm_restart();
 
-  /// Registers the router's fault surfaces with a chaos injector: the
+  /// Registers the first home's fault surfaces with a chaos injector: the
   /// controller secure channel (ControllerOutage severs/restores it) and the
   /// datapath (DatapathRestart cold-boots it). Device links are registered
   /// by the caller per attachment (it owns their names).
@@ -182,6 +202,20 @@ class HomeworkRouter {
   /// Trace-recording shim (pcap capture points).
   class TraceShim;
 
+  /// One home datapath served by this router's controller.
+  struct Home {
+    std::unique_ptr<ofp::Datapath> datapath;
+    std::unique_ptr<ofp::StreamConnection> connection;
+    std::uint16_t next_port = 2;  // 1 is the uplink
+  };
+  [[nodiscard]] Home build_home(nox::DatapathId dpid);
+  void connect_home(Home& home);
+  [[nodiscard]] Home* find_home(nox::DatapathId dpid);
+  /// Out-of-band policing queue (the ovs-vsctl role), sized for ~250 ms of
+  /// traffic at the cap with a sane floor, on home `dpid`'s datapath.
+  void configure_queue(nox::DatapathId dpid, std::uint16_t port,
+                       std::uint32_t queue_id, std::uint64_t rate_bps);
+
   sim::EventLoop& loop_;
   Rng& rng_;
   Config config_;
@@ -191,8 +225,10 @@ class HomeworkRouter {
   std::unique_ptr<DeviceRegistry> registry_;
   std::unique_ptr<policy::PolicyEngine> policy_;
   std::unique_ptr<WirelessMap> wireless_;
-  std::unique_ptr<ofp::Datapath> datapath_;
-  std::unique_ptr<ofp::StreamConnection> connection_;
+  /// The home the router is built for, held inline so a one-home router
+  /// allocates nothing extra; add_home() appends to added_homes_.
+  Home first_home_;
+  std::vector<Home> added_homes_;
   std::unique_ptr<nox::Controller> controller_;
   std::unique_ptr<Upstream> upstream_;
 
@@ -215,7 +251,6 @@ class HomeworkRouter {
   std::vector<std::unique_ptr<WirelessIngress>> wireless_shims_;
   sim::Trace uplink_trace_;
   std::vector<std::unique_ptr<TraceShim>> trace_shims_;
-  std::uint16_t next_port_ = 2;  // 1 is the uplink
   bool started_ = false;
 };
 

@@ -1,9 +1,9 @@
 // FleetProfile: the immutable per-fleet configuration every home shares —
-// seed derivation and the seed-derived device population tables. Both fleet
-// planes (fleet::SharedFleetRunner, live::LiveFleet) hold it behind a
-// shared_ptr, so N homes (and every hibernate/wake cycle of a home) read one
-// read-only table instead of re-deriving private copies, shrinking the
-// per-home resident footprint (docs/residency.md).
+// seed derivation and the seed-derived device population tables.
+// live::LiveFleet holds it behind a shared_ptr, so N homes (and every
+// hibernate/wake cycle of a home) read one read-only table instead of
+// re-deriving private copies, shrinking the per-home resident footprint
+// (docs/residency.md).
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,13 @@
-// Cross-home roaming in the shared-controller fleet: a phone walks next
-// door. Home pairs (2p, 2p+1) share a shard; the odd home's roamer device
-// detaches mid-run and re-associates with the even home's datapath, re-DHCPs
-// behind the new dpid, and talks to a local peer there. Promises: the
-// roamer re-binds at the destination (rebind latency is the recovery
-// series), the origin home's (dpid, mac) state is untouched, the roamer's
-// unique MAC never leaks outside its pair, every home converges, and the
-// merged non-histogram telemetry is bit-identical at every thread count —
-// the same-seed differential the fleet's determinism contract demands.
+// Cross-home roaming on one shared controller: a phone walks next door. One
+// HomeworkRouter serves every home datapath; in each home pair (2p, 2p+1)
+// the odd home's roamer device detaches mid-run, re-associates with the even
+// home's datapath, re-DHCPs behind the new dpid and talks to a local peer
+// there. Promises: the roamer re-binds at the destination (rebind latency is
+// the recovery series), the origin home's (dpid, mac) state is untouched,
+// the roamer's unique MAC never leaks outside its pair, and every home ends
+// bound and converged.
 #pragma once
 
-#include "fleet/shared.hpp"
 #include "scenario/scenario.hpp"
 
 namespace hw::scenario {
@@ -20,12 +18,10 @@ class RoamingScenario final : public Scenario {
     std::size_t homes = 8;  // 4 roaming pairs
     std::size_t devices_per_home = 2;
     Timestamp roam_at = 3500 * kMillisecond;
-    /// Worker-pool sizes the same seed must fingerprint identically across.
-    std::vector<std::size_t> thread_counts{1, 2, 8};
   };
 
   RoamingScenario(Config config, Params params)
-      : Scenario("roaming", config), params_(std::move(params)) {}
+      : Scenario("roaming", config), params_(params) {}
   explicit RoamingScenario(Config config = default_config())
       : RoamingScenario(config, Params{}) {}
 
@@ -40,9 +36,6 @@ class RoamingScenario final : public Scenario {
   [[nodiscard]] Report run() override;
 
  private:
-  [[nodiscard]] fleet::SharedFleetConfig fleet_config(
-      std::size_t threads) const;
-
   Params params_;
 };
 

@@ -11,8 +11,8 @@
 // Determinism contract: a scenario draws randomness only from its seeded
 // Rng and the virtual clock, so a (seed, params) pair replays the same
 // attack — and produces the same non-histogram telemetry fingerprint — on
-// every run, at any worker-thread count. Recovery latencies are virtual
-// time, so p50/p99 are deterministic too.
+// every run. Recovery latencies are virtual time, so p50/p99 are
+// deterministic too.
 #pragma once
 
 #include <memory>

@@ -455,14 +455,18 @@ TEST_P(RetryPolicyProperty, ScheduleIsMonotoneAndBounded) {
     EXPECT_EQ(schedule.front(), policy.timeout);
     for (std::size_t n = 0; n < schedule.size(); ++n) {
       // Monotone: each wait is at least as long as the previous one.
-      if (n > 0) EXPECT_GE(schedule[n], schedule[n - 1]);
+      if (n > 0) {
+        EXPECT_GE(schedule[n], schedule[n - 1]);
+      }
       // Bounded: backoff growth stops at the cap.
       EXPECT_LE(schedule[n], policy.timeout + policy.backoff_cap);
     }
     // The backoff sequence itself is monotone and capped.
     for (int r = 0; r + 1 < policy.max_attempts; ++r) {
       EXPECT_LE(policy.retry_backoff(r), policy.backoff_cap);
-      if (r > 0) EXPECT_GE(policy.retry_backoff(r), policy.retry_backoff(r - 1));
+      if (r > 0) {
+        EXPECT_GE(policy.retry_backoff(r), policy.retry_backoff(r - 1));
+      }
     }
   }
 }

@@ -103,6 +103,16 @@ TEST(ScenarioDeterminism, GuestChurnReplaysBitIdentically) {
   EXPECT_EQ(f1, f2);
 }
 
+TEST(ScenarioDeterminism, RoamingReplaysBitIdentically) {
+  // One controller serves every home on one loop, so the same seed must
+  // replay the roams, rebinds and telemetry exactly.
+  auto [r1, f1] = run_scoped<scenario::RoamingScenario>();
+  auto [r2, f2] = run_scoped<scenario::RoamingScenario>();
+  EXPECT_TRUE(r1.ok()) << r1.to_string();
+  EXPECT_EQ(r1.recovery_samples, r2.recovery_samples);
+  EXPECT_EQ(f1, f2);
+}
+
 // -- Chaos composition: the attack under a PR 3 fault plan -------------------
 
 TEST(ScenarioChaos, DhcpStarvationSurvivesFaultPlan) {
