@@ -99,10 +99,12 @@ void BM_PolicyRestrictionEval(benchmark::State& state) {
     p.when.days = {1, 2, 3, 4, 5};
     engine.install(std::move(p));
   }
-  engine.set_tags("aa:bb:cc:dd:ee:ff", {"tag1", "tag3"});
+  const nox::DatapathId dpid = 1;
+  const MacAddress mac = MacAddress::parse("aa:bb:cc:dd:ee:ff").value();
+  engine.set_tags(dpid, mac, {"tag1", "tag3"});
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine.domain_allowed("aa:bb:cc:dd:ee:ff", "www.example.com"));
+        engine.domain_allowed(dpid, mac, "www.example.com"));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -240,8 +242,10 @@ void BM_AblationFlowCheckWarmCache(benchmark::State& state) {
   while (!done) rig.loop.run_for(10 * kMillisecond);
 
   const Ipv4Address target{93, 184, 216, 34};
+  const nox::DatapathId dpid = rig.router->datapath().id();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rig.router->dns().check_flow(host.mac(), target));
+    benchmark::DoNotOptimize(
+        rig.router->dns().check_flow(dpid, host.mac(), target));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -55,9 +55,7 @@ int main() {
   artifact.set_mode(ui::ArtifactMode::Events);
   const auto idx = home.add_device({"guest-phone", workload::DeviceKind::Phone,
                                     sim::Position{10, 2}});
-  home.router().registry().set_state(home.devices()[idx].host->mac(),
-                                     homework::DeviceState::Permitted,
-                                     home.loop().now());
+  home.permit("guest-phone");
   home.devices()[idx].host->start_dhcp();
   home.run_for(3 * kSecond);
   std::printf("  after guest joins   [%s]\n",

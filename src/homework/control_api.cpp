@@ -7,8 +7,9 @@
 namespace hw::homework {
 
 ControlApi::ControlApi(DeviceRegistry& registry, policy::PolicyEngine& policy,
-                       hwdb::Database& db)
-    : Component(kName), registry_(registry), policy_(policy), db_(db) {
+                       hwdb::Database& db, nox::DatapathId first_dpid)
+    : Component(kName), registry_(registry), policy_(policy), db_(db),
+      first_dpid_(first_dpid) {
   setup_routes();
 }
 
@@ -37,6 +38,15 @@ std::string ControlApi::handle_raw(std::string_view request_text) {
   return handle(req.value()).serialize();
 }
 
+nox::DatapathId ControlApi::home_of(MacAddress mac) const {
+  if (registry_.find(first_dpid_, mac) != nullptr) return first_dpid_;
+  // all() is ordered by (dpid, mac): the first hit is the lowest dpid.
+  for (const DeviceRecord* rec : registry_.all()) {
+    if (rec->mac == mac) return rec->dpid;
+  }
+  return first_dpid_;
+}
+
 Json ControlApi::device_json(const DeviceRecord& rec) const {
   Json j(JsonObject{});
   j.set("mac", rec.mac.to_string());
@@ -47,7 +57,7 @@ Json ControlApi::device_json(const DeviceRecord& rec) const {
   j.set("last_seen", static_cast<std::int64_t>(rec.last_seen));
   j.set("dhcp_requests", static_cast<std::int64_t>(rec.dhcp_requests));
   JsonArray tags;
-  for (const auto& t : policy_.tags_of(rec.mac.to_string())) tags.emplace_back(t);
+  for (const auto& t : policy_.tags_of(rec.dpid, rec.mac)) tags.emplace_back(t);
   j.set("tags", Json(std::move(tags)));
   if (rec.lease) {
     Json lease(JsonObject{});
@@ -65,10 +75,14 @@ Json ControlApi::device_json(const DeviceRecord& rec) const {
 void ControlApi::setup_routes() {
   using Params = HttpRouter::Params;
 
-  auto parse_mac = [](const Params& p) -> Result<MacAddress> {
+  // Parses `:mac` and resolves it to its home, once per request.
+  auto device_key = [this](const Params& p)
+      -> Result<std::pair<nox::DatapathId, MacAddress>> {
     auto it = p.find("mac");
     if (it == p.end()) return make_error("missing mac");
-    return MacAddress::parse(it->second);
+    auto mac = MacAddress::parse(it->second);
+    if (!mac) return mac.error();
+    return std::pair{home_of(mac.value()), mac.value()};
   };
 
   router_.add("GET", "/api/status", [this](const HttpRequest&, const Params&) {
@@ -95,10 +109,11 @@ void ControlApi::setup_routes() {
   });
 
   router_.add("GET", "/api/devices/:mac",
-              [this, parse_mac](const HttpRequest&, const Params& p) {
-                auto mac = parse_mac(p);
-                if (!mac) return HttpResponse::bad_request(mac.error().message);
-                const DeviceRecord* rec = registry_.find(mac.value());
+              [this, device_key](const HttpRequest&, const Params& p) {
+                auto key = device_key(p);
+                if (!key) return HttpResponse::bad_request(key.error().message);
+                const auto [dpid, mac] = key.value();
+                const DeviceRecord* rec = registry_.find(dpid, mac);
                 if (rec == nullptr) return HttpResponse::not_found();
                 return HttpResponse::json(device_json(*rec));
               });
@@ -109,10 +124,11 @@ void ControlApi::setup_routes() {
   // proxy's cache, the same sources any satellite display would use.
   router_.add(
       "GET", "/api/devices/:mac/interrogate",
-      [this, parse_mac](const HttpRequest& req, const Params& p) {
-        auto mac = parse_mac(p);
-        if (!mac) return HttpResponse::bad_request(mac.error().message);
-        const DeviceRecord* rec = registry_.find(mac.value());
+      [this, device_key](const HttpRequest& req, const Params& p) {
+        auto key = device_key(p);
+        if (!key) return HttpResponse::bad_request(key.error().message);
+        const auto [dpid, mac] = key.value();
+        const DeviceRecord* rec = registry_.find(dpid, mac);
         if (rec == nullptr) return HttpResponse::not_found();
 
         int window = 60;
@@ -123,7 +139,7 @@ void ControlApi::setup_routes() {
             return HttpResponse::bad_request("bad window");
           }
         }
-        const std::string mac_text = mac.value().to_string();
+        const std::string mac_text = mac.to_string();
         Json j = device_json(*rec);
 
         Json traffic(JsonArray{});
@@ -144,7 +160,7 @@ void ControlApi::setup_routes() {
 
         Json names(JsonArray{});
         if (auto* dns = controller().component_as<DnsProxy>(DnsProxy::kName)) {
-          for (const auto& name : dns->names_for(mac.value())) {
+          for (const auto& name : dns->names_for(dpid, mac)) {
             names.push_back(Json(name));
           }
         }
@@ -166,21 +182,21 @@ void ControlApi::setup_routes() {
         return HttpResponse::json(j);
       });
 
-  auto decide = [this, parse_mac](const Params& p, DeviceState state) {
-    auto mac = parse_mac(p);
-    if (!mac) return HttpResponse::bad_request(mac.error().message);
-    registry_.set_state(mac.value(), state, controller().loop().now());
+  auto decide = [this, device_key](const Params& p, DeviceState state) {
+    auto key = device_key(p);
+    if (!key) return HttpResponse::bad_request(key.error().message);
+    const auto [dpid, mac] = key.value();
+    registry_.set_state(dpid, mac, state, controller().loop().now());
     if (state == DeviceState::Permitted) metrics_.permits.inc();
     if (state == DeviceState::Denied) metrics_.denies.inc();
-    const DeviceRecord* rec = registry_.find(mac.value());
-    if (desired_ != nullptr && rec != nullptr) {
-      auto& intent = desired_->state(rec->dpid).device(rec->mac.to_string());
+    if (desired_ != nullptr) {
+      auto& intent = desired_->state(dpid).device(mac.to_string());
       intent.admission = state == DeviceState::Permitted
                              ? reconcile::DeviceIntent::Admission::Permitted
                              : reconcile::DeviceIntent::Admission::Denied;
-      if (desired_changed_) desired_changed_(rec->dpid);
+      if (desired_changed_) desired_changed_(dpid);
     }
-    return HttpResponse::json(device_json(*rec));
+    return HttpResponse::json(device_json(*registry_.find(dpid, mac)));
   };
   router_.add("POST", "/api/devices/:mac/permit",
               [decide](const HttpRequest&, const Params& p) {
@@ -193,14 +209,15 @@ void ControlApi::setup_routes() {
 
   router_.add(
       "PUT", "/api/devices/:mac/metadata",
-      [this, parse_mac](const HttpRequest& req, const Params& p) {
-        auto mac = parse_mac(p);
-        if (!mac) return HttpResponse::bad_request(mac.error().message);
+      [this, device_key](const HttpRequest& req, const Params& p) {
+        auto key = device_key(p);
+        if (!key) return HttpResponse::bad_request(key.error().message);
+        const auto [dpid, mac] = key.value();
         auto body = req.json();
         if (!body) return HttpResponse::bad_request(body.error().message);
         const Json& j = body.value();
         if (j.contains("name")) {
-          if (!registry_.set_name(mac.value(), j["name"].as_string(),
+          if (!registry_.set_name(dpid, mac, j["name"].as_string(),
                                   controller().loop().now())) {
             return HttpResponse::not_found();
           }
@@ -211,15 +228,12 @@ void ControlApi::setup_routes() {
             if (t.is_string()) tags.push_back(t.as_string());
           }
           if (desired_ != nullptr) {
-            const DeviceRecord* rec = registry_.find(mac.value());
-            const nox::DatapathId dpid =
-                rec != nullptr ? rec->dpid : registry_.default_dpid();
-            desired_->state(dpid).device(mac.value().to_string()).tags = tags;
+            desired_->state(dpid).device(mac.to_string()).tags = tags;
             if (desired_changed_) desired_changed_(dpid);
           }
-          policy_.set_tags(mac.value().to_string(), std::move(tags));
+          policy_.set_tags(dpid, mac, std::move(tags));
         }
-        const DeviceRecord* rec = registry_.find(mac.value());
+        const DeviceRecord* rec = registry_.find(dpid, mac);
         if (rec == nullptr) return HttpResponse::not_found();
         return HttpResponse::json(device_json(*rec));
       });

@@ -19,6 +19,9 @@
 //   POST   /api/usb/insert                   — udev hook: key image JSON
 //   POST   /api/usb/remove/:slot             — udev hook: key removed
 //   GET    /api/query?q=<CQL>                — hwdb passthrough (read-only)
+//
+// A `:mac` names no home: each request resolves it once to a (dpid, MAC)
+// device key, see home_of() and docs/rest-api.md.
 #pragma once
 
 #include "homework/device_registry.hpp"
@@ -36,8 +39,9 @@ class ControlApi final : public nox::Component {
  public:
   static constexpr const char* kName = "control-api";
 
+  /// `first_dpid` is the router's first home datapath.
   ControlApi(DeviceRegistry& registry, policy::PolicyEngine& policy,
-             hwdb::Database& db);
+             hwdb::Database& db, nox::DatapathId first_dpid);
 
   void install(nox::Controller& ctl) override;
 
@@ -70,10 +74,14 @@ class ControlApi final : public nox::Component {
  private:
   void setup_routes();
   [[nodiscard]] Json device_json(const DeviceRecord& rec) const;
+  /// The home a `:mac` names: the first home if it holds the MAC, else the
+  /// lowest dpid that does, else the first home (pre-authorisation).
+  [[nodiscard]] nox::DatapathId home_of(MacAddress mac) const;
 
   DeviceRegistry& registry_;
   policy::PolicyEngine& policy_;
   hwdb::Database& db_;
+  nox::DatapathId first_dpid_;
   reconcile::DesiredStore* desired_ = nullptr;
   std::function<void(nox::DatapathId)> desired_changed_;
   HttpRouter router_;

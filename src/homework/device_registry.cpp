@@ -60,22 +60,6 @@ DeviceRecord* DeviceRegistry::find(std::uint64_t dpid, MacAddress mac) {
   return it == devices_.end() ? nullptr : &it->second;
 }
 
-const DeviceRecord* DeviceRegistry::find(MacAddress mac) const {
-  if (const DeviceRecord* rec = find(default_dpid_, mac)) return rec;
-  for (const auto& [key, rec] : devices_) {
-    if (key.second == mac) return &rec;
-  }
-  return nullptr;
-}
-
-DeviceRecord* DeviceRegistry::find(MacAddress mac) {
-  if (DeviceRecord* rec = find(default_dpid_, mac)) return rec;
-  for (auto& [key, rec] : devices_) {
-    if (key.second == mac) return &rec;
-  }
-  return nullptr;
-}
-
 const DeviceRecord* DeviceRegistry::find_by_ip(std::uint64_t dpid,
                                                Ipv4Address ip) const {
   // Records are ordered by (dpid, mac): one home's devices are contiguous.
@@ -124,16 +108,6 @@ bool DeviceRegistry::set_state(std::uint64_t dpid, MacAddress mac,
   return true;
 }
 
-bool DeviceRegistry::set_state(MacAddress mac, DeviceState state,
-                               Timestamp now) {
-  // Compat path: act on an existing record wherever it lives, else create
-  // one under the default home.
-  if (DeviceRecord* rec = find(mac)) {
-    return set_state(rec->dpid, mac, state, now);
-  }
-  return set_state(default_dpid_, mac, state, now);
-}
-
 bool DeviceRegistry::set_name(std::uint64_t dpid, MacAddress mac,
                               std::string name, Timestamp now) {
   DeviceRecord* rec = find(dpid, mac);
@@ -142,12 +116,6 @@ bool DeviceRegistry::set_name(std::uint64_t dpid, MacAddress mac,
   rec->last_seen = now;
   emit(RegistryEvent::MetadataChanged, *rec);
   return true;
-}
-
-bool DeviceRegistry::set_name(MacAddress mac, std::string name, Timestamp now) {
-  DeviceRecord* rec = find(mac);
-  if (rec == nullptr) return false;
-  return set_name(rec->dpid, mac, std::move(name), now);
 }
 
 void DeviceRegistry::record_lease(std::uint64_t dpid, MacAddress mac,
@@ -180,14 +148,13 @@ void DeviceRegistry::emit(RegistryEvent e, const DeviceRecord& rec) {
 
 namespace {
 constexpr std::uint32_t kRegistryTag = snapshot::tag("DREG");
-constexpr std::uint8_t kRegistryVersion = 2;  // v2: per-record dpid
+constexpr std::uint8_t kRegistryVersion = 3;  // v3: no default-home field
 }  // namespace
 
 void DeviceRegistry::save(snapshot::Writer& w) const {
   ByteWriter& c = w.begin_chunk(kRegistryTag);
   c.u8(kRegistryVersion);
   c.u8(static_cast<std::uint8_t>(default_));
-  c.u64(default_dpid_);
   c.u32(static_cast<std::uint32_t>(devices_.size()));
   for (const auto& [key, rec] : devices_) {
     c.u64(key.first);
@@ -221,9 +188,8 @@ Status DeviceRegistry::restore(const snapshot::Reader& r) {
     return make_error("registry snapshot: unsupported version");
   }
   auto def = br.u8();
-  auto default_dpid = br.u64();
   auto count = br.u32();
-  if (!def || !default_dpid || !count) {
+  if (!def || !count) {
     return make_error("registry snapshot: truncated header");
   }
   std::map<Key, DeviceRecord> devices;
@@ -277,7 +243,6 @@ Status DeviceRegistry::restore(const snapshot::Reader& r) {
     devices.emplace(Key{rec.dpid, rec.mac}, std::move(rec));
   }
   default_ = static_cast<AdmissionDefault>(def.value());
-  default_dpid_ = default_dpid.value();
   devices_ = std::move(devices);
   return Status::success();
 }

@@ -6,8 +6,8 @@
 //
 // Records are keyed by (datapath id, MAC): under a shared controller one
 // registry serves many homes, and the same MAC in two homes is two distinct
-// devices with independent admission state and leases. Single-home callers
-// use the mac-only overloads, which resolve against default_dpid().
+// devices with independent admission state and leases. Every call names
+// the device by both.
 #pragma once
 
 #include <cstdint>
@@ -80,36 +80,19 @@ class DeviceRegistry final : public snapshot::Snapshottable {
   explicit DeviceRegistry(AdmissionDefault def = AdmissionDefault::Pending)
       : default_(def) {}
 
-  /// The home that mac-only calls refer to. A single-home router sets this
-  /// to its datapath id; the shared-controller fleet always passes dpids
-  /// explicitly.
-  void set_default_dpid(std::uint64_t dpid) { default_dpid_ = dpid; }
-  [[nodiscard]] std::uint64_t default_dpid() const { return default_dpid_; }
-
   /// Notes a DHCP sighting of `mac` behind `dpid`, creating the record if
   /// new. Returns the record (never null).
   DeviceRecord* touch(std::uint64_t dpid, MacAddress mac, Timestamp now,
                       const std::string& hostname);
-  DeviceRecord* touch(MacAddress mac, Timestamp now,
-                      const std::string& hostname) {
-    return touch(default_dpid_, mac, now, hostname);
-  }
 
   [[nodiscard]] const DeviceRecord* find(std::uint64_t dpid,
                                          MacAddress mac) const;
   DeviceRecord* find(std::uint64_t dpid, MacAddress mac);
-  /// Mac-only lookup: default home first, then any home (compat for
-  /// single-home callers and tests).
-  [[nodiscard]] const DeviceRecord* find(MacAddress mac) const;
-  DeviceRecord* find(MacAddress mac);
 
   /// The device of home `dpid` holding lease `ip`, or nullptr. Looks only
   /// at that home's records: O(log N + devices in the home).
   [[nodiscard]] const DeviceRecord* find_by_ip(std::uint64_t dpid,
                                                Ipv4Address ip) const;
-  [[nodiscard]] const DeviceRecord* find_by_ip(Ipv4Address ip) const {
-    return find_by_ip(default_dpid_, ip);
-  }
 
   [[nodiscard]] std::vector<const DeviceRecord*> all() const;
   [[nodiscard]] std::vector<const DeviceRecord*> all(std::uint64_t dpid) const;
@@ -118,10 +101,8 @@ class DeviceRegistry final : public snapshot::Snapshottable {
   /// Admission decisions (control API / Figure 3 board).
   bool set_state(std::uint64_t dpid, MacAddress mac, DeviceState state,
                  Timestamp now);
-  bool set_state(MacAddress mac, DeviceState state, Timestamp now);
   bool set_name(std::uint64_t dpid, MacAddress mac, std::string name,
                 Timestamp now);
-  bool set_name(MacAddress mac, std::string name, Timestamp now);
 
   /// Lease lifecycle (DHCP server).
   void record_lease(std::uint64_t dpid, MacAddress mac, Lease lease,
@@ -137,7 +118,7 @@ class DeviceRegistry final : public snapshot::Snapshottable {
   [[nodiscard]] AdmissionDefault admission_default() const { return default_; }
   void set_admission_default(AdmissionDefault def) { default_ = def; }
 
-  // -- Snapshottable ('DREG' chunk, format v2: per-record dpid) ---------------
+  // -- Snapshottable ('DREG' chunk, v3: per-record dpid, no default home) -----
   // Captures every device record, including admission state, metadata, lease
   // and learned port. Restore replaces the record map directly — listeners
   // stay registered but no Registry events fire.
@@ -150,7 +131,6 @@ class DeviceRegistry final : public snapshot::Snapshottable {
   void emit(RegistryEvent e, const DeviceRecord& rec);
 
   AdmissionDefault default_;
-  std::uint64_t default_dpid_ = 1;
   std::map<Key, DeviceRecord> devices_;
   std::vector<Listener> listeners_;
 };

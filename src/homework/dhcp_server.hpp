@@ -76,9 +76,6 @@ class DhcpServer final : public nox::Component, public snapshot::Snapshottable {
   /// Current address allocation in `dpid`'s scope, incl. offered-not-acked.
   [[nodiscard]] std::optional<Ipv4Address> allocation(nox::DatapathId dpid,
                                                       MacAddress mac) const;
-  [[nodiscard]] std::optional<Ipv4Address> allocation(MacAddress mac) const {
-    return allocation(registry_.default_dpid(), mac);
-  }
   /// Runs one lease-expiry sweep immediately (normally timer-driven).
   void sweep_expiry();
 
@@ -97,8 +94,7 @@ class DhcpServer final : public nox::Component, public snapshot::Snapshottable {
   // -- Snapshottable ('DHCP' chunk, v3: offer timestamps) ---------------------
   // Captures each home's allocation map (with offer timestamps), and the
   // declined-address set; lease expiry deadlines live in DeviceRegistry
-  // records and are restored there. v2 images (no version sentinel, no
-  // offer timestamps) still decode — their allocations restore as sticky.
+  // records and are restored there.
   void save(snapshot::Writer& w) const override;
   Status restore(const snapshot::Reader& r) override;
 

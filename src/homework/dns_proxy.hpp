@@ -54,10 +54,6 @@ class DnsProxy final : public nox::Component {
   /// `dpid`) was allowed to resolve, or is the device unrestricted?
   [[nodiscard]] FlowVerdict check_flow(nox::DatapathId dpid, MacAddress device,
                                        Ipv4Address dst) const;
-  [[nodiscard]] FlowVerdict check_flow(MacAddress device,
-                                       Ipv4Address dst) const {
-    return check_flow(registry_.default_dpid(), device, dst);
-  }
   /// Asynchronous reverse lookup for Unknown verdicts: fires `cb` with the
   /// final Allow/Deny once the PTR answer (or timeout) arrives.
   void reverse_lookup(nox::DatapathId dpid, MacAddress device, Ipv4Address dst,
@@ -66,9 +62,6 @@ class DnsProxy final : public nox::Component {
   /// Names this device successfully resolved recently (for the UI).
   [[nodiscard]] std::vector<std::string> names_for(nox::DatapathId dpid,
                                                    MacAddress device) const;
-  [[nodiscard]] std::vector<std::string> names_for(MacAddress device) const {
-    return names_for(registry_.default_dpid(), device);
-  }
 
   /// The module's telemetry instruments, read in place (`.value()`).
   struct Instruments {

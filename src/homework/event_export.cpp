@@ -1,5 +1,7 @@
 #include "homework/event_export.hpp"
 
+#include <algorithm>
+
 #include "net/app_map.hpp"
 #include "util/logging.hpp"
 
@@ -72,11 +74,15 @@ void EventExport::install(nox::Controller& ctl) {
 
 void EventExport::handle_datapath_join(nox::DatapathId dpid,
                                        const ofp::FeaturesReply&) {
-  datapaths_.push_back(dpid);
+  // A datapath rejoins after every resync: poll it once, not once per join.
+  if (std::ranges::find(datapaths_, dpid) == datapaths_.end()) {
+    datapaths_.push_back(dpid);
+  }
 }
 
-void EventExport::handle_flow_removed(nox::DatapathId, const ofp::FlowRemoved& fr) {
-  prev_.erase(fr.match.to_string());
+void EventExport::handle_flow_removed(nox::DatapathId dpid,
+                                      const ofp::FlowRemoved& fr) {
+  prev_.erase({dpid, fr.match.to_string()});
 }
 
 void EventExport::poll_flows() {
@@ -85,16 +91,17 @@ void EventExport::poll_flows() {
     ofp::StatsRequest req;
     req.type = ofp::StatsType::Flow;
     req.body = ofp::FlowStatsRequest{};
-    controller().request_stats(dpid, req, [this](const ofp::StatsReply& reply) {
-      const auto* flows =
-          std::get_if<std::vector<ofp::FlowStatsEntry>>(&reply.body);
-      if (flows != nullptr) export_flow_stats(*flows);
-    });
+    controller().request_stats(
+        dpid, req, [this, dpid](const ofp::StatsReply& reply) {
+          const auto* flows =
+              std::get_if<std::vector<ofp::FlowStatsEntry>>(&reply.body);
+          if (flows != nullptr) export_flow_stats(dpid, *flows);
+        });
   }
 }
 
 void EventExport::export_flow_stats(
-    const std::vector<ofp::FlowStatsEntry>& entries) {
+    nox::DatapathId dpid, const std::vector<ofp::FlowStatsEntry>& entries) {
   for (const auto& e : entries) {
     // Only the exact-match forwarding band describes end-user traffic; the
     // wildcard service rules (DHCP/DNS/ARP interception) are skipped.
@@ -114,8 +121,7 @@ void EventExport::export_flow_stats(
         continue;
       }
     }
-    const std::string key = e.match.to_string();
-    auto& prev = prev_[key];
+    auto& prev = prev_[{dpid, e.match.to_string()}];
     const std::uint64_t dp = e.packet_count - prev.packets;
     const std::uint64_t db_bytes = e.byte_count - prev.bytes;
     prev.packets = e.packet_count;
@@ -124,9 +130,10 @@ void EventExport::export_flow_stats(
 
     // Attribute to the home device on one end of the flow.
     std::string device = "unknown";
-    if (const DeviceRecord* rec = registry_.find_by_ip(e.match.nw_src)) {
+    if (const DeviceRecord* rec = registry_.find_by_ip(dpid, e.match.nw_src)) {
       device = rec->mac.to_string();
-    } else if (const DeviceRecord* rec = registry_.find_by_ip(e.match.nw_dst)) {
+    } else if (const DeviceRecord* rec =
+                   registry_.find_by_ip(dpid, e.match.nw_dst)) {
       device = rec->mac.to_string();
     }
 

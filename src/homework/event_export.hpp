@@ -63,7 +63,8 @@ class EventExport final : public nox::Component {
   static Status create_tables(hwdb::Database& db, const Config& config);
 
  private:
-  void export_flow_stats(const std::vector<ofp::FlowStatsEntry>& entries);
+  void export_flow_stats(nox::DatapathId dpid,
+                         const std::vector<ofp::FlowStatsEntry>& entries);
   void on_registry_event(RegistryEvent ev, const DeviceRecord& rec);
 
   Config config_;
@@ -73,12 +74,13 @@ class EventExport final : public nox::Component {
   Instruments metrics_;
   std::vector<nox::DatapathId> datapaths_;
 
-  /// Previous cumulative counters per flow (keyed by rendered match).
+  /// Previous cumulative counters per flow, keyed by (home, rendered match):
+  /// two homes may carry the same flow.
   struct PrevCounters {
     std::uint64_t packets = 0;
     std::uint64_t bytes = 0;
   };
-  std::map<std::string, PrevCounters> prev_;
+  std::map<std::pair<nox::DatapathId, std::string>, PrevCounters> prev_;
 
   /// Previous cumulative retry/tx counters per station.
   struct PrevLink {

@@ -54,7 +54,6 @@ HomeworkRouter::HomeworkRouter(sim::EventLoop& loop, Rng& rng, Config config,
   telemetry::ScopedMetricRegistry scope(metrics_);
   db_ = std::make_unique<hwdb::Database>(loop_, metrics_);
   registry_ = std::make_unique<DeviceRegistry>(config_.admission);
-  registry_->set_default_dpid(config_.datapath.datapath_id);
   policy_ = std::make_unique<policy::PolicyEngine>([this] { return loop_.now(); });
   wireless_ = std::make_unique<WirelessMap>(config_.wireless, rng_,
                                             config_.ap_position);
@@ -109,7 +108,8 @@ HomeworkRouter::HomeworkRouter(sim::EventLoop& loop, Rng& rng, Config config,
       std::make_unique<MetricsExport>(config_.metrics_export, *db_, metrics_);
   metrics_export_ = metrics_export.get();
 
-  auto api = std::make_unique<ControlApi>(*registry_, *policy_, *db_);
+  auto api = std::make_unique<ControlApi>(*registry_, *policy_, *db_,
+                                          config_.datapath.datapath_id);
   control_api_ = api.get();
 
   // Registration order fixes the packet-in chain: DHCP and DNS interceptors

@@ -1,7 +1,5 @@
 #include "policy/engine.hpp"
 
-#include "util/strings.hpp"
-
 namespace hw::policy {
 
 PolicyEngine::PolicyEngine(std::function<Timestamp()> now_fn)
@@ -44,37 +42,20 @@ std::vector<const PolicyDocument*> PolicyEngine::policies() const {
   return out;
 }
 
-void PolicyEngine::set_tags(const std::string& mac,
+void PolicyEngine::set_tags(std::uint64_t dpid, MacAddress mac,
                             std::vector<std::string> tags) {
-  tags_[to_lower(mac)] = std::move(tags);
+  tags_[{dpid, mac}] = std::move(tags);
   notify();
 }
 
-void PolicyEngine::set_tags(std::uint64_t dpid, const std::string& mac,
-                            std::vector<std::string> tags) {
-  dpid_tags_[dpid][to_lower(mac)] = std::move(tags);
-  notify();
+const std::vector<std::string>& PolicyEngine::tags_of(std::uint64_t dpid,
+                                                      MacAddress mac) const {
+  static const std::vector<std::string> kNone;
+  auto it = tags_.find({dpid, mac});
+  return it == tags_.end() ? kNone : it->second;
 }
 
-std::vector<std::string> PolicyEngine::tags_of(const std::string& mac) const {
-  auto it = tags_.find(to_lower(mac));
-  return it == tags_.end() ? std::vector<std::string>{} : it->second;
-}
-
-std::vector<std::string> PolicyEngine::tags_of(std::uint64_t dpid,
-                                               const std::string& mac) const {
-  std::vector<std::string> out = tags_of(mac);
-  auto home = dpid_tags_.find(dpid);
-  if (home != dpid_tags_.end()) {
-    auto it = home->second.find(to_lower(mac));
-    if (it != home->second.end()) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
-  }
-  return out;
-}
-
-EvalContext PolicyEngine::context() const {
+EvalContext PolicyEngine::eval_context() const {
   EvalContext ctx;
   ctx.now = now_fn_();
   ctx.epoch_weekday = epoch_weekday_;
@@ -82,25 +63,16 @@ EvalContext PolicyEngine::context() const {
   return ctx;
 }
 
-DeviceRestriction PolicyEngine::fold_installed(
-    const std::string& mac, const std::vector<std::string>& tags) const {
-  DeviceRestriction r;
-  if (installed_.empty()) return r;
-  const EvalContext ctx = context();
-  for (const auto& [_, doc] : installed_) fold_policy(doc, mac, tags, ctx, r);
-  return r;
-}
-
-DeviceRestriction PolicyEngine::restriction_for(const std::string& mac) const {
-  return fold_installed(to_lower(mac), tags_of(mac));
-}
-
 DeviceRestriction PolicyEngine::restriction_for(std::uint64_t dpid,
                                                 MacAddress mac) const {
+  DeviceRestriction r;
   // Nothing installed restricts anyone: skip rendering the address.
-  if (installed_.empty()) return {};
+  if (installed_.empty()) return r;
   const std::string text = mac.to_string();  // lower-case hex
-  return fold_installed(text, tags_of(dpid, text));
+  const std::vector<std::string>& tags = tags_of(dpid, mac);
+  const EvalContext ctx = eval_context();
+  for (const auto& [_, doc] : installed_) fold_policy(doc, text, tags, ctx, r);
+  return r;
 }
 
 namespace {
@@ -141,18 +113,10 @@ void PolicyEngine::save(snapshot::Writer& w) const {
     put_string_list(c, ids);
   }
   c.u32(static_cast<std::uint32_t>(tags_.size()));
-  for (const auto& [mac, tags] : tags_) {
-    snapshot::put_string(c, mac);
+  for (const auto& [key, tags] : tags_) {
+    c.u64(key.first);
+    snapshot::put_mac(c, key.second);
     put_string_list(c, tags);
-  }
-  c.u32(static_cast<std::uint32_t>(dpid_tags_.size()));
-  for (const auto& [dpid, home] : dpid_tags_) {
-    c.u64(dpid);
-    c.u32(static_cast<std::uint32_t>(home.size()));
-    for (const auto& [mac, tags] : home) {
-      snapshot::put_string(c, mac);
-      put_string_list(c, tags);
-    }
   }
   w.end_chunk();
 }
@@ -187,36 +151,19 @@ Status PolicyEngine::restore(const snapshot::Reader& r) {
   }
   auto ntags = br.u32();
   if (!ntags) return ntags.error();
-  std::map<std::string, std::vector<std::string>> tags;
+  std::map<std::pair<std::uint64_t, MacAddress>, std::vector<std::string>> tags;
   for (std::uint32_t i = 0; i < ntags.value(); ++i) {
-    auto mac = snapshot::get_string(br);
-    if (!mac) return mac.error();
+    auto dpid = br.u64();
+    auto mac = snapshot::get_mac(br);
+    if (!dpid || !mac) return make_error("policy snapshot: truncated tags");
     auto list = get_string_list(br);
     if (!list) return list.error();
-    tags.emplace(std::move(mac).take(), std::move(list).take());
-  }
-  auto nhomes = br.u32();
-  if (!nhomes) return nhomes.error();
-  std::map<std::uint64_t, std::map<std::string, std::vector<std::string>>>
-      dpid_tags;
-  for (std::uint32_t h = 0; h < nhomes.value(); ++h) {
-    auto dpid = br.u64();
-    auto nmacs = br.u32();
-    if (!dpid || !nmacs) return make_error("policy snapshot: truncated home");
-    auto& home = dpid_tags[dpid.value()];
-    for (std::uint32_t i = 0; i < nmacs.value(); ++i) {
-      auto mac = snapshot::get_string(br);
-      if (!mac) return mac.error();
-      auto list = get_string_list(br);
-      if (!list) return list.error();
-      home.emplace(std::move(mac).take(), std::move(list).take());
-    }
+    tags.emplace(std::pair{dpid.value(), mac.value()}, std::move(list).take());
   }
   epoch_weekday_ = static_cast<int>(weekday.value());
   installed_ = std::move(installed);
   key_policies_ = std::move(key_policies);
   tags_ = std::move(tags);
-  dpid_tags_ = std::move(dpid_tags);
   return Status::success();
 }
 

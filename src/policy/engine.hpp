@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "policy/compiler.hpp"
 #include "policy/usb.hpp"
@@ -30,35 +31,23 @@ class PolicyEngine final : public snapshot::Snapshottable {
   [[nodiscard]] std::vector<const PolicyDocument*> policies() const;
 
   // -- Device tags ("the kids") ----------------------------------------------
-  // Tags come in two buckets: global (single-home compat, applied in every
-  // home) and per-datapath (a shared controller serving many homes tags each
-  // home's devices independently). Queries merge both.
-  void set_tags(const std::string& mac, std::vector<std::string> tags);
-  void set_tags(std::uint64_t dpid, const std::string& mac,
+  // Tags belong to one device of one home: the same MAC behind another
+  // datapath is another device, with its own tags.
+  void set_tags(std::uint64_t dpid, MacAddress mac,
                 std::vector<std::string> tags);
-  [[nodiscard]] std::vector<std::string> tags_of(const std::string& mac) const;
-  [[nodiscard]] std::vector<std::string> tags_of(std::uint64_t dpid,
-                                                 const std::string& mac) const;
+  [[nodiscard]] const std::vector<std::string>& tags_of(std::uint64_t dpid,
+                                                        MacAddress mac) const;
 
   // -- USB mediation ------------------------------------------------------------
   [[nodiscard]] UsbMonitor& usb() { return usb_; }
 
   // -- Enforcement queries ------------------------------------------------------
-  [[nodiscard]] DeviceRestriction restriction_for(const std::string& mac) const;
-  /// The per-home form the enforcement path asks: the address is rendered
-  /// as text only when an installed policy has to be checked against it.
+  /// The address is rendered as text only when an installed policy has to
+  /// be checked against it.
   [[nodiscard]] DeviceRestriction restriction_for(std::uint64_t dpid,
                                                   MacAddress mac) const;
-  [[nodiscard]] bool network_allowed(const std::string& mac) const {
-    return !restriction_for(mac).network_blocked;
-  }
   [[nodiscard]] bool network_allowed(std::uint64_t dpid, MacAddress mac) const {
     return !restriction_for(dpid, mac).network_blocked;
-  }
-  [[nodiscard]] bool domain_allowed(const std::string& mac,
-                                    const std::string& domain) const {
-    const auto r = restriction_for(mac);
-    return !r.network_blocked && r.domain_allowed(domain);
   }
   [[nodiscard]] bool domain_allowed(std::uint64_t dpid, MacAddress mac,
                                     const std::string& domain) const {
@@ -76,7 +65,7 @@ class PolicyEngine final : public snapshot::Snapshottable {
 
   /// The current evaluation inputs (virtual time, weekday, inserted unlock
   /// tokens) — what the lowering pass needs alongside policies().
-  [[nodiscard]] EvalContext eval_context() const { return context(); }
+  [[nodiscard]] EvalContext eval_context() const;
 
   [[nodiscard]] int epoch_weekday() const { return epoch_weekday_; }
   void set_epoch_weekday(int weekday) { epoch_weekday_ = weekday; }
@@ -93,18 +82,13 @@ class PolicyEngine final : public snapshot::Snapshottable {
   void notify() {
     for (const auto& fn : on_change_) fn();
   }
-  [[nodiscard]] EvalContext context() const;
-  /// Folds every installed policy, in place, for one lower-case address.
-  [[nodiscard]] DeviceRestriction fold_installed(
-      const std::string& mac, const std::vector<std::string>& tags) const;
 
   std::function<Timestamp()> now_fn_;
   std::map<std::string, PolicyDocument> installed_;
   /// Policies installed by an inserted key, keyed by slot (removed with it).
   std::map<UsbMonitor::SlotId, std::vector<std::string>> key_policies_;
-  std::map<std::string, std::vector<std::string>> tags_;  // global bucket
-  std::map<std::uint64_t, std::map<std::string, std::vector<std::string>>>
-      dpid_tags_;
+  std::map<std::pair<std::uint64_t, MacAddress>, std::vector<std::string>>
+      tags_;
   UsbMonitor usb_;
   std::vector<std::function<void()>> on_change_;
   int epoch_weekday_ = 1;  // Monday

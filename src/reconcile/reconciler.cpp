@@ -137,7 +137,10 @@ void Reconciler::rebuild_desired(nox::DatapathId dpid) {
     policy::LoweredDevice dev;
     dev.mac = mac;
     std::set<std::string> tags(intent.tags.begin(), intent.tags.end());
-    for (const auto& t : policy_->tags_of(dpid, mac)) tags.insert(t);
+    if (auto parsed = MacAddress::parse(mac)) {
+      const auto& tagged = policy_->tags_of(dpid, parsed.value());
+      tags.insert(tagged.begin(), tagged.end());
+    }
     dev.tags.assign(tags.begin(), tags.end());
     dev.ip = intent.lease_ip;
     devices.push_back(std::move(dev));

@@ -85,7 +85,8 @@ void DhcpStarvationScenario::verify(Report& report) {
   for (std::size_t i = 0; i < params_.residents; ++i) {
     const auto& dev = home().devices()[i];
     const auto ip = dev.host->ip();
-    const auto* rec = router().registry().find(dev.host->mac());
+    const auto* rec =
+        router().registry().find(dev.attachment.dpid, dev.host->mac());
     const bool kept = ip && rec != nullptr && rec->lease &&
                       rec->lease->ip == *ip &&
                       dev.host->stats().dhcp_naks.value() == 0;

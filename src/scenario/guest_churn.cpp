@@ -133,8 +133,9 @@ void GuestChurnScenario::verify(Report& report) {
   std::size_t expelled_ok = 0;
   std::size_t kept_ok = 0;
   for (std::size_t g = 0; g < guest_count(); ++g) {
-    sim::Host* host = devices[params_.residents + g].host.get();
-    const auto* rec = registry.find(host->mac());
+    const auto& device = devices[params_.residents + g];
+    sim::Host* host = device.host.get();
+    const auto* rec = registry.find(device.attachment.dpid, host->mac());
     if (g < expelled) {
       if (!host->ip().has_value() && rec != nullptr &&
           rec->state == homework::DeviceState::Denied) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "homework/router.hpp"
+#include "sim/fault_injector.hpp"
 #include "sim/host.hpp"
 
 namespace hw::scenario {
@@ -30,23 +31,45 @@ MacAddress roamer_mac(std::size_t pair) {
 
 }  // namespace
 
-Report RoamingScenario::run() {
-  count_run();
-  set_attack_window(params_.roam_at, config_.duration);
-
-  sim::EventLoop loop;
-  Rng rng(config_.seed);
-  homework::HomeworkRouter::Config router_config;
-  router_config.admission =
-      homework::DeviceRegistry::AdmissionDefault::PermitAll;
-  homework::HomeworkRouter router(loop, rng, router_config);
-
+struct RoamingScenario::World {
   struct Home {
     nox::DatapathId dpid = 0;
     std::vector<std::unique_ptr<sim::Host>> devices;
     std::vector<homework::HomeworkRouter::Attachment> attachments;
   };
-  std::vector<Home> homes(params_.homes);
+
+  World(std::uint64_t seed, const homework::HomeworkRouter::Config& config)
+      : rng(seed), router(loop, rng, config) {}
+
+  sim::EventLoop loop;
+  Rng rng;
+  homework::HomeworkRouter router;
+  std::vector<Home> homes;
+  /// Rebind latency of each destination home's roamer.
+  std::map<nox::DatapathId, Duration> rebind_by_dpid;
+  std::unique_ptr<sim::FaultInjector> faults;
+};
+
+RoamingScenario::RoamingScenario(Config config, Params params)
+    : Scenario("roaming", config), params_(params) {}
+
+RoamingScenario::~RoamingScenario() = default;
+
+Report RoamingScenario::run() {
+  count_run();
+  set_attack_window(params_.roam_at, config_.duration);
+
+  homework::HomeworkRouter::Config router_config;
+  router_config.admission =
+      homework::DeviceRegistry::AdmissionDefault::PermitAll;
+  world_.reset();  // a re-run starts from an empty world
+  world_ = std::make_unique<World>(config_.seed, router_config);
+  sim::EventLoop& loop = world_->loop;
+  Rng& rng = world_->rng;
+  homework::HomeworkRouter& router = world_->router;
+  using Home = World::Home;
+  std::vector<Home>& homes = world_->homes;
+  homes.resize(params_.homes);
   for (std::size_t h = 0; h < homes.size(); ++h) {
     Home& home = homes[h];
     home.dpid = h == 0 ? router.datapath().id() : router.add_home();
@@ -68,6 +91,19 @@ Report RoamingScenario::run() {
     }
   }
   router.start();
+  // The chaos plan acts on the first home's controller channel and
+  // datapath, and on every device link registered here.
+  if (config_.faults) {
+    world_->faults = std::make_unique<sim::FaultInjector>(loop);
+    sim::FaultInjector& faults = *world_->faults;
+    router.attach_faults(faults);
+    for (const Home& home : homes) {
+      for (std::size_t i = 0; i < home.devices.size(); ++i) {
+        faults.add_link(home.devices[i]->name(), *home.attachments[i].link);
+      }
+    }
+    faults.arm(*config_.faults);
+  }
 
   // Per-home schedules, identical across homes, all in virtual time.
   for (Home& home : homes) {
@@ -98,7 +134,7 @@ Report RoamingScenario::run() {
   // attach on a fresh port of the paired even datapath, re-DHCP behind the
   // new dpid, then talk to the destination's own device 0 (192.168.1.100
   // behind the even dpid), proving its flows now live in the new home.
-  std::map<nox::DatapathId, Duration> rebind_by_dpid;
+  auto& rebind_by_dpid = world_->rebind_by_dpid;
   for (std::size_t odd = 1; odd < homes.size(); odd += 2) {
     if (homes[odd].devices.empty()) continue;
     sim::Host* roamer = homes[odd].devices[0].get();

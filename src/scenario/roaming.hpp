@@ -8,6 +8,8 @@
 // bound and converged.
 #pragma once
 
+#include <memory>
+
 #include "scenario/scenario.hpp"
 
 namespace hw::scenario {
@@ -20,10 +22,10 @@ class RoamingScenario final : public Scenario {
     Timestamp roam_at = 3500 * kMillisecond;
   };
 
-  RoamingScenario(Config config, Params params)
-      : Scenario("roaming", config), params_(params) {}
+  RoamingScenario(Config config, Params params);
   explicit RoamingScenario(Config config = default_config())
       : RoamingScenario(config, Params{}) {}
+  ~RoamingScenario() override;
 
   static Config default_config() {
     Config config;
@@ -36,7 +38,12 @@ class RoamingScenario final : public Scenario {
   [[nodiscard]] Report run() override;
 
  private:
+  /// The loop, router, devices and fault injector of the last run. They
+  /// outlive run() so their instruments stay in the registry to be read.
+  struct World;
+
   Params params_;
+  std::unique_ptr<World> world_;
 };
 
 }  // namespace hw::scenario

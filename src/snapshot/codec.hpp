@@ -33,7 +33,7 @@ constexpr std::uint32_t tag(const char (&s)[5]) {
 }
 
 inline constexpr std::uint32_t kMagic = tag("HWSN");
-inline constexpr std::uint16_t kFormatVersion = 2;
+inline constexpr std::uint16_t kFormatVersion = 3;
 
 /// Length-prefixed string helpers shared by every layer codec.
 void put_string(ByteWriter& w, std::string_view s);

@@ -83,14 +83,14 @@ HomeScenario::Device* HomeScenario::device(const std::string& name) {
 
 void HomeScenario::permit_all() {
   for (auto& d : devices_) {
-    router_->registry().set_state(d.host->mac(),
+    router_->registry().set_state(d.attachment.dpid, d.host->mac(),
                                   homework::DeviceState::Permitted, loop_.now());
   }
 }
 
 void HomeScenario::permit(const std::string& name) {
   if (Device* d = device(name)) {
-    router_->registry().set_state(d->host->mac(),
+    router_->registry().set_state(d->attachment.dpid, d->host->mac(),
                                   homework::DeviceState::Permitted, loop_.now());
   }
 }
@@ -108,7 +108,8 @@ bool HomeScenario::wait_all_bound(Duration deadline) {
   while (loop_.now() < until) {
     bool all = true;
     for (auto& d : devices_) {
-      const auto* rec = router_->registry().find(d.host->mac());
+      const auto* rec =
+          router_->registry().find(d.attachment.dpid, d.host->mac());
       // A device is expected to obtain a lease if it is already permitted,
       // or has not yet been seen under a permit-all admission default.
       const bool expects_lease =
@@ -130,7 +131,8 @@ bool HomeScenario::wait_all_bound(Duration deadline) {
 void HomeScenario::adopt_restored_leases() {
   const auto& dhcp = router_->dhcp().config();
   for (auto& d : devices_) {
-    const auto* rec = router_->registry().find(d.host->mac());
+    const auto* rec =
+        router_->registry().find(d.attachment.dpid, d.host->mac());
     if (rec == nullptr || rec->state != homework::DeviceState::Permitted ||
         !rec->lease) {
       continue;

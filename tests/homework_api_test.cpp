@@ -154,7 +154,7 @@ TEST_F(ApiFixture, MetadataUpdatesNameAndTags) {
                    R"({"name": "Kid's tablet", "tags": ["kids"]})");
   ASSERT_EQ(resp.status, 200);
   EXPECT_EQ(resp.json_body().value()["name"].as_string(), "Kid's tablet");
-  EXPECT_EQ(router.policy().tags_of(host.mac().to_string()),
+  EXPECT_EQ(router.policy().tags_of(dpid(), host.mac()),
             (std::vector<std::string>{"kids"}));
   EXPECT_EQ(
       call("PUT", "/api/devices/" + host.mac().to_string() + "/metadata", "{")

@@ -17,7 +17,7 @@ TEST_F(DhcpFixture, PendingDeviceGetsSilence) {
   EXPECT_FALSE(host.ip().has_value());
   EXPECT_EQ(host.dhcp_state(), sim::DhcpClientState::Selecting);
   // ... but the router saw it: it shows on the control board as pending.
-  const DeviceRecord* rec = router.registry().find(host.mac());
+  const DeviceRecord* rec = record(host);
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->state, DeviceState::Pending);
   EXPECT_GT(router.dhcp().stats().ignored_pending.value(), 0u);
@@ -30,7 +30,7 @@ TEST_F(DhcpFixture, PermittedDeviceLeases) {
   auto ip = bind(host);
   ASSERT_TRUE(ip.has_value());
   EXPECT_TRUE(router.config().subnet.contains(*ip));
-  const DeviceRecord* rec = router.registry().find(host.mac());
+  const DeviceRecord* rec = record(host);
   ASSERT_NE(rec, nullptr);
   ASSERT_TRUE(rec->lease.has_value());
   EXPECT_EQ(rec->lease->ip, *ip);
@@ -95,7 +95,7 @@ TEST_F(DhcpFixture, ReleaseClearsLeaseInRegistry) {
   sim::Host& host = admitted_device("laptop");
   host.release_dhcp();
   loop.run_for(kSecond);
-  const DeviceRecord* rec = router.registry().find(host.mac());
+  const DeviceRecord* rec = record(host);
   ASSERT_NE(rec, nullptr);
   EXPECT_FALSE(rec->lease.has_value());
   EXPECT_EQ(router.dhcp().stats().releases.value(), 1u);
@@ -164,7 +164,7 @@ TEST_F(SmallPoolFixture, ExhaustionNeverDoubleAllocates) {
   // not NAKed (it may be served later when the pool frees up).
   EXPECT_NE(a.ip(), b.ip());
   EXPECT_EQ(c.stats().dhcp_naks.value(), 0u);
-  const DeviceRecord* rec_c = router.registry().find(c.mac());
+  const DeviceRecord* rec_c = record(c);
   ASSERT_NE(rec_c, nullptr);
   EXPECT_FALSE(rec_c->lease.has_value());
 }
@@ -198,8 +198,8 @@ TEST_F(SmallPoolShortLeaseFixture, RenewDuringExhaustionKeepsLease) {
   EXPECT_GE(a.stats().dhcp_acks.value(), 2u);
   EXPECT_EQ(a.stats().dhcp_naks.value(), 0u);
   EXPECT_EQ(b.stats().dhcp_naks.value(), 0u);
-  const DeviceRecord* rec_a = router.registry().find(a.mac());
-  const DeviceRecord* rec_b = router.registry().find(b.mac());
+  const DeviceRecord* rec_a = record(a);
+  const DeviceRecord* rec_b = record(b);
   ASSERT_NE(rec_a, nullptr);
   ASSERT_NE(rec_b, nullptr);
   ASSERT_TRUE(rec_a->lease.has_value());
@@ -260,7 +260,7 @@ TEST_F(ShortLeaseFixture, UnrenewedLeaseExpiresInRegistry) {
   // Detach the device so it cannot renew: silence from the client side.
   host.attach_uplink(nullptr);
   loop.run_for(30 * kSecond);
-  const DeviceRecord* rec = router.registry().find(host.mac());
+  const DeviceRecord* rec = record(host);
   ASSERT_NE(rec, nullptr);
   EXPECT_FALSE(rec->lease.has_value());
   EXPECT_GT(router.dhcp().stats().expired.value(), 0u);

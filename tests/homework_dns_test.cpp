@@ -29,6 +29,11 @@ struct DnsFixture : RouterFixture {
     p.sites.domains = {"*.facebook.com"};
     router.policy().install(std::move(p));
   }
+
+  /// The proxy's synchronous flow verdict for `host` contacting `dst`.
+  DnsProxy::FlowVerdict check_flow(const sim::Host& host, Ipv4Address dst) {
+    return router.dns().check_flow(dpid(), host.mac(), dst);
+  }
 };
 
 TEST_F(DnsFixture, ResolvesThroughProxy) {
@@ -81,19 +86,19 @@ TEST_F(DnsFixture, NameCacheFeedsFlowVerdicts) {
   ASSERT_TRUE(resolve(kid, "www.facebook.com").has_value());
 
   // Facebook's address is now cached for the console → Allow.
-  EXPECT_EQ(router.dns().check_flow(kid.mac(), Ipv4Address{31, 13, 72, 1}),
+  EXPECT_EQ(check_flow(kid, Ipv4Address{31, 13, 72, 1}),
             DnsProxy::FlowVerdict::Allow);
   // Netflix's address was never resolved → Unknown (triggers reverse lookup).
-  EXPECT_EQ(router.dns().check_flow(kid.mac(), Ipv4Address{45, 57, 3, 1}),
+  EXPECT_EQ(check_flow(kid, Ipv4Address{45, 57, 3, 1}),
             DnsProxy::FlowVerdict::Unknown);
-  const auto names = router.dns().names_for(kid.mac());
+  const auto names = router.dns().names_for(dpid(), kid.mac());
   EXPECT_NE(std::find(names.begin(), names.end(), "www.facebook.com"),
             names.end());
 }
 
 TEST_F(DnsFixture, UnrestrictedDeviceFlowsAllowed) {
   sim::Host& host = admitted_device("laptop");
-  EXPECT_EQ(router.dns().check_flow(host.mac(), Ipv4Address{8, 8, 8, 8}),
+  EXPECT_EQ(check_flow(host, Ipv4Address{8, 8, 8, 8}),
             DnsProxy::FlowVerdict::Allow);
 }
 
@@ -111,7 +116,7 @@ TEST_F(DnsFixture, ReverseLookupAllowsMatchingDomain) {
   EXPECT_EQ(*verdict, DnsProxy::FlowVerdict::Allow);
   EXPECT_EQ(router.dns().stats().reverse_lookups.value(), 1u);
   // And the verdict is cached for synchronous reuse.
-  EXPECT_EQ(router.dns().check_flow(kid.mac(), Ipv4Address{31, 13, 72, 1}),
+  EXPECT_EQ(check_flow(kid, Ipv4Address{31, 13, 72, 1}),
             DnsProxy::FlowVerdict::Allow);
 }
 
@@ -145,12 +150,12 @@ TEST_F(DnsFixture, CacheEntriesExpireAfterTtl) {
   sim::Host& kid = admitted_device("console");
   install_kids_policy(kid);
   ASSERT_TRUE(resolve(kid, "www.facebook.com").has_value());
-  ASSERT_EQ(router.dns().check_flow(kid.mac(), Ipv4Address{31, 13, 72, 1}),
+  ASSERT_EQ(check_flow(kid, Ipv4Address{31, 13, 72, 1}),
             DnsProxy::FlowVerdict::Allow);
   // Default cache TTL is 600 s; past it the verdict must revert to Unknown
   // ("flow not matching previously requested names" → reverse lookup).
   loop.run_for(601 * kSecond);
-  EXPECT_EQ(router.dns().check_flow(kid.mac(), Ipv4Address{31, 13, 72, 1}),
+  EXPECT_EQ(check_flow(kid, Ipv4Address{31, 13, 72, 1}),
             DnsProxy::FlowVerdict::Unknown);
 }
 
@@ -158,10 +163,10 @@ TEST_F(DnsFixture, FlushCacheForgetsVerdicts) {
   sim::Host& kid = admitted_device("console");
   install_kids_policy(kid);
   ASSERT_TRUE(resolve(kid, "www.facebook.com").has_value());
-  ASSERT_EQ(router.dns().check_flow(kid.mac(), Ipv4Address{31, 13, 72, 1}),
+  ASSERT_EQ(check_flow(kid, Ipv4Address{31, 13, 72, 1}),
             DnsProxy::FlowVerdict::Allow);
   router.dns().flush_cache();
-  EXPECT_EQ(router.dns().check_flow(kid.mac(), Ipv4Address{31, 13, 72, 1}),
+  EXPECT_EQ(check_flow(kid, Ipv4Address{31, 13, 72, 1}),
             DnsProxy::FlowVerdict::Unknown);
 }
 
@@ -169,12 +174,12 @@ TEST_F(DnsFixture, PolicyInstallFlushesCacheAutomatically) {
   sim::Host& kid = admitted_device("console");
   ASSERT_TRUE(resolve(kid, "video.netflix.com").has_value());
   // Unrestricted → Allow (no cache needed).
-  ASSERT_EQ(router.dns().check_flow(kid.mac(), Ipv4Address{45, 57, 3, 1}),
+  ASSERT_EQ(check_flow(kid, Ipv4Address{45, 57, 3, 1}),
             DnsProxy::FlowVerdict::Allow);
   // Now restrict: the policy change handler flushes; netflix must no longer
   // be allowed through a stale verdict.
   install_kids_policy(kid);
-  EXPECT_NE(router.dns().check_flow(kid.mac(), Ipv4Address{45, 57, 3, 1}),
+  EXPECT_NE(check_flow(kid, Ipv4Address{45, 57, 3, 1}),
             DnsProxy::FlowVerdict::Allow);
 }
 

@@ -8,6 +8,11 @@
 namespace hw::policy {
 namespace {
 
+/// Every engine test names a device of this home.
+constexpr std::uint64_t kHome = 1;
+
+MacAddress mac(const char* text) { return MacAddress::parse(text).value(); }
+
 PolicyDocument kids_policy() {
   PolicyDocument p;
   p.id = "kids-facebook";
@@ -196,8 +201,9 @@ TEST(Compile, MultiplePoliciesCompose) {
   PolicyEngine engine([] { return Timestamp{17 * kHour}; });
   engine.install(kids_policy());
   engine.install(block);
-  engine.set_tags("aa:aa:aa:aa:aa:aa", {"kids"});
-  EXPECT_FALSE(engine.domain_allowed("aa:aa:aa:aa:aa:aa", "www.facebook.com"));
+  engine.set_tags(kHome, mac("aa:aa:aa:aa:aa:aa"), {"kids"});
+  EXPECT_FALSE(engine.domain_allowed(kHome, mac("aa:aa:aa:aa:aa:aa"),
+                                     "www.facebook.com"));
 }
 
 TEST(Compile, RateLimitTakesTightestCap) {
@@ -305,32 +311,35 @@ struct EngineFixture : ::testing::Test {
 TEST_F(EngineFixture, InstallUninstall) {
   engine.install(kids_policy());
   EXPECT_EQ(engine.policies().size(), 1u);
-  engine.set_tags("aa:bb:cc:dd:ee:01", {"kids"});
-  EXPECT_FALSE(engine.domain_allowed("aa:bb:cc:dd:ee:01", "netflix.com"));
-  EXPECT_TRUE(engine.domain_allowed("aa:bb:cc:dd:ee:01", "www.facebook.com"));
+  const MacAddress kid = mac("aa:bb:cc:dd:ee:01");
+  engine.set_tags(kHome, kid, {"kids"});
+  EXPECT_FALSE(engine.domain_allowed(kHome, kid, "netflix.com"));
+  EXPECT_TRUE(engine.domain_allowed(kHome, kid, "www.facebook.com"));
   EXPECT_TRUE(engine.uninstall("kids-facebook"));
   EXPECT_FALSE(engine.uninstall("kids-facebook"));
-  EXPECT_TRUE(engine.domain_allowed("aa:bb:cc:dd:ee:01", "netflix.com"));
+  EXPECT_TRUE(engine.domain_allowed(kHome, kid, "netflix.com"));
 }
 
 TEST_F(EngineFixture, ScheduleFollowsVirtualClock) {
   engine.install(kids_policy());
-  engine.set_tags("m", {"kids"});
-  EXPECT_FALSE(engine.domain_allowed("m", "netflix.com"));
+  const MacAddress m = MacAddress::from_index(1);
+  engine.set_tags(kHome, m, {"kids"});
+  EXPECT_FALSE(engine.domain_allowed(kHome, m, "netflix.com"));
   now = 22 * kHour;  // after the window
-  EXPECT_TRUE(engine.domain_allowed("m", "netflix.com"));
+  EXPECT_TRUE(engine.domain_allowed(kHome, m, "netflix.com"));
 }
 
 TEST_F(EngineFixture, UsbInsertLiftsAndRemoveRestores) {
   engine.install(kids_policy());
-  engine.set_tags("m", {"kids"});
+  const MacAddress m = MacAddress::from_index(1);
+  engine.set_tags(kHome, m, {"kids"});
   int changes = 0;
   engine.on_change([&] { ++changes; });
 
   const auto slot = engine.usb().insert(UsbKeyImage::make_key("parent-key", {}));
-  EXPECT_TRUE(engine.domain_allowed("m", "netflix.com"));
+  EXPECT_TRUE(engine.domain_allowed(kHome, m, "netflix.com"));
   engine.usb().remove(slot);
-  EXPECT_FALSE(engine.domain_allowed("m", "netflix.com"));
+  EXPECT_FALSE(engine.domain_allowed(kHome, m, "netflix.com"));
   EXPECT_EQ(changes, 2);
 }
 
@@ -339,22 +348,37 @@ TEST_F(EngineFixture, KeyCarriedPoliciesLiveWithInsertion) {
   p.id = "guest-block";
   p.who.tags = {"guests"};
   p.block_network = true;
-  engine.set_tags("g", {"guests"});
+  const MacAddress g = MacAddress::from_index(2);
+  engine.set_tags(kHome, g, {"guests"});
 
   const auto slot = engine.usb().insert(UsbKeyImage::make_key("", {p}));
   ASSERT_NE(slot, 0u);
-  EXPECT_FALSE(engine.network_allowed("g"));
+  EXPECT_FALSE(engine.network_allowed(kHome, g));
   EXPECT_EQ(engine.policies().size(), 1u);
 
   engine.usb().remove(slot);
-  EXPECT_TRUE(engine.network_allowed("g"));
+  EXPECT_TRUE(engine.network_allowed(kHome, g));
   EXPECT_TRUE(engine.policies().empty());
 }
 
 TEST_F(EngineFixture, TagsCaseInsensitive) {
+  // Upper- and lower-case text parse to one device.
   engine.install(kids_policy());
-  engine.set_tags("AA:BB:CC:DD:EE:02", {"kids"});
-  EXPECT_FALSE(engine.domain_allowed("aa:bb:cc:dd:ee:02", "netflix.com"));
+  engine.set_tags(kHome, mac("AA:BB:CC:DD:EE:02"), {"kids"});
+  EXPECT_FALSE(
+      engine.domain_allowed(kHome, mac("aa:bb:cc:dd:ee:02"), "netflix.com"));
+}
+
+TEST_F(EngineFixture, TagsBelongToOneHome) {
+  // The same MAC behind another datapath is another device: a tag set in
+  // one home neither restricts nor shows up in the other.
+  engine.install(kids_policy());
+  const MacAddress m = MacAddress::from_index(1);
+  engine.set_tags(kHome, m, {"kids"});
+  EXPECT_FALSE(engine.domain_allowed(kHome, m, "netflix.com"));
+  EXPECT_TRUE(engine.domain_allowed(kHome + 1, m, "netflix.com"));
+  EXPECT_TRUE(engine.tags_of(kHome + 1, m).empty());
+  EXPECT_EQ(engine.tags_of(kHome, m), std::vector<std::string>{"kids"});
 }
 
 }  // namespace

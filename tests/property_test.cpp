@@ -307,6 +307,7 @@ TEST_P(DhcpProperty, NoDoubleAllocationEver) {
   Rng rng(GetParam());
   homework::HomeworkRouter router(loop, rng, config);
   router.start();
+  const nox::DatapathId dpid = router.datapath().id();
 
   std::vector<std::unique_ptr<sim::Host>> hosts;
   for (std::uint32_t i = 0; i < 6; ++i) {
@@ -328,11 +329,11 @@ TEST_P(DhcpProperty, NoDoubleAllocationEver) {
         host.release_dhcp();
         break;
       case 2:
-        router.registry().set_state(host.mac(), homework::DeviceState::Denied,
-                                    loop.now());
+        router.registry().set_state(dpid, host.mac(),
+                                    homework::DeviceState::Denied, loop.now());
         break;
       default:
-        router.registry().set_state(host.mac(),
+        router.registry().set_state(dpid, host.mac(),
                                     homework::DeviceState::Permitted,
                                     loop.now());
         break;
@@ -359,7 +360,7 @@ TEST_P(DhcpProperty, NoDoubleAllocationEver) {
     // may still believe in its address until then; the router is the
     // authority we check.)
     for (const auto& h : hosts) {
-      const auto* rec = router.registry().find(h->mac());
+      const auto* rec = router.registry().find(dpid, h->mac());
       if (rec != nullptr && rec->state == homework::DeviceState::Denied) {
         // Lease record may persist until expiry, but no *new* leases appear:
         // enforced by the NAK counters rising; cheap structural check here:

@@ -492,7 +492,8 @@ TEST_F(ReconcileFixture, AdmissionFixupHealsRegistryDivergence) {
   router.reconciler()->request_round(dpid());
   loop.run_for(kSecond);
 
-  const homework::DeviceRecord* rec = router.registry().find(host.mac());
+  const homework::DeviceRecord* rec =
+      router.registry().find(dpid(), host.mac());
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->state, homework::DeviceState::Denied);
   EXPECT_GT(telemetry::MetricRegistry::current()

@@ -38,11 +38,20 @@ struct RouterFixture : ::testing::Test {
     return *hosts_.back();
   }
 
+  /// The home every device of this fixture is attached to.
+  [[nodiscard]] nox::DatapathId dpid() { return router.datapath().id(); }
+  /// The registry record of `host` in that home, or nullptr.
+  [[nodiscard]] const DeviceRecord* record(const sim::Host& host) {
+    return router.registry().find(dpid(), host.mac());
+  }
+
   void permit(const sim::Host& host) {
-    router.registry().set_state(host.mac(), DeviceState::Permitted, loop.now());
+    router.registry().set_state(dpid(), host.mac(), DeviceState::Permitted,
+                                loop.now());
   }
   void deny(const sim::Host& host) {
-    router.registry().set_state(host.mac(), DeviceState::Denied, loop.now());
+    router.registry().set_state(dpid(), host.mac(), DeviceState::Denied,
+                                loop.now());
   }
 
   /// Runs DHCP to completion for a permitted host; returns its address.

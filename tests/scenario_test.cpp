@@ -146,6 +146,27 @@ TEST(ScenarioChaos, DhcpStarvationSurvivesFaultPlan) {
   EXPECT_EQ(scalars["sim.fault.windows_ended"], 3.0);
 }
 
+TEST(ScenarioChaos, RoamingArmsItsFaultPlan) {
+  // The first home's controller channel is down while its neighbour's
+  // roamer arrives: the rebind waits for the channel, and every roaming
+  // promise must still hold.
+  auto config = scenario::RoamingScenario::default_config();
+  sim::FaultPlan plan;
+  plan.seed = 5;
+  sim::FaultWindow outage;
+  outage.kind = sim::FaultKind::ControllerOutage;
+  outage.start = 3 * kSecond;
+  outage.duration = kSecond;
+  plan.windows.push_back(outage);
+  config.faults = plan;
+
+  auto [report, scalars] = run_scoped<scenario::RoamingScenario>(config);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_GE(scalars["sim.fault.windows_started"], 1.0);
+  EXPECT_EQ(scalars["sim.fault.controller_outages"], 1.0);
+  EXPECT_EQ(scalars["sim.fault.windows_ended"], 1.0);
+}
+
 // -- TableFull property suite ------------------------------------------------
 
 ofp::Match hostile_match(Rng& rng) {

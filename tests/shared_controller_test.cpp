@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "homework/router.hpp"
+#include "net/packet.hpp"
 #include "sim/host.hpp"
 
 namespace hw::homework {
@@ -134,6 +135,16 @@ struct Street {
 
   [[nodiscard]] double scalar(const std::string& name) const {
     return registry.scalars().at(name);
+  }
+
+  /// One REST request to the router's control API.
+  HttpResponse call(const std::string& method, const std::string& path,
+                    const std::string& body = {}) {
+    HttpRequest req;
+    req.method = method;
+    req.path = path;
+    req.body = body;
+    return router.control_api().handle(req);
   }
 
   telemetry::MetricRegistry registry;
@@ -292,6 +303,147 @@ TEST(SharedController, RateCapLandsOnTheCappedDevicesDatapath) {
   for (std::uint16_t port = 1; port <= capped_port; ++port) {
     EXPECT_EQ(home1.queue_counters(port, queue_id), nullptr) << "port " << port;
   }
+}
+
+/// Bytes of the flows the event export accounts: exact IPv4 source and
+/// destination, forwarded to a real port (service and drop rules excluded).
+std::int64_t forwarded_bytes(const ofp::FlowTable& table) {
+  std::int64_t bytes = 0;
+  table.for_each([&](const ofp::FlowEntry& e) {
+    if (e.match.nw_src_ignored_bits() > 0 ||
+        e.match.nw_dst_ignored_bits() > 0 ||
+        e.match.dl_type != static_cast<std::uint16_t>(net::EtherType::Ipv4)) {
+      return;
+    }
+    for (const ofp::Action& a : e.actions) {
+      const auto* out = std::get_if<ofp::ActionOutput>(&a);
+      if (out != nullptr && out->port < ofp::port_no(ofp::Port::Max)) {
+        bytes += static_cast<std::int64_t>(e.byte_count);
+        return;
+      }
+    }
+  });
+  return bytes;
+}
+
+TEST(SharedController, IdenticalHomesExportBothHomesFlowBytes) {
+  // Both homes carry the very same flows (same MACs, addresses and ports).
+  // Each home's counters are diffed against that home's previous poll, so
+  // the Flows table accounts every byte of both tables.
+  Street street(2);
+  street.loop.run_until(4500 * kMillisecond);
+
+  std::int64_t table_bytes = 0;
+  for (const nox::DatapathId dpid : street.dpids) {
+    const std::int64_t home =
+        forwarded_bytes(street.router.find_datapath(dpid)->table());
+    EXPECT_GT(home, 0) << "dpid " << dpid;
+    table_bytes += home;
+  }
+  auto rs = street.router.db().query("SELECT sum(bytes) FROM Flows");
+  ASSERT_TRUE(rs.ok()) << rs.error().message;
+  ASSERT_EQ(rs.value().rows.size(), 1u);
+  EXPECT_EQ(rs.value().rows[0][0].as_int(), table_bytes);
+}
+
+TEST(SharedController, EachResyncedDatapathGetsOneFlowStatsRequestPerPoll) {
+  // Every resync re-announces a datapath's join to the modules. The first
+  // home (the one whose channel the router exposes) gets an admin re-sync
+  // and then a cold restart; the export must still poll it once a second.
+  Street street(4);
+  street.restart_odd_homes(3200 * kMillisecond);
+  street.loop.schedule_at(3700 * kMillisecond,
+                          [&street] { street.router.datapath().restart(); });
+  std::size_t requests = 0;
+  street.router.connection().datapath_end().set_tap(
+      [&requests](const Bytes& m) {
+        auto env = ofp::decode(m);
+        if (!env.ok()) return;
+        const auto* req = std::get_if<ofp::StatsRequest>(&env.value().msg);
+        if (req != nullptr && req->type == ofp::StatsType::Flow) ++requests;
+      });
+  street.loop.run_until(4500 * kMillisecond);
+  requests = 0;
+  street.loop.run_until(7500 * kMillisecond);  // polls at 5, 6 and 7 s
+
+  EXPECT_EQ(requests, 3u);
+  EXPECT_EQ(street.homes_ok(), 4u);
+}
+
+TEST(SharedController, RestTagRestrictsOnlyThatHomesDevice) {
+  // Every home holds a device with MAC 1. A REST tag names no home, so it
+  // lands on the first home's device; a policy on that tag must restrict
+  // that device alone, in forwarding admission and in desired state.
+  Street street(2);
+  street.loop.run_until(1500 * kMillisecond);  // bound, no traffic yet
+  const MacAddress kid = MacAddress::from_index(1);
+  ASSERT_EQ(street.call("PUT", "/api/devices/" + kid.to_string() + "/metadata",
+                        R"({"tags": ["kids"]})")
+                .status,
+            200);
+  ASSERT_EQ(street.call("POST", "/api/policies",
+                        R"({"id": "kids-offline", "who": {"tags": ["kids"]},
+                            "block_network": true})")
+                .status,
+            201);
+
+  // Device 0 and device 1 of each home send each other three datagrams.
+  std::vector<int> received(street.hosts.size(), 0);
+  for (std::size_t i = 0; i < street.hosts.size(); ++i) {
+    street.hosts[i]->on_udp(7777, [&received, i](const net::ParsedPacket&) {
+      ++received[i];
+    });
+  }
+  street.loop.run_until(4 * kSecond);
+
+  const nox::DatapathId first = street.dpids[0];
+  const nox::DatapathId second = street.dpids[1];
+  EXPECT_EQ(street.attachments[0].dpid, first);
+  EXPECT_EQ(street.attachments[2].dpid, second);
+  EXPECT_EQ(received[0], 0) << "traffic reached the tagged device";
+  EXPECT_EQ(received[1], 0) << "the tagged device's traffic was forwarded";
+  EXPECT_EQ(received[2], 3) << "the second home's twin was restricted";
+  EXPECT_EQ(received[3], 3) << "the second home's twin was restricted";
+
+  const std::string block = "policy:block:src:" + kid.to_string();
+  reconcile::DesiredStore& desired = *street.router.desired_store();
+  EXPECT_EQ(desired.state(first).flows.count(block), 1u);
+  EXPECT_EQ(desired.state(second).flows.count(block), 0u);
+  EXPECT_EQ(street.router.policy().tags_of(first, kid),
+            std::vector<std::string>{"kids"});
+  EXPECT_TRUE(street.router.policy().tags_of(second, kid).empty());
+}
+
+TEST(SharedController, RestPermitActsOnTheHomeHoldingTheMac) {
+  // A MAC held only behind the second home: a REST permit names no home,
+  // so it must resolve to that home rather than the first.
+  Street street(2);
+  const nox::DatapathId first = street.dpids[0];
+  const nox::DatapathId second = street.dpids[1];
+  sim::Host& guest = street.add_device(second, MacAddress::from_index(0xcc));
+  street.loop.run_until(kSecond);
+  street.router.registry().set_state(second, guest.mac(), DeviceState::Denied,
+                                     street.loop.now());
+  guest.start_dhcp();
+  street.loop.run_for(kSecond);
+  ASSERT_FALSE(guest.ip().has_value());
+
+  const std::string mac_text = guest.mac().to_string();
+  const auto resp = street.call("POST", "/api/devices/" + mac_text + "/permit");
+  ASSERT_EQ(resp.status, 200);
+  EXPECT_EQ(resp.json_body().value()["state"].as_string(), "permitted");
+  const DeviceRecord* rec = street.router.registry().find(second, guest.mac());
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->state, DeviceState::Permitted);
+  EXPECT_EQ(street.router.registry().find(first, guest.mac()), nullptr);
+  reconcile::DesiredStore& desired = *street.router.desired_store();
+  EXPECT_EQ(desired.state(second).devices.at(mac_text).admission,
+            reconcile::DeviceIntent::Admission::Permitted);
+  EXPECT_EQ(desired.state(first).devices.count(mac_text), 0u);
+
+  guest.start_dhcp();
+  street.loop.run_for(2 * kSecond);
+  EXPECT_TRUE(guest.ip().has_value());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 
+#include "homework/dhcp_server.hpp"
 #include "homework/router.hpp"
 #include "hwdb/value.hpp"
 #include "sim/fault_injector.hpp"
@@ -87,6 +88,35 @@ TEST(SnapshotCodec, RejectsEverySingleByteFlip) {
   }
 }
 
+TEST(SnapshotCodec, RejectsFormatVersionTwo) {
+  // Format 3 dropped the policy layer's global tag section: a version-2
+  // image has a different PLCY layout and must not be read as format 3.
+  Writer w;
+  w.begin_chunk(tag("DATA")).u32(1);
+  w.end_chunk();
+  Bytes image = std::move(w).finish();
+  ASSERT_TRUE(Reader::parse(image).ok());
+  ASSERT_EQ(kFormatVersion, 3);
+  image[4] = 0;  // the header's u16 format version, after the magic
+  image[5] = 2;
+  auto r = Reader::parse(image);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("version"), std::string::npos)
+      << r.error().message;
+}
+
+TEST(SnapshotCodec, DhcpChunkWithoutVersionSentinelRejected) {
+  // A format-2 DHCP chunk led straight with its scope count.
+  homework::DeviceRegistry registry;
+  homework::DhcpServer dhcp({}, registry);
+  Writer w;
+  w.begin_chunk(tag("DHCP")).u32(0);
+  w.end_chunk();
+  auto image = Reader::parse(std::move(w).finish());
+  ASSERT_TRUE(image.ok()) << image.error().message;
+  EXPECT_FALSE(dhcp.restore(image.value()).ok());
+}
+
 TEST(SnapshotCodec, HelperDecodersFailCleanlyOnShortInput) {
   ByteWriter w;
   put_string(w, "abc");
@@ -122,7 +152,7 @@ struct Rig {
     doc.sites.kind = policy::SiteRuleKind::Block;
     doc.sites.domains = {"video.netflix.com"};
     router.policy().install(doc);
-    router.policy().set_tags("aa:bb", {"kids"});
+    router.policy().set_tags(router.datapath().id(), a->mac(), {"kids"});
   }
 
   static homework::HomeworkRouter::Config config() {
@@ -184,13 +214,14 @@ TEST(SnapshotCoordinator, CaptureRestoresEveryLayerIntoAFreshHome) {
   EXPECT_EQ(router2.datapath().table().size(), flows);
   EXPECT_EQ(router2.db().table("Metrics")->size(), metrics_rows);
   EXPECT_EQ(router2.registry().size(), first.router.registry().size());
-  const auto* rec = router2.registry().find(first.a->mac());
+  const nox::DatapathId dpid = router2.datapath().id();
+  const auto* rec = router2.registry().find(dpid, first.a->mac());
   ASSERT_NE(rec, nullptr);
   ASSERT_TRUE(rec->lease.has_value());
   EXPECT_EQ(rec->lease->ip, first.a->ip());
   ASSERT_EQ(router2.policy().policies().size(), 1u);
   EXPECT_EQ(router2.policy().policies()[0]->id, "no-video");
-  EXPECT_EQ(router2.policy().tags_of("aa:bb"),
+  EXPECT_EQ(router2.policy().tags_of(dpid, first.a->mac()),
             std::vector<std::string>{"kids"});
 
   // DHCP allocations survived: the same MAC discovering again gets the same
