@@ -49,8 +49,7 @@ class Database final : public snapshot::Snapshottable {
   void save(snapshot::Writer& w) const override;
   Status restore(const snapshot::Reader& r) override;
 
-  /// Creates a table with a fixed-capacity ring buffer. Fails if the name is
-  /// taken.
+  /// Creates a table over a bounded ring buffer. Fails if the name is taken.
   Status create_table(Schema schema, std::size_t capacity);
   [[nodiscard]] Table* table(const std::string& name);
   [[nodiscard]] const Table* table(const std::string& name) const;

@@ -48,8 +48,7 @@ Status Table::restore_rows(std::vector<Row> rows, std::uint64_t inserted,
                              ": row width mismatch");
     }
   }
-  rows_.clear();
-  for (Row& row : rows) rows_.push(std::move(row));
+  rows_.assign(std::move(rows));
   inserted_ = inserted;
   rows_.restore_evicted(evicted);
   return {};

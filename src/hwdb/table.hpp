@@ -1,4 +1,4 @@
-// hwdb tables: typed schemas over fixed-size circular buffers. "…an active
+// hwdb tables: typed schemas over bounded circular buffers. "…an active
 // ephemeral stream database which stores ephemeral events into a fixed size
 // memory buffer. It links events into tables…" (paper §2).
 #pragma once
@@ -64,9 +64,10 @@ class Table {
 
   void clear() { rows_.clear(); }
 
-  /// Snapshot restore: replaces the ring contents with `rows` (validated,
-  /// oldest first) and overwrites the inserted/evicted lifetime counters the
-  /// captured table reported. Fails — table untouched — on arity mismatch.
+  /// Snapshot restore: `rows` (validated, oldest first) become the ring's
+  /// storage rather than being copied into it, and the inserted/evicted
+  /// lifetime counters the captured table reported are overwritten. Fails —
+  /// table untouched — on arity mismatch.
   Status restore_rows(std::vector<Row> rows, std::uint64_t inserted,
                       std::uint64_t evicted);
 

@@ -39,14 +39,15 @@ Status ImageStore::put(std::uint64_t key,
   Entry entry;
   entry.captured_at = image.captured_at;
   entry.image_bytes = image.bytes.size();
-  reader.value().for_each_chunk([&](std::uint32_t tag, const Bytes& payload) {
-    const PoolKey pkey{tag, snapshot::crc32(payload),
-                       static_cast<std::uint32_t>(payload.size())};
+  for (const snapshot::Reader::Chunk& c : reader.value().chunks()) {
+    // parse() verified each chunk against its header CRC: key on that.
+    const PoolKey pkey{c.tag, c.crc,
+                       static_cast<std::uint32_t>(c.payload.size())};
     auto& bucket = pool_[pkey];
     PoolChunk* found = nullptr;
     if (config_.dedup) {
       for (auto& candidate : bucket) {
-        if (candidate->payload == payload) {
+        if (candidate->payload == c.payload) {
           found = candidate.get();
           break;
         }
@@ -55,12 +56,13 @@ Status ImageStore::put(std::uint64_t key,
     if (found == nullptr) {
       bucket.push_back(std::make_unique<PoolChunk>());
       found = bucket.back().get();
-      found->payload = payload;
-      stored_bytes_ += kChunkOverhead + payload.size();
+      found->payload = c.payload;
+      found->crc = c.crc;
+      stored_bytes_ += kChunkOverhead + c.payload.size();
     }
     ++found->refs;
-    entry.chunks.emplace_back(tag, found);
-  });
+    entry.chunks.emplace_back(c.tag, found);
+  }
   logical_bytes_ += entry.image_bytes;
   stored_bytes_ += kHeaderBytes;
   entries_.emplace(key, std::move(entry));
@@ -155,7 +157,7 @@ void ImageStore::release_chunks_locked(Entry& entry) {
   if (entry.spilled) return;  // chunks already released at spill time
   for (const auto& [tag, chunk] : entry.chunks) {
     if (--chunk->refs > 0) continue;
-    const PoolKey pkey{tag, snapshot::crc32(chunk->payload),
+    const PoolKey pkey{tag, chunk->crc,
                        static_cast<std::uint32_t>(chunk->payload.size())};
     auto pit = pool_.find(pkey);
     if (pit == pool_.end()) continue;

@@ -69,12 +69,16 @@ class ImageStore {
 
  private:
   /// Pooled chunk payload; refs counts how many stored images reference it.
+  /// crc is the payload's CRC32 as the image header carried it, kept so
+  /// the pool key is rebuilt on release without rehashing.
   struct PoolChunk {
     Bytes payload;
+    std::uint32_t crc = 0;
     std::size_t refs = 0;
   };
-  /// Pool key: (tag, CRC32, length). Collisions resolved by byte compare
-  /// against every pooled payload under the key.
+  /// Pool key: (tag, CRC32, length), the CRC32 being the one Reader::parse
+  /// verified. Collisions resolved by byte compare against every pooled
+  /// payload under the key.
   using PoolKey = std::array<std::uint32_t, 3>;
 
   struct Entry {

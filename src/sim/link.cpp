@@ -11,7 +11,7 @@ bool LinkChannel::send(const Bytes& frame) { return send(Bytes(frame)); }
 
 bool LinkChannel::send(Bytes&& frame) {
   if (sink_ == nullptr) return false;
-  if (in_flight_.size() >= config_.queue_limit) {
+  if (in_flight_.size() - in_flight_head_ >= config_.queue_limit) {
     metrics_.dropped_frames.inc();
     return false;
   }
@@ -33,14 +33,22 @@ bool LinkChannel::send(Bytes&& frame) {
 
   metrics_.tx_frames.inc();
   metrics_.tx_bytes.inc(frame.size());
+  // Drop the delivered prefix once it is no shorter than what is still in
+  // flight: each frame moves O(1) times and the slots are reused.
+  if (in_flight_head_ > 0 &&
+      in_flight_.size() - in_flight_head_ <= in_flight_head_) {
+    in_flight_.erase(
+        in_flight_.begin(),
+        in_flight_.begin() + static_cast<std::ptrdiff_t>(in_flight_head_));
+    in_flight_head_ = 0;
+  }
   // Arrivals never decrease (busy_until_ only grows, latency is fixed) and
   // same-time events run in scheduling order, so each delivery event takes
   // the oldest frame in flight. The event captures only `this`, which fits
   // std::function's inline buffer: a hop allocates nothing beyond the frame.
   in_flight_.push_back(std::move(frame));
   loop_.schedule_at(arrival, [this] {
-    const Bytes delivered = std::move(in_flight_.front());
-    in_flight_.pop_front();
+    const Bytes delivered = std::move(in_flight_[in_flight_head_++]);
     if (sink_ != nullptr) sink_->deliver(delivered);
   });
   return true;

@@ -2,10 +2,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sim/event_loop.hpp"
 #include "telemetry/metrics.hpp"
@@ -74,8 +74,11 @@ class LinkChannel : public FrameSink {
   FrameSink* sink_ = nullptr;
   Instruments metrics_;
   Timestamp busy_until_ = 0;
-  /// Frames on the wire, oldest first: delivered in arrival order.
-  std::deque<Bytes> in_flight_;
+  /// Frames on the wire, oldest first from in_flight_head_: delivered in
+  /// arrival order. The vector is compacted once the delivered prefix
+  /// outgrows the rest, so a steady hop reuses its slots.
+  std::vector<Bytes> in_flight_;
+  std::size_t in_flight_head_ = 0;
 };
 
 /// Full-duplex link: two channels plus convenience wiring.

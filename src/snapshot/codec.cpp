@@ -6,26 +6,50 @@
 namespace hw::snapshot {
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: kCrcTables[0] is the bytewise IEEE table, and
+/// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+/// bytes fold into the CRC with eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : data) {
-    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
@@ -74,24 +98,29 @@ void Writer::end_chunk() {
 
 Bytes Writer::finish() && {
   assert(!in_chunk_ && "finish with an open chunk");
-  // Payload: every chunk framed as tag / length / crc / bytes.
-  ByteWriter payload;
-  for (const Chunk& c : chunks_) {
-    payload.u32(c.tag);
-    payload.u32(static_cast<std::uint32_t>(c.payload.size()));
-    payload.u32(crc32(c.payload));
-    payload.raw(c.payload);
-  }
-  const Bytes body = std::move(payload).take();
+  std::size_t body_size = 0;
+  for (const Chunk& c : chunks_) body_size += 12 + c.payload.size();
 
-  ByteWriter image(20 + body.size());
+  // Header (magic / version / chunk count / body size / body CRC), then
+  // every chunk framed as tag / length / crc / bytes straight into the
+  // image; the body CRC is patched in over the finished span.
+  constexpr std::size_t kHeaderSize = 16;
+  ByteWriter image(kHeaderSize + body_size);
   image.u32(kMagic);
   image.u16(kFormatVersion);
   image.u16(static_cast<std::uint16_t>(chunks_.size()));
-  image.u32(static_cast<std::uint32_t>(body.size()));
-  image.u32(crc32(body));
-  image.raw(body);
-  return std::move(image).take();
+  image.u32(static_cast<std::uint32_t>(body_size));
+  image.u32(0);  // body CRC, patched below
+  for (const Chunk& c : chunks_) {
+    image.u32(c.tag);
+    image.u32(static_cast<std::uint32_t>(c.payload.size()));
+    image.u32(crc32(c.payload));
+    image.raw(c.payload);
+  }
+  Bytes out = std::move(image).take();
+  store_be32(out.data() + kHeaderSize - 4,
+             crc32(std::span<const std::uint8_t>(out).subspan(kHeaderSize)));
+  return out;
 }
 
 Result<Reader> Reader::parse(std::span<const std::uint8_t> image) {
@@ -133,8 +162,8 @@ Result<Reader> Reader::parse(std::span<const std::uint8_t> image) {
     if (crc32(chunk_payload.value()) != crc.value()) {
       return make_error("snapshot: chunk checksum mismatch");
     }
-    out.chunks_.push_back(
-        Chunk{chunk_tag.value(), std::move(chunk_payload).take()});
+    out.chunks_.push_back(Chunk{chunk_tag.value(),
+                                std::move(chunk_payload).take(), crc.value()});
   }
   if (!chunks.empty()) {
     return make_error("snapshot: trailing bytes after last chunk");

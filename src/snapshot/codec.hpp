@@ -1,4 +1,4 @@
-// Chunked-TLV binary snapshot container. A snapshot is a 20-byte header
+// Chunked-TLV binary snapshot container. A snapshot is a 16-byte header
 // (magic 'HWSN', format version, chunk count, payload size, CRC32 of the
 // whole payload) followed by chunks: tag (fourcc), length, CRC32 of the
 // chunk payload, payload bytes. The whole-payload CRC guarantees any
@@ -88,6 +88,16 @@ class Reader {
   [[nodiscard]] std::vector<const Bytes*> find_all(
       std::uint32_t chunk_tag) const;
   [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
+
+  /// One verified chunk: its payload and the CRC32 its header carried (and
+  /// parse() checked), so a consumer keying on content need not rehash it.
+  struct Chunk {
+    std::uint32_t tag = 0;
+    Bytes payload;
+    std::uint32_t crc = 0;
+  };
+  /// Every chunk in image order.
+  [[nodiscard]] const std::vector<Chunk>& chunks() const { return chunks_; }
   /// Visits every chunk in image order. The encoding is canonical — header
   /// fields are pure functions of the chunk sequence — so re-emitting the
   /// visited chunks through a Writer reproduces the image bit-exactly
@@ -96,10 +106,6 @@ class Reader {
       const std::function<void(std::uint32_t, const Bytes&)>& fn) const;
 
  private:
-  struct Chunk {
-    std::uint32_t tag = 0;
-    Bytes payload;
-  };
   std::vector<Chunk> chunks_;
 };
 

@@ -1,7 +1,7 @@
 #include "util/addr.hpp"
 
+#include <array>
 #include <charconv>
-#include <cstdio>
 
 namespace hw {
 namespace {
@@ -12,6 +12,28 @@ int hex_digit(char c) {
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   return -1;
 }
+
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+/// Decimal text of every octet value: digits and their count, so a dotted
+/// quad is written with four table copies instead of a format parse.
+struct DecimalOctet {
+  char digits[3];
+  std::uint8_t len;
+};
+
+constexpr std::array<DecimalOctet, 256> make_decimal_octets() {
+  std::array<DecimalOctet, 256> table{};
+  for (unsigned v = 0; v < 256; ++v) {
+    DecimalOctet& d = table[v];
+    if (v >= 100) d.digits[d.len++] = static_cast<char>('0' + v / 100);
+    if (v >= 10) d.digits[d.len++] = static_cast<char>('0' + v / 10 % 10);
+    d.digits[d.len++] = static_cast<char>('0' + v % 10);
+  }
+  return table;
+}
+
+constexpr std::array<DecimalOctet, 256> kDecimalOctets = make_decimal_octets();
 
 }  // namespace
 
@@ -39,10 +61,12 @@ MacAddress MacAddress::from_index(std::uint32_t index) {
 }
 
 std::string MacAddress::to_string() const {
-  char buf[18];
-  std::snprintf(buf, sizeof buf, "%02x:%02x:%02x:%02x:%02x:%02x", octets_[0],
-                octets_[1], octets_[2], octets_[3], octets_[4], octets_[5]);
-  return buf;
+  std::string out(17, ':');
+  for (std::size_t i = 0; i < 6; ++i) {
+    out[i * 3] = kHexDigits[octets_[i] >> 4];
+    out[i * 3 + 1] = kHexDigits[octets_[i] & 0xf];
+  }
+  return out;
 }
 
 Result<Ipv4Address> Ipv4Address::parse(std::string_view text) {
@@ -65,10 +89,14 @@ Result<Ipv4Address> Ipv4Address::parse(std::string_view text) {
 }
 
 std::string Ipv4Address::to_string() const {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", value_ >> 24, (value_ >> 16) & 0xff,
-                (value_ >> 8) & 0xff, value_ & 0xff);
-  return buf;
+  char buf[15];
+  std::size_t len = 0;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    const DecimalOctet& d = kDecimalOctets[(value_ >> shift) & 0xff];
+    for (std::uint8_t i = 0; i < d.len; ++i) buf[len++] = d.digits[i];
+    if (shift > 0) buf[len++] = '.';
+  }
+  return std::string(buf, len);
 }
 
 bool Ipv4Address::same_subnet(Ipv4Address other, int prefix_len) const {

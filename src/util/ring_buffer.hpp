@@ -1,40 +1,49 @@
-// Fixed-capacity overwriting ring buffer: the storage discipline of hwdb's
-// "active ephemeral stream database ... fixed size memory buffer" (paper §2).
+// Bounded overwriting ring buffer: the storage discipline of hwdb's "active
+// ephemeral stream database ... fixed size memory buffer" (paper §2). The
+// capacity bounds what the ring holds; storage grows to it as rows arrive.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 namespace hw {
 
 /// Oldest entries are overwritten once capacity is reached. Iteration visits
-/// entries oldest-first. Never allocates after construction.
+/// entries oldest-first. Storage grows geometrically up to the capacity, never
+/// past it, and the ring never allocates once full.
 template <typename T>
 class RingBuffer {
  public:
-  explicit RingBuffer(std::size_t capacity) : buf_(capacity) {
+  explicit RingBuffer(std::size_t capacity) : cap_(capacity) {
     assert(capacity > 0 && "ring buffer needs nonzero capacity");
   }
 
   /// Inserts, overwriting the oldest entry when full. Returns true if an old
   /// entry was evicted.
   bool push(T value) {
-    const bool evicting = size_ == buf_.size();
-    buf_[head_] = std::move(value);
-    head_ = (head_ + 1) % buf_.size();
-    if (evicting) {
-      tail_ = head_;
-      ++evicted_;
-    } else {
+    if (size_ < cap_) {
+      // Not full: the entries sit at [0, size_) in order, so append.
+      if (buf_.size() == buf_.capacity()) {
+        buf_.reserve(std::min(cap_, std::max<std::size_t>(16, 2 * size_)));
+      }
+      buf_.push_back(std::move(value));
       ++size_;
+      head_ = size_ == cap_ ? 0 : size_;
+      return false;
     }
-    return evicting;
+    buf_[head_] = std::move(value);
+    head_ = head_ + 1 == cap_ ? 0 : head_ + 1;
+    tail_ = head_;
+    ++evicted_;
+    return true;
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return buf_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return cap_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   /// Total entries overwritten since construction (hwdb exposes this so
   /// clients can detect data loss in long windows).
@@ -43,18 +52,38 @@ class RingBuffer {
   /// Element `i` counting from the oldest (0) to the newest (size()-1).
   [[nodiscard]] const T& at(std::size_t i) const {
     assert(i < size_);
-    return buf_[(tail_ + i) % buf_.size()];
+    const std::size_t slot = tail_ + i;
+    return buf_[slot < cap_ ? slot : slot - cap_];
   }
 
   [[nodiscard]] const T& newest() const { return at(size_ - 1); }
   [[nodiscard]] const T& oldest() const { return at(0); }
 
+  /// Destroys every entry; the storage is kept for the next fill.
   void clear() {
+    buf_.clear();
     head_ = tail_ = size_ = 0;
   }
 
-  /// Snapshot-restore only: overwrites the eviction count after a clear()
-  /// plus refill reproduced the buffer's contents.
+  /// Snapshot restore: takes `entries` (oldest first) as the ring's storage
+  /// instead of copying them in. Beyond capacity the oldest are dropped and
+  /// counted as evicted, as pushing them one by one would.
+  void assign(std::vector<T>&& entries) {
+    if (entries.size() > cap_) {
+      const std::size_t excess = entries.size() - cap_;
+      entries.erase(entries.begin(),
+                    entries.begin() + static_cast<std::ptrdiff_t>(excess));
+      evicted_ += excess;
+    }
+    if (entries.capacity() > cap_) entries.shrink_to_fit();
+    buf_ = std::move(entries);
+    size_ = buf_.size();
+    head_ = size_ % cap_;
+    tail_ = 0;
+  }
+
+  /// Snapshot-restore only: overwrites the eviction count after assign()
+  /// reproduced the buffer's contents.
   void restore_evicted(std::uint64_t n) { evicted_ = n; }
 
   /// Visits entries oldest-first; stops early if `fn` returns false.
@@ -76,8 +105,9 @@ class RingBuffer {
   }
 
  private:
-  std::vector<T> buf_;
-  std::size_t head_ = 0;  // next write slot
+  std::vector<T> buf_;  // [0, size_) in order until full, then cap_ slots
+  std::size_t cap_;
+  std::size_t head_ = 0;  // next write slot once full
   std::size_t tail_ = 0;  // oldest element
   std::size_t size_ = 0;
   std::uint64_t evicted_ = 0;

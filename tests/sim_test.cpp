@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <functional>
+#include <new>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,6 +23,24 @@
 #include "sim/stream.hpp"
 #include "sim/trace.hpp"
 #include "sim/wireless.hpp"
+
+// Calls to operator new while counting is on: the steady-hop test proves a
+// link in steady state reuses its in-flight slots.
+static bool g_count_allocs = false;
+static std::size_t g_alloc_calls = 0;
+
+// The free() calls pair with the malloc() in the replacement operator new;
+// GCC cannot see that and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (g_count_allocs) ++g_alloc_calls;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace hw::sim {
 namespace {
@@ -351,6 +371,31 @@ TEST(Link, LossProbabilityDrops) {
   EXPECT_GT(sink.frames.size(), 350u);
   EXPECT_LT(sink.frames.size(), 650u);
   EXPECT_EQ(sink.frames.size() + link.stats().dropped_frames.value(), 1000u);
+}
+
+TEST(Link, SteadyHopAllocatesNothingAfterWarmUp) {
+  EventLoop loop;
+  LinkChannel link(loop, {});
+  std::size_t delivered = 0;
+  CallbackSink sink([&](const Bytes&) { ++delivered; });
+  link.connect(&sink);
+  // Frames are built up front: the hop itself is what is measured.
+  constexpr int kWarmUp = 64;
+  constexpr int kRounds = 1000;
+  constexpr int kPerRound = 4;
+  std::vector<Bytes> frames((kWarmUp + kRounds) * kPerRound, Bytes(64, 1));
+  std::size_t next = 0;
+  auto round = [&] {
+    for (int i = 0; i < kPerRound; ++i) link.send(std::move(frames[next++]));
+    loop.run_all();
+  };
+  for (int i = 0; i < kWarmUp; ++i) round();
+  g_alloc_calls = 0;
+  g_count_allocs = true;
+  for (int i = 0; i < kRounds; ++i) round();
+  g_count_allocs = false;
+  EXPECT_EQ(g_alloc_calls, 0u);
+  EXPECT_EQ(delivered, frames.size());
 }
 
 TEST(Link, NoSinkMeansNoDelivery) {

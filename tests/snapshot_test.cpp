@@ -16,6 +16,7 @@
 #include "snapshot/codec.hpp"
 #include "snapshot/coordinator.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/rand.hpp"
 
 namespace hw::snapshot {
 namespace {
@@ -56,6 +57,69 @@ TEST(SnapshotCodec, RoundTripMultiChunk) {
 
   // Unknown tags read as absent, never as an error.
   EXPECT_EQ(r.value().find(tag("ZZZZ")), nullptr);
+}
+
+/// The bytewise table loop crc32 used before the slicing-by-8 kernel: the
+/// oracle the kernel must agree with on every length and alignment.
+std::uint32_t bytewise_crc32(std::span<const std::uint8_t> data) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotCrc, CheckValue) {
+  const std::string check = "123456789";
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
+  EXPECT_EQ(crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(bytewise_crc32(bytes), 0xCBF43926u);
+}
+
+TEST(SnapshotCrc, MatchesBytewiseAtEveryLengthAndOffset) {
+  Rng rng(26);
+  Bytes buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const auto part = all.subspan(offset, len);
+      ASSERT_EQ(crc32(part), bytewise_crc32(part))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(SnapshotCrc, MatchesBytewiseOnRandomBuffers) {
+  Rng rng(9003);
+  for (int i = 0; i < 1000; ++i) {
+    Bytes buf(rng.uniform(4096));
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+    ASSERT_EQ(crc32(buf), bytewise_crc32(buf)) << "buffer " << i;
+  }
+}
+
+TEST(SnapshotCodec, ReaderKeepsEachChunksVerifiedCrc) {
+  Writer w;
+  put_string(w.begin_chunk(tag("AAAA")), "first");
+  w.end_chunk();
+  w.begin_chunk(tag("BBBB")).u64(42);
+  w.end_chunk();
+  auto r = Reader::parse(std::move(w).finish());
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  ASSERT_EQ(r.value().chunks().size(), 2u);
+  for (const Reader::Chunk& c : r.value().chunks()) {
+    EXPECT_EQ(c.crc, crc32(c.payload));
+  }
 }
 
 TEST(SnapshotCodec, RejectsEveryTruncation) {

@@ -1,6 +1,14 @@
 // Unit tests for the util layer: wire codecs, addresses, containers, JSON.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+#include <vector>
+
 #include "util/addr.hpp"
 #include "util/bytes.hpp"
 #include "util/json.hpp"
@@ -9,6 +17,29 @@
 #include "util/ring_buffer.hpp"
 #include "util/strings.hpp"
 #include "util/token_bucket.hpp"
+
+// Calls to operator new, and the largest request, while counting is on: the
+// grown-ring test bounds what a ring may reserve and proves a full ring
+// pushes without allocating.
+static bool g_count_allocs = false;
+static std::size_t g_alloc_calls = 0;
+static std::size_t g_alloc_max_bytes = 0;
+
+// The free() calls pair with the malloc() in the replacement operator new;
+// GCC cannot see that and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (g_count_allocs) {
+    ++g_alloc_calls;
+    g_alloc_max_bytes = std::max(g_alloc_max_bytes, n);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace hw {
 namespace {
@@ -120,6 +151,46 @@ TEST(MacAddress, ToU64PacksOctetsIntoLow48Bits) {
             0xaabbccddeef0u);
 }
 
+TEST(MacAddress, EveryOctetInEveryPositionRoundTrips) {
+  for (std::size_t pos = 0; pos < 6; ++pos) {
+    for (unsigned v = 0; v < 256; ++v) {
+      std::array<std::uint8_t, 6> octets{};
+      for (std::size_t i = 0; i < 6; ++i) {
+        octets[i] = static_cast<std::uint8_t>(i == pos ? v : v * 7 + i);
+      }
+      const MacAddress mac{octets};
+      char want[18];
+      std::snprintf(want, sizeof want, "%02x:%02x:%02x:%02x:%02x:%02x",
+                    octets[0], octets[1], octets[2], octets[3], octets[4],
+                    octets[5]);
+      const std::string text = mac.to_string();
+      EXPECT_EQ(text, want);
+      auto back = MacAddress::parse(text);
+      ASSERT_TRUE(back.ok()) << text;
+      EXPECT_EQ(back.value(), mac) << text;
+    }
+  }
+}
+
+TEST(Ipv4Address, EveryOctetInEveryPositionRoundTrips) {
+  for (int pos = 0; pos < 4; ++pos) {
+    for (unsigned v = 0; v < 256; ++v) {
+      std::uint8_t o[4];
+      for (int i = 0; i < 4; ++i) {
+        o[i] = static_cast<std::uint8_t>(i == pos ? v : v * 13 + 3 * i);
+      }
+      const Ipv4Address ip{o[0], o[1], o[2], o[3]};
+      char want[16];
+      std::snprintf(want, sizeof want, "%u.%u.%u.%u", o[0], o[1], o[2], o[3]);
+      const std::string text = ip.to_string();
+      EXPECT_EQ(text, want);
+      auto back = Ipv4Address::parse(text);
+      ASSERT_TRUE(back.ok()) << text;
+      EXPECT_EQ(back.value(), ip) << text;
+    }
+  }
+}
+
 TEST(Ipv4Address, ParseAndFormat) {
   auto ip = Ipv4Address::parse("192.168.1.42");
   ASSERT_TRUE(ip.ok());
@@ -199,6 +270,140 @@ TEST(RingBuffer, ConstantMemory) {
   EXPECT_EQ(ring.capacity(), 16u);
   EXPECT_EQ(ring.evicted(), 100000u - 16);
   EXPECT_EQ(ring.newest(), 99999);
+}
+
+/// The ring as it was before storage grew with its rows: every slot value-
+/// initialised up front. Kept as the oracle for the grown ring; assign() is
+/// what snapshot restore used to do, clear() then push each entry.
+template <typename T>
+class PreallocatedRing {
+ public:
+  explicit PreallocatedRing(std::size_t capacity) : buf_(capacity) {}
+
+  bool push(T value) {
+    const bool evicting = size_ == buf_.size();
+    buf_[head_] = std::move(value);
+    head_ = (head_ + 1) % buf_.size();
+    if (evicting) {
+      tail_ = head_;
+      ++evicted_;
+    } else {
+      ++size_;
+    }
+    return evicting;
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::uint64_t evicted() const { return evicted_; }
+  [[nodiscard]] const T& at(std::size_t i) const {
+    return buf_[(tail_ + i) % buf_.size()];
+  }
+  void clear() { head_ = tail_ = size_ = 0; }
+  void assign(std::vector<T> entries) {
+    clear();
+    for (T& e : entries) push(std::move(e));
+  }
+  void restore_evicted(std::uint64_t n) { evicted_ = n; }
+
+ private:
+  std::vector<T> buf_;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
+  std::size_t size_ = 0;
+  std::uint64_t evicted_ = 0;
+};
+
+template <typename T>
+void expect_same_ring(const RingBuffer<T>& grown,
+                      const PreallocatedRing<T>& oracle) {
+  ASSERT_EQ(grown.size(), oracle.size());
+  ASSERT_EQ(grown.evicted(), oracle.evicted());
+  ASSERT_EQ(grown.empty(), oracle.size() == 0);
+  std::vector<T> want;
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    ASSERT_EQ(grown.at(i), oracle.at(i)) << "at(" << i << ")";
+    want.push_back(oracle.at(i));
+  }
+  std::vector<T> fwd;
+  grown.for_each([&](const T& v) {
+    fwd.push_back(v);
+    return true;
+  });
+  EXPECT_EQ(fwd, want);
+  std::vector<T> rev;
+  grown.for_each_newest_first([&](const T& v) {
+    rev.push_back(v);
+    return true;
+  });
+  std::reverse(want.begin(), want.end());
+  EXPECT_EQ(rev, want);
+}
+
+TEST(RingBuffer, GrownRingMatchesPreallocatedOracle) {
+  for (const std::size_t cap : {std::size_t{1}, std::size_t{3},
+                                std::size_t{1000}, std::size_t{65537}}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    Rng rng(0x5eed0000u + cap);
+    RingBuffer<int> grown(cap);
+    PreallocatedRing<int> oracle(cap);
+    int next = 0;
+    std::size_t full_pushes = 0;
+    const int steps = cap > 10'000 ? 40 : 120;
+    for (int step = 0; step < steps; ++step) {
+      const std::uint64_t op = rng.uniform(100);
+      if (op < 70) {
+        // A burst of pushes, long enough to wrap the ring now and then.
+        const std::uint64_t burst = 1 + rng.uniform(2 * cap + 2);
+        for (std::uint64_t i = 0; i < burst; ++i, ++next) {
+          const bool full = grown.size() == cap;
+          g_alloc_calls = 0;
+          g_alloc_max_bytes = 0;
+          g_count_allocs = true;
+          const bool evicted = grown.push(next);
+          g_count_allocs = false;
+          ASSERT_EQ(evicted, oracle.push(next)) << "push " << next;
+          ASSERT_LE(g_alloc_max_bytes, cap * sizeof(int));
+          if (full) {
+            ASSERT_EQ(g_alloc_calls, 0u) << "full ring allocated";
+            ++full_pushes;
+          }
+        }
+      } else if (op < 80) {
+        grown.clear();
+        oracle.clear();
+      } else if (op < 95) {
+        // Snapshot restore, sometimes with more entries than the ring holds.
+        const std::uint64_t n = rng.uniform(cap + cap / 2 + 2);
+        std::vector<int> entries;
+        entries.reserve(n);
+        for (std::uint64_t i = 0; i < n; ++i) entries.push_back(next++);
+        oracle.assign(entries);
+        g_alloc_max_bytes = 0;
+        g_count_allocs = true;
+        grown.assign(std::move(entries));
+        g_count_allocs = false;
+        ASSERT_LE(g_alloc_max_bytes, cap * sizeof(int));
+      } else {
+        const std::uint64_t n = rng.uniform(1'000'000);
+        grown.restore_evicted(n);
+        oracle.restore_evicted(n);
+      }
+      ASSERT_EQ(grown.capacity(), cap);
+      expect_same_ring(grown, oracle);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(full_pushes, 0u) << "the sequence never wrapped the ring";
+  }
+}
+
+TEST(RingBuffer, ClearDestroysEntries) {
+  auto tracked = std::make_shared<int>(7);
+  RingBuffer<std::shared_ptr<int>> ring(8);
+  ring.push(tracked);
+  ring.push(tracked);
+  EXPECT_EQ(tracked.use_count(), 3);
+  ring.clear();
+  EXPECT_EQ(tracked.use_count(), 1);
+  EXPECT_TRUE(ring.empty());
 }
 
 // ---------------------------------------------------------------------------
