@@ -18,6 +18,8 @@ constexpr std::string_view kLog = "live";
 constexpr std::uint32_t kRngTag = snapshot::tag("RNGS");
 constexpr std::uint32_t kDriverTag = snapshot::tag("LDRV");
 constexpr Duration kBootSettle = homework::HomeworkRouter::kBootSettle;
+/// Plan entry of an instrument that is no scalar series (a histogram).
+constexpr std::uint32_t kNoSeries = ~std::uint32_t{0};
 
 /// Smallest phase + k * period strictly after `now` — re-arms a restored
 /// home's periodic drivers on the same absolute grid the first life used.
@@ -114,6 +116,13 @@ struct LiveFleet::Home {
   std::optional<Gauges> gauges;
 
   std::optional<snapshot::SnapshotImage> capture_out;
+
+  /// Series id of each registry instrument, in visit (attach) order, for
+  /// the registry generation it was built at; plan_width is the largest id
+  /// plus one.
+  std::vector<std::uint32_t> plan;
+  std::uint64_t plan_generation = ~std::uint64_t{0};
+  std::size_t plan_width = 0;
 };
 
 LiveFleet::LiveFleet(LiveConfig config, telemetry::MetricRegistry& metrics)
@@ -367,8 +376,12 @@ void LiveFleet::build_home(std::size_t id,
   } else {
     // The resume recipe: state layers, lease adoption, a 1 ms drain for
     // boot-era in-flight frames, then the telemetry layer so restored
-    // counters erase the boot's side effects.
-    const Status restored = snaps.restore(*resume);
+    // counters erase the boot's side effects. One parse verifies every byte
+    // and both restore passes read it; a corrupt image takes the span
+    // overload, which counts the rejection.
+    auto reader = snapshot::Reader::parse(resume->bytes);
+    const Status restored = reader ? snaps.restore(reader.value())
+                                   : snaps.restore(resume->bytes);
     if (!restored.ok()) {
       h->error = restored.error().message;
       homes_[id] = std::move(h);
@@ -378,7 +391,7 @@ void LiveFleet::build_home(std::size_t id,
     if (config_.run_apps) h->scenario->start_apps_all();
     h->scenario->loop().run_for(kMillisecond);
     snaps.add_layer("telemetry", h->tele_layer.get());
-    if (auto s = snaps.restore_layers(resume->bytes, {"telemetry"});
+    if (auto s = snaps.restore_layers(reader.value(), {"telemetry"});
         !s.ok()) {
       h->error = s.error().message;
     }
@@ -436,6 +449,8 @@ void LiveFleet::start() {
     now_ = kBootSettle;
     resident_peak_ = homes_.size();
   }
+  resident_values_.resize(config_.homes);
+  view_fresh_ = false;
   started_ = true;
 }
 
@@ -499,6 +514,8 @@ Status LiveFleet::resume(const FleetCheckpoint& cp,
     }
   }
   metrics_.resumes.inc();
+  resident_values_.resize(config_.homes);
+  view_fresh_ = false;
   started_ = true;
   return Status::success();
 }
@@ -541,6 +558,7 @@ bool LiveFleet::checkpoint_pending_at(Timestamp barrier) const {
 
 Timestamp LiveFleet::step() {
   const Timestamp barrier = next_barrier();
+  view_fresh_ = false;
 
   // Ingest the inbox. Checkpoints are ordered first and land on the aligned
   // capture grid; a mutation must never share a barrier with a capture —
@@ -722,17 +740,21 @@ Timestamp LiveFleet::step() {
   }
   std::sort(due.begin(), due.end(),
             [](const Mutation& a, const Mutation& b) { return a.id < b.id; });
-  run_on_workers([this, barrier, &due](std::size_t w) {
-    for (std::size_t i = w; i < homes_.size(); i += nthreads_) {
-      if (homes_[i] == nullptr) continue;  // hibernated: no mutation targets it
-      Home& h = *homes_[i];
-      telemetry::ScopedMetricRegistry scope(h.registry);
-      for (const Mutation& m : due) {
-        if (m.home == kAllHomes || m.home == h.id) apply_mutation(h, m);
+  // With nothing applied and no capture taken, every loop already stands
+  // drained at the barrier: the handoff would only re-run run_until.
+  if (!due.empty() || capture_mutation) {
+    run_on_workers([this, barrier, &due](std::size_t w) {
+      for (std::size_t i = w; i < homes_.size(); i += nthreads_) {
+        if (homes_[i] == nullptr) continue;  // hibernated: nothing targets it
+        Home& h = *homes_[i];
+        telemetry::ScopedMetricRegistry scope(h.registry);
+        for (const Mutation& m : due) {
+          if (m.home == kAllHomes || m.home == h.id) apply_mutation(h, m);
+        }
+        h.scenario->loop().run_until(barrier);
       }
-      h.scenario->loop().run_until(barrier);
-    }
-  });
+    });
+  }
 
   // Hibernation pass, only on the capture-aligned grid: due Hibernate verbs
   // plus the policy's deterministic eviction selection.
@@ -798,8 +820,7 @@ void LiveFleet::hibernate_on_worker(std::size_t id, std::uint64_t capture_id) {
         capture_id, static_cast<std::uint32_t>(id),
         static_cast<std::uint32_t>(homes_.size())};
     out.image = h.scenario->router().snapshots().capture();
-    out.frozen.scalars = h.registry.scalars();
-    h.registry.add_scalars(out.frozen.exact, /*exact_only=*/true);
+    flatten(h, out.frozen.values);
     for (const auto& d : h.scenario->devices()) {
       out.frozen.device_macs[d.name] = d.host->mac().to_string();
     }
@@ -839,6 +860,7 @@ void LiveFleet::finish_wake(std::size_t id, Timestamp barrier) {
 
 void LiveFleet::refresh_telemetry() {
   if (!started_) return;
+  view_fresh_ = false;
   const Timestamp at = now_;
   std::vector<std::uint8_t> wake(homes_.size(), 0);
   bool any = false;
@@ -967,63 +989,130 @@ void LiveFleet::update_gauges(Home& h) {
   h.gauges->block_drops.set(static_cast<std::int64_t>(block_drops));
 }
 
-std::map<std::string, double> LiveFleet::merged(bool exact_only) const {
+void LiveFleet::flatten(Home& h, SeriesValues& out) const {
+  const std::uint64_t generation = h.registry.generation();
+  if (generation != h.plan_generation) {
+    h.plan.clear();
+    h.plan_width = 0;
+    std::lock_guard<std::mutex> lock(intern_mu_);
+    h.registry.visit([&](const telemetry::Instrument& i) {
+      if (i.kind() == telemetry::MetricKind::Histogram) {
+        h.plan.push_back(kNoSeries);
+        return;
+      }
+      const auto [it, added] = ids_.try_emplace(
+          i.name(), static_cast<std::uint32_t>(names_.size()));
+      if (added) names_.push_back(i.name());
+      h.plan.push_back(it->second);
+      h.plan_width = std::max<std::size_t>(h.plan_width, it->second + 1);
+    });
+    h.plan_generation = generation;
+  }
+  out.value.assign(h.plan_width, 0.0);
+  out.flags.assign(h.plan_width, 0);
+  std::size_t k = 0;
+  h.registry.visit([&](const telemetry::Instrument& i) {
+    const std::uint32_t id = h.plan[k++];
+    if (id == kNoSeries) return;
+    out.value[id] +=
+        i.kind() == telemetry::MetricKind::Counter
+            ? static_cast<double>(
+                  static_cast<const telemetry::Counter&>(i).value())
+            : static_cast<double>(
+                  static_cast<const telemetry::Gauge&>(i).value());
+    out.flags[id] |= SeriesValues::kPresent;
+    if (i.determinism() == telemetry::Determinism::Exact) {
+      out.flags[id] |= SeriesValues::kExact;
+    }
+  });
+}
+
+void LiveFleet::build_view() const {
+  if (view_fresh_) return;
+  view_fresh_ = true;
+  for (std::size_t i = 0; i < homes_.size(); ++i) {
+    if (homes_[i] != nullptr) flatten(*homes_[i], resident_values_[i]);
+  }
+  if (order_.size() != names_.size()) {
+    order_.resize(names_.size());
+    for (std::uint32_t id = 0; id < order_.size(); ++id) order_[id] = id;
+    std::sort(order_.begin(), order_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return names_[a] < names_[b];
+              });
+  }
   // Merge in home-id order: fixed accumulation order keeps the totals
   // bit-identical at any thread count.
-  std::map<std::string, double> out;
+  merged_.value.assign(names_.size(), 0.0);
+  merged_.flags.assign(names_.size(), 0);
   for (std::size_t i = 0; i < homes_.size(); ++i) {
-    if (homes_[i] != nullptr) {
-      homes_[i]->registry.add_scalars(out, exact_only);
-    } else if (frozen_[i]) {
-      // Hibernated: the telemetry frozen at hibernation time stands in
-      // until the home pages back (refresh_telemetry() brings it current).
-      for (const auto& [name, value] :
-           exact_only ? frozen_[i]->exact : frozen_[i]->scalars) {
-        out[name] += value;
-      }
+    const SeriesValues& home = home_view(i);
+    for (std::size_t id = 0; id < home.flags.size(); ++id) {
+      if (home.flags[id] == 0) continue;
+      merged_.value[id] += home.value[id];
+      merged_.flags[id] |= home.flags[id];
+    }
+  }
+}
+
+const LiveFleet::SeriesValues& LiveFleet::home_view(std::size_t home) const {
+  static const SeriesValues kEmpty;
+  if (home >= homes_.size()) return kEmpty;
+  if (homes_[home] != nullptr) return resident_values_[home];
+  // Hibernated: the view frozen at hibernation time stands in until the
+  // home pages back (refresh_telemetry() brings it current).
+  return frozen_[home] ? frozen_[home]->values : kEmpty;
+}
+
+const LiveFleet::SeriesValues& LiveFleet::series(std::uint32_t home) const {
+  build_view();
+  return home == kAllHomes ? merged_ : home_view(home);
+}
+
+const std::vector<std::uint32_t>& LiveFleet::series_order() const {
+  build_view();
+  return order_;
+}
+
+const telemetry::MetricRegistry* LiveFleet::registry(
+    std::uint32_t home) const {
+  return home < homes_.size() && homes_[home] != nullptr
+             ? &homes_[home]->registry
+             : nullptr;
+}
+
+std::map<std::string, double> LiveFleet::to_map(
+    const SeriesValues& values, std::uint8_t flags_mask) const {
+  std::map<std::string, double> out;
+  for (const std::uint32_t id : series_order()) {
+    if (id < values.flags.size() && (values.flags[id] & flags_mask) != 0) {
+      out.emplace_hint(out.end(), names_[id], values.value[id]);
     }
   }
   return out;
 }
 
 std::map<std::string, double> LiveFleet::scalars(std::uint32_t home) const {
-  if (home == kAllHomes) return merged(/*exact_only=*/false);
-  if (home >= homes_.size()) return {};
-  if (homes_[home] != nullptr) return homes_[home]->registry.scalars();
-  return frozen_[home] ? frozen_[home]->scalars
-                       : std::map<std::string, double>{};
+  return to_map(series(home), SeriesValues::kPresent);
 }
 
 std::map<std::string, double> LiveFleet::fingerprint() const {
-  return merged(/*exact_only=*/true);
+  return to_map(series(kAllHomes), SeriesValues::kExact);
 }
 
 LiveHomeStatus LiveFleet::status(std::uint32_t home) const {
   LiveHomeStatus s;
   if (home >= homes_.size()) return s;
-  if (homes_[home] == nullptr) {
-    s.hibernated = true;
-    if (!frozen_[home]) return s;
-    const Frozen& f = *frozen_[home];
-    s.devices = f.device_count;
-    const auto gauge = [&f](const char* name) -> std::uint64_t {
-      const auto it = f.scalars.find(name);
-      return it != f.scalars.end() && it->second > 0
-                 ? static_cast<std::uint64_t>(it->second)
-                 : 0;
-    };
-    s.devices_bound = gauge("live.home.devices_bound");
-    s.flow_entries = gauge("live.home.flow_entries");
-    s.block_flows = gauge("live.home.block_flows");
-    s.block_drops = gauge("live.home.block_drops");
-    s.attack_sent = gauge("live.home.attack_sent");
-    return s;
-  }
-  const Home& h = *homes_[home];
-  s.devices = h.device_count;
-  const auto gauge = [&h](const char* name) -> std::uint64_t {
-    const auto v = h.registry.total(name);
-    return v && *v > 0 ? static_cast<std::uint64_t>(*v) : 0;
+  s.hibernated = homes_[home] == nullptr;
+  if (s.hibernated && !frozen_[home]) return s;
+  s.devices = s.hibernated ? frozen_[home]->device_count
+                           : homes_[home]->device_count;
+  const SeriesValues& values = series(home);
+  const auto gauge = [&](const char* name) -> std::uint64_t {
+    const auto it = ids_.find(name);
+    if (it == ids_.end() || !values.present(it->second)) return 0;
+    const double v = values.value[it->second];
+    return v > 0 ? static_cast<std::uint64_t>(v) : 0;
   };
   s.devices_bound = gauge("live.home.devices_bound");
   s.flow_entries = gauge("live.home.flow_entries");

@@ -36,6 +36,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "live/mutation.hpp"
@@ -163,8 +164,46 @@ class LiveFleet {
     return checkpoints_;
   }
 
-  /// Non-histogram telemetry: one home's, or the fleet merged in home-id
-  /// order (bit-identical at any thread count).
+  // -- Telemetry view (docs/liveops.md) ------------------------------------
+  /// One barrier's non-histogram telemetry for one home or the merged
+  /// fleet, indexed by series id: value[id] sums every counter and gauge of
+  /// the series, flags[id] says whether any of them is live (kPresent) and
+  /// whether the series is declared Determinism::Exact (kExact). A series'
+  /// instruments share one Determinism: it is declared where the module
+  /// builds them.
+  struct SeriesValues {
+    static constexpr std::uint8_t kPresent = 1;
+    static constexpr std::uint8_t kExact = 2;
+    std::vector<double> value;
+    std::vector<std::uint8_t> flags;
+
+    [[nodiscard]] bool present(std::uint32_t id) const {
+      return id < flags.size() && (flags[id] & kPresent) != 0;
+    }
+  };
+
+  /// The view of one home, or of the fleet merged in home-id order
+  /// (bit-identical at any thread count). Built at most once per barrier,
+  /// on the first read after step(); valid until the next step(),
+  /// refresh_telemetry(), start() or resume(). A hibernated home serves the
+  /// values frozen when it paged out.
+  [[nodiscard]] const SeriesValues& series(
+      std::uint32_t home = kAllHomes) const;
+  /// Series id -> name. Ids are dense, assigned the first time a name is
+  /// seen, and never reused.
+  [[nodiscard]] const std::vector<std::string>& series_names() const {
+    return names_;
+  }
+  /// Every series id in name order (the order frames list values in).
+  [[nodiscard]] const std::vector<std::uint32_t>& series_order() const;
+
+  /// The registry of a resident home (nullptr while hibernated): the
+  /// instruments series() sums, and the histograms it leaves out. Read it
+  /// only between steps, on the driving thread.
+  [[nodiscard]] const telemetry::MetricRegistry* registry(
+      std::uint32_t home) const;
+
+  /// series() as a name-keyed map: one home's, or the fleet merged.
   [[nodiscard]] std::map<std::string, double> scalars(
       std::uint32_t home = kAllHomes) const;
   /// The determinism fingerprint: the merged scalars of every series
@@ -214,10 +253,9 @@ class LiveFleet {
  private:
   struct Home;
   /// What a hibernated home leaves behind for the operator plane: its last
-  /// telemetry snapshot and device table, served until the home pages back.
+  /// telemetry view and device table, served until the home pages back.
   struct Frozen {
-    std::map<std::string, double> scalars;
-    std::map<std::string, double> exact;  // the fingerprint's share
+    SeriesValues values;
     std::map<std::string, std::string> device_macs;
     std::size_t device_count = 0;
   };
@@ -236,9 +274,20 @@ class LiveFleet {
   void build_home(std::size_t id, const snapshot::SnapshotImage* resume);
   void apply_mutation(Home& h, const Mutation& m);
   static void update_gauges(Home& h);
-  /// Every home's scalars summed in home-id order (Exact series only when
-  /// `exact_only`).
-  [[nodiscard]] std::map<std::string, double> merged(bool exact_only) const;
+  /// Fills `out` with home `h`'s series, walking its instruments through
+  /// the home's (instrument -> id) plan; the plan is rebuilt, interning new
+  /// names, only when the registry's membership generation moved. Runs on
+  /// the home's owner thread.
+  void flatten(Home& h, SeriesValues& out) const;
+  /// Builds the view of every home and the merged fleet, unless current.
+  void build_view() const;
+  /// Home `home`'s share of the view: its flattened registry while
+  /// resident, its frozen values while hibernated.
+  [[nodiscard]] const SeriesValues& home_view(std::size_t home) const;
+  /// `flags_mask` selects the series: kPresent for all, kExact for the
+  /// fingerprint's share.
+  [[nodiscard]] std::map<std::string, double> to_map(
+      const SeriesValues& values, std::uint8_t flags_mask) const;
   [[nodiscard]] bool checkpoint_pending_at(Timestamp barrier) const;
   /// Owner-worker half of a hibernation: stamp FTAG, capture, freeze the
   /// operator view, peek the next event, tear the stack down.
@@ -271,6 +320,18 @@ class LiveFleet {
   std::mutex touch_mu_;
   std::vector<std::uint32_t> touched_;
   std::size_t resident_peak_ = 0;
+
+  // Telemetry view. It is a cache over the homes' registries, so the const
+  // readers build it. Workers intern names while flattening a hibernating
+  // home (under intern_mu_); the driving thread reads the rest only between
+  // worker jobs.
+  mutable std::mutex intern_mu_;
+  mutable std::unordered_map<std::string, std::uint32_t> ids_;
+  mutable std::vector<std::string> names_;
+  mutable std::vector<std::uint32_t> order_;
+  mutable std::vector<SeriesValues> resident_values_;
+  mutable SeriesValues merged_;
+  mutable bool view_fresh_ = false;
 
   // Mutation plumbing (driving thread, except inbox_ which submit() guards).
   std::mutex inbox_mu_;

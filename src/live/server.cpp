@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/logging.hpp"
@@ -159,39 +160,41 @@ Timestamp LiveServer::pump() {
   return fleet_.now();
 }
 
-telemetry::ScalarMap LiveServer::collect(const Subscription& sub) const {
-  telemetry::ScalarMap out;
-  for (auto& [name, value] : fleet_.scalars(sub.home)) {
-    if (series_matches(sub.pattern, name)) out.emplace(name, value);
-  }
-  return out;
-}
-
 void LiveServer::sample(Subscription& sub) {
   if (++sub.barriers % sub.every != 0) return;
-  telemetry::ScalarMap cur = collect(sub);
+  const LiveFleet::SeriesValues& cur = fleet_.series(sub.home);
+  const std::vector<std::string>& names = fleet_.series_names();
+  while (sub.matches.size() < names.size()) {
+    const std::string& name = names[sub.matches.size()];
+    sub.matches.push_back(series_matches(sub.pattern, name) ? 1 : 0);
+  }
 
+  // First frame of the subscription, or resync after drops: a full
+  // snapshot carrying the accumulated dropped count. Otherwise only the
+  // series that are new or bit-wise different since the last sample.
+  const bool snapshot = !sub.synced;
   hwdb::rpc::DeltaPush frame;
+  for (const std::uint32_t id : fleet_.series_order()) {
+    if (sub.matches[id] == 0 || !cur.present(id)) continue;
+    if (!snapshot && sub.prev.present(id) &&
+        std::bit_cast<std::uint64_t>(sub.prev.value[id]) ==
+            std::bit_cast<std::uint64_t>(cur.value[id])) {
+      continue;
+    }
+    frame.values.emplace_back(names[id], cur.value[id]);
+  }
+  sub.prev = cur;
+  if (!snapshot && frame.values.empty()) return;  // nothing changed; no frame
+
   frame.sub_id = sub.id;
   frame.vtime = fleet_.now();
   frame.home = sub.home;
-  if (!sub.synced) {
-    // First frame of the subscription, or resync after drops: a full
-    // snapshot carrying the accumulated dropped count.
+  if (snapshot) {
     frame.snapshot = true;
     frame.dropped = sub.dropped_pending;
     sub.dropped_pending = 0;
-    frame.values.assign(cur.begin(), cur.end());
     sub.synced = true;
-  } else {
-    telemetry::ScalarMap delta = telemetry::scalar_delta(sub.prev, cur);
-    if (delta.empty()) {
-      sub.prev = std::move(cur);
-      return;  // nothing changed; no frame
-    }
-    frame.values.assign(delta.begin(), delta.end());
   }
-  sub.prev = std::move(cur);
   frame.seq = sub.next_seq++;
   enqueue(sub, std::move(frame));
 }

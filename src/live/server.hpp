@@ -8,9 +8,11 @@
 // checkpoint to prove the time-travel contract on demand.
 //
 // Streaming model (docs/liveops.md): each subscription samples its matched
-// series after every `every`-th barrier. The first frame — and the resync
+// series after every `every`-th barrier from the fleet's per-barrier
+// telemetry view (LiveFleet::series). The first frame — and the resync
 // frame after backpressure drops — is a full snapshot; later frames carry
-// only changed series (absolute values, telemetry::scalar_delta). Frames
+// only changed series (absolute values, bit-wise compared by series id, the
+// contract of telemetry::scalar_delta). Frames
 // queue per subscription, bounded by max_queue with drop-oldest; a drop
 // marks the subscription unsynced so the next generated frame is a snapshot
 // carrying the accumulated dropped count, and seq stays monotonic so
@@ -25,7 +27,6 @@
 #include "hwdb/rpc_server.hpp"
 #include "hwdb/udp_transport.hpp"
 #include "live/fleet.hpp"
-#include "telemetry/delta.hpp"
 
 namespace hw::live {
 
@@ -93,7 +94,10 @@ class LiveServer {
     std::uint64_t next_seq = 1;
     bool synced = false;              // next frame must be a full snapshot
     std::uint64_t dropped_pending = 0;
-    telemetry::ScalarMap prev;        // base of the next delta
+    /// Per series id: does the pattern match its name (grown as the fleet
+    /// interns new series, so each name is matched once).
+    std::vector<std::uint8_t> matches;
+    LiveFleet::SeriesValues prev;     // base of the next delta, by series id
     std::deque<hwdb::rpc::DeltaPush> queue;
   };
 
@@ -102,7 +106,6 @@ class LiveServer {
   void sample(Subscription& sub);
   void enqueue(Subscription& sub, hwdb::rpc::DeltaPush frame);
   void flush();
-  [[nodiscard]] telemetry::ScalarMap collect(const Subscription& sub) const;
 
   LiveFleet& fleet_;
   SendFn send_;

@@ -7,11 +7,11 @@
 namespace hw::residency {
 namespace {
 
-/// Container framing: 20-byte image header, 12 bytes (tag/len/crc) per
+/// Container framing: 16-byte image header, 12 bytes (tag/len/crc) per
 /// chunk. Framing is attributed to the first pooled copy of a chunk so an
 /// image with no shared chunks accounts for exactly its encoded size —
 /// deduped_bytes() is then zero unless pooling actually shared something.
-constexpr std::uint64_t kHeaderBytes = 20;
+constexpr std::uint64_t kHeaderBytes = 16;
 constexpr std::uint64_t kChunkOverhead = 12;
 
 }  // namespace
@@ -79,14 +79,7 @@ Result<snapshot::SnapshotImage> ImageStore::get(std::uint64_t key) const {
   if (it->second.spilled) {
     return snapshot::SnapshotCoordinator::read_file(spill_path(key));
   }
-  snapshot::Writer w;
-  for (const auto& [tag, chunk] : it->second.chunks) {
-    ByteWriter& c = w.begin_chunk(tag);
-    c.raw(chunk->payload);
-    w.end_chunk();
-  }
-  return snapshot::SnapshotImage{std::move(w).finish(),
-                                 it->second.captured_at};
+  return snapshot::SnapshotImage{encode(it->second), it->second.captured_at};
 }
 
 bool ImageStore::contains(std::uint64_t key) const {
@@ -114,13 +107,7 @@ Status ImageStore::spill(std::uint64_t key) {
     return make_error("residency: no image for key " + std::to_string(key));
   }
   if (it->second.spilled) return Status::success();
-  snapshot::Writer w;
-  for (const auto& [tag, chunk] : it->second.chunks) {
-    ByteWriter& c = w.begin_chunk(tag);
-    c.raw(chunk->payload);
-    w.end_chunk();
-  }
-  const snapshot::SnapshotImage image{std::move(w).finish(),
+  const snapshot::SnapshotImage image{encode(it->second),
                                       it->second.captured_at};
   if (auto s = snapshot::SnapshotCoordinator::write_file(spill_path(key),
                                                          image);
@@ -183,6 +170,15 @@ void ImageStore::refresh_gauges_locked() {
   metrics_.image_bytes_deduped.set(static_cast<std::int64_t>(
       logical_bytes_ > stored_bytes_ ? logical_bytes_ - stored_bytes_ : 0));
   metrics_.fleet_image_bytes.set(static_cast<std::int64_t>(stored_bytes_));
+}
+
+Bytes ImageStore::encode(const Entry& entry) {
+  std::vector<snapshot::FramedChunk> framed;
+  framed.reserve(entry.chunks.size());
+  for (const auto& [tag, chunk] : entry.chunks) {
+    framed.push_back(snapshot::FramedChunk{tag, chunk->payload, chunk->crc});
+  }
+  return snapshot::encode_image(framed);
 }
 
 std::string ImageStore::spill_path(std::uint64_t key) const {

@@ -4,7 +4,9 @@
 // compare on collision, so the near-identical images quiet homes produce
 // share storage instead of multiplying it. get() reassembles the original
 // image bit-exactly (the container encoding is canonical: header fields are
-// pure functions of the chunk sequence).
+// pure functions of the chunk sequence), reusing the chunk CRCs put()
+// verified, so the only hash pass is the body CRC; the home that restores
+// the image verifies every byte again when it parses it.
 //
 // Optionally file-backed: spill(key) writes the image to `spill_dir` (atomic
 // tmp+rename via SnapshotCoordinator) and drops the in-memory chunks; get()
@@ -89,6 +91,10 @@ class ImageStore {
   };
 
   void release_chunks_locked(Entry& entry);
+  /// Reassembles an in-memory entry from its pooled chunks, framing them
+  /// with the CRCs kept since put() verified them: one hash pass, over the
+  /// body CRC.
+  [[nodiscard]] static Bytes encode(const Entry& entry);
   void refresh_gauges_locked();
   [[nodiscard]] std::string spill_path(std::uint64_t key) const;
 

@@ -96,10 +96,9 @@ void Writer::end_chunk() {
   chunks_.push_back(Chunk{current_tag_, std::move(current_).take()});
 }
 
-Bytes Writer::finish() && {
-  assert(!in_chunk_ && "finish with an open chunk");
+Bytes encode_image(std::span<const FramedChunk> chunks) {
   std::size_t body_size = 0;
-  for (const Chunk& c : chunks_) body_size += 12 + c.payload.size();
+  for (const FramedChunk& c : chunks) body_size += 12 + c.payload.size();
 
   // Header (magic / version / chunk count / body size / body CRC), then
   // every chunk framed as tag / length / crc / bytes straight into the
@@ -108,19 +107,29 @@ Bytes Writer::finish() && {
   ByteWriter image(kHeaderSize + body_size);
   image.u32(kMagic);
   image.u16(kFormatVersion);
-  image.u16(static_cast<std::uint16_t>(chunks_.size()));
+  image.u16(static_cast<std::uint16_t>(chunks.size()));
   image.u32(static_cast<std::uint32_t>(body_size));
   image.u32(0);  // body CRC, patched below
-  for (const Chunk& c : chunks_) {
+  for (const FramedChunk& c : chunks) {
     image.u32(c.tag);
     image.u32(static_cast<std::uint32_t>(c.payload.size()));
-    image.u32(crc32(c.payload));
+    image.u32(c.crc);
     image.raw(c.payload);
   }
   Bytes out = std::move(image).take();
   store_be32(out.data() + kHeaderSize - 4,
              crc32(std::span<const std::uint8_t>(out).subspan(kHeaderSize)));
   return out;
+}
+
+Bytes Writer::finish() && {
+  assert(!in_chunk_ && "finish with an open chunk");
+  std::vector<FramedChunk> framed;
+  framed.reserve(chunks_.size());
+  for (const Chunk& c : chunks_) {
+    framed.push_back(FramedChunk{c.tag, c.payload, crc32(c.payload)});
+  }
+  return encode_image(framed);
 }
 
 Result<Reader> Reader::parse(std::span<const std::uint8_t> image) {

@@ -45,6 +45,20 @@ Result<MacAddress> get_mac(ByteReader& r);
 inline void put_ip(ByteWriter& w, Ipv4Address ip) { w.u32(ip.value()); }
 Result<Ipv4Address> get_ip(ByteReader& r);
 
+/// One chunk to frame into an image, with the CRC32 of its payload already
+/// known (a parsed Reader's or a store's kept copy).
+struct FramedChunk {
+  std::uint32_t tag = 0;
+  std::span<const std::uint8_t> payload;
+  std::uint32_t crc = 0;
+};
+
+/// The container encoder: header, then every chunk as tag / length / crc /
+/// payload, then the body CRC patched in over the finished span — the only
+/// pass over the bytes. The chunk CRCs are taken as given; Writer::finish
+/// computes its own and calls this.
+[[nodiscard]] Bytes encode_image(std::span<const FramedChunk> chunks);
+
 /// Builds a snapshot image chunk by chunk. Usage:
 ///   Writer w;
 ///   ByteWriter& c = w.begin_chunk(tag("FTBL"));

@@ -57,8 +57,12 @@ Status SnapshotCoordinator::restore(std::span<const std::uint8_t> image) {
     metrics_instruments_.corrupt_rejected.inc();
     return reader.error();
   }
+  return restore(reader.value());
+}
+
+Status SnapshotCoordinator::restore(const Reader& image) {
   for (const Layer& l : layers_) {
-    if (auto s = restore_layer(l, reader.value()); !s.ok()) return s;
+    if (auto s = restore_layer(l, image); !s.ok()) return s;
   }
   metrics_instruments_.restores.inc();
   return Status::success();
@@ -72,11 +76,16 @@ Status SnapshotCoordinator::restore_layers(
     metrics_instruments_.corrupt_rejected.inc();
     return reader.error();
   }
+  return restore_layers(reader.value(), names);
+}
+
+Status SnapshotCoordinator::restore_layers(
+    const Reader& image, const std::vector<std::string>& names) {
   for (const Layer& l : layers_) {
     bool wanted = false;
     for (const std::string& n : names) wanted = wanted || n == l.name;
     if (!wanted) continue;
-    if (auto s = restore_layer(l, reader.value()); !s.ok()) return s;
+    if (auto s = restore_layer(l, image); !s.ok()) return s;
   }
   metrics_instruments_.restores.inc();
   return Status::success();

@@ -57,9 +57,14 @@ class SnapshotCoordinator {
   /// so later layers stay untouched (earlier ones have been restored).
   Status restore(const SnapshotImage& image) { return restore(image.bytes); }
   Status restore(std::span<const std::uint8_t> image);
+  /// Restores every layer from an image the caller already parsed (and so
+  /// verified), so one parse serves several restore passes.
+  Status restore(const Reader& image);
   /// Restores only the named layers (warm restart rebuilds the datapath's
   /// flow table without rewinding hwdb or the registry).
   Status restore_layers(std::span<const std::uint8_t> image,
+                        const std::vector<std::string>& names);
+  Status restore_layers(const Reader& image,
                         const std::vector<std::string>& names);
 
   /// Schedules captures at every absolute k * interval + phase instant (the

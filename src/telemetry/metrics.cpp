@@ -87,12 +87,14 @@ MetricRegistry& MetricRegistry::current() {
 void MetricRegistry::attach(Instrument* i) {
   std::lock_guard<std::mutex> lock(mutex_);
   instruments_.push_back(i);
+  ++generation_;
 }
 
 void MetricRegistry::detach(Instrument* i) {
   std::lock_guard<std::mutex> lock(mutex_);
   instruments_.erase(std::remove(instruments_.begin(), instruments_.end(), i),
                      instruments_.end());
+  ++generation_;
 }
 
 std::optional<double> MetricRegistry::total(const std::string& name) const {

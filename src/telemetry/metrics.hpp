@@ -272,6 +272,14 @@ class MetricRegistry {
     return instruments_.size();
   }
 
+  /// Membership generation: every attach and detach bumps it, so a reader
+  /// that caches a per-instrument walk (a fleet's series-id plan for one
+  /// home) knows to rebuild it exactly when the visit order may have moved.
+  [[nodiscard]] std::uint64_t generation() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return generation_;
+  }
+
  private:
   friend class Instrument;
   friend class ScopedMetricRegistry;
@@ -284,6 +292,7 @@ class MetricRegistry {
 
   mutable std::mutex mutex_;
   std::vector<Instrument*> instruments_;
+  std::uint64_t generation_ = 0;
 };
 
 /// RAII override of the calling thread's MetricRegistry::current(). A

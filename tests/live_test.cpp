@@ -6,8 +6,13 @@
 // idempotency) end to end against a running fleet.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdlib>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <new>
+#include <optional>
 #include <set>
 
 #include "live/client.hpp"
@@ -15,7 +20,32 @@
 #include "live/mutation.hpp"
 #include "live/server.hpp"
 #include "sim/fault_injector.hpp"
+#include "snapshot/codec.hpp"
 #include "util/rand.hpp"
+
+// Calls to operator new while counting is on: the stream's allocation test
+// bounds what one pump may allocate. The nothrow form (std::stable_sort's
+// scratch buffer) is replaced too, so every block comes from malloc and
+// goes back to free.
+static bool g_count_allocs = false;
+static std::size_t g_alloc_calls = 0;
+
+// The free() calls pair with the malloc() in the replacement operator new;
+// GCC cannot see that and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  if (g_count_allocs) ++g_alloc_calls;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new(std::size_t n) {
+  if (void* p = operator new(n, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace hw::live {
 namespace {
@@ -571,6 +601,385 @@ TEST_F(LiveLinkFixture, HwdbVerbsRejected) {
            });
   op_loop.run_for(10 * kMillisecond);
   EXPECT_EQ(error, "RPC: hwdb verb on a live endpoint");
+}
+
+// ---------------------------------------------------------------------------
+// Telemetry view: one id-indexed view per barrier, checked against the
+// string-keyed merge it replaced
+
+/// A fleet under residency with its app mixes on and hibernate/wake verbs
+/// on a fixed schedule, so homes page out and back in while the view is
+/// read.
+LiveConfig paging_config(std::size_t homes, std::size_t threads) {
+  LiveConfig cfg = attack_config(homes, threads);
+  cfg.run_apps = true;
+  cfg.dhcp_offer_hold = 2 * kSecond;
+  cfg.residency.wake_on_due = false;
+  return cfg;
+}
+
+/// The mutations the view and stream tests submit before barrier `b`
+/// (counted from start): faults and a quarantine early on, so many series
+/// move; home 1 hibernates at the first aligned barrier and wakes a second
+/// later; everything hibernates at the second aligned barrier and home 2
+/// wakes two seconds after.
+void submit_paging_verbs(LiveFleet& fleet, std::uint64_t b) {
+  if (b == 2) fleet.submit(hibernate_home(1));
+  if (b == 3) fleet.submit(inject_fault(0, "datapath-restart", 0.5, 0, 0));
+  if (b == 4) {
+    fleet.submit(inject_fault(0, "controller-outage", 0.5, 0, kSecond));
+  }
+  if (b == 5) fleet.submit(inject_fault(2, "crash-restart-restore", 0.5, 0, 0));
+  if (b == 6) fleet.submit(inject_fault(2, "hwdb-fault", 0.5, 0, kSecond));
+  if (b == 7) fleet.submit(quarantine(0, fleet.device_mac(0, "guest")));
+  if (b == 24) fleet.submit(wake_home(1));
+  if (b == 30) fleet.submit(hibernate_home(kAllHomes));
+  if (b == 48) fleet.submit(wake_home(2));
+}
+
+/// Every home builds the same instruments, so this stands in for a module
+/// that builds one mid-run in one home only: "test.home0_only" lives in
+/// home 0 from barrier 8 to 16, counting up, and again from 20 to 24 at 0.
+/// The series is present in some homes only, the registry's membership
+/// changes under the view four times, and the series vanishes and comes
+/// back at the value an absent slot reads. Home 0 stays resident meanwhile
+/// (submit_paging_verbs hibernates it at barrier 40).
+class Home0OnlySeries {
+ public:
+  void after_step(const LiveFleet& fleet, std::uint64_t b) {
+    if (b == 8 || b == 20) {
+      ASSERT_NE(fleet.registry(0), nullptr);
+      counter_.emplace(
+          const_cast<telemetry::MetricRegistry&>(*fleet.registry(0)),
+          "test.home0_only");
+    }
+    if (counter_ && b < 16) counter_->inc(b);
+    if (b == 16 || b == 24) counter_.reset();
+  }
+
+ private:
+  std::optional<telemetry::Counter> counter_;
+};
+
+/// The registry of a hibernated home as its frozen view stands in for it:
+/// the image's TELE chunk (registry scalars at capture time), with
+/// snapshot.bytes as the capture set it after encoding the image.
+std::map<std::string, double> frozen_oracle(
+    const snapshot::SnapshotImage& image) {
+  std::map<std::string, double> out;
+  const auto reader = snapshot::Reader::parse(image.bytes);
+  EXPECT_TRUE(reader.ok());
+  if (!reader.ok()) return out;
+  const Bytes* tele = reader.value().find(snapshot::tag("TELE"));
+  EXPECT_NE(tele, nullptr);
+  if (tele == nullptr) return out;
+  ByteReader br(*tele);
+  const std::uint32_t count = br.u32().value();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::string name = snapshot::get_string(br).value();
+    out[name] = std::bit_cast<double>(br.u64().value());
+  }
+  out["snapshot.bytes"] = static_cast<double>(image.bytes.size());
+  return out;
+}
+
+std::uint64_t gauge_of(const std::map<std::string, double>& m,
+                       const char* name) {
+  const auto it = m.find(name);
+  return it != m.end() && it->second > 0
+             ? static_cast<std::uint64_t>(it->second)
+             : 0;
+}
+
+// scalars(), scalars(h), fingerprint() and status(h) all read the one
+// per-barrier view; at every barrier each must equal the string-keyed merge
+// the view replaced: MetricRegistry::add_scalars over the resident homes'
+// registries, plus a hibernated home's registry as its image froze it,
+// summed in home-id order.
+TEST(TelemetryView, EqualsTheStringMergeAtEveryBarrier) {
+  constexpr std::size_t kHomes = 3;
+  LiveFleet fleet(paging_config(kHomes, 2));
+  fleet.start();
+  std::map<std::string, bool> exact_names;  // series -> declared Exact
+  bool saw_hibernated = false;
+  bool saw_woken = false;
+  bool saw_partial_series = false;
+  Home0OnlySeries home0_only;
+  for (std::uint64_t b = 0; b < 64; ++b) {
+    submit_paging_verbs(fleet, b);
+    fleet.step();
+    home0_only.after_step(fleet, b);
+
+    std::map<std::string, double> merged;
+    std::map<std::string, double> merged_exact;
+    std::vector<std::map<std::string, double>> per_home(kHomes);
+    for (std::uint32_t h = 0; h < kHomes; ++h) {
+      if (const telemetry::MetricRegistry* reg = fleet.registry(h)) {
+        reg->add_scalars(merged);
+        reg->add_scalars(merged_exact, /*exact_only=*/true);
+        per_home[h] = reg->scalars();
+        reg->visit([&](const telemetry::Instrument& i) {
+          exact_names[i.name()] =
+              i.determinism() == telemetry::Determinism::Exact;
+        });
+        saw_woken |= saw_hibernated;
+      } else {
+        saw_hibernated = true;
+        const auto image = fleet.image_store().get(h);
+        ASSERT_TRUE(image.ok()) << image.error().message;
+        per_home[h] = frozen_oracle(image.value());
+        for (const auto& [name, value] : per_home[h]) {
+          merged[name] += value;
+          const auto it = exact_names.find(name);
+          ASSERT_NE(it, exact_names.end()) << name << " never seen resident";
+          if (it->second) merged_exact[name] += value;
+        }
+      }
+    }
+    for (std::uint32_t h = 0; h < kHomes; ++h) {
+      const auto got = fleet.scalars(h);
+      ASSERT_TRUE(got == per_home[h])
+          << "barrier " << b << " home " << h << ":\n"
+          << diff_maps(got, per_home[h]);
+      saw_partial_series |= got.size() < merged.size();
+      const LiveHomeStatus st = fleet.status(h);
+      EXPECT_EQ(st.hibernated, fleet.registry(h) == nullptr);
+      EXPECT_EQ(st.devices_bound,
+                gauge_of(per_home[h], "live.home.devices_bound"));
+      EXPECT_EQ(st.flow_entries,
+                gauge_of(per_home[h], "live.home.flow_entries"));
+      EXPECT_EQ(st.block_flows, gauge_of(per_home[h], "live.home.block_flows"));
+      EXPECT_EQ(st.block_drops, gauge_of(per_home[h], "live.home.block_drops"));
+      EXPECT_EQ(st.attack_sent, gauge_of(per_home[h], "live.home.attack_sent"));
+    }
+    const auto all = fleet.scalars();
+    ASSERT_TRUE(all == merged) << "barrier " << b << ":\n"
+                               << diff_maps(all, merged);
+    const auto fp = fleet.fingerprint();
+    ASSERT_TRUE(fp == merged_exact) << "barrier " << b << ":\n"
+                                    << diff_maps(fp, merged_exact);
+  }
+  EXPECT_TRUE(saw_hibernated);
+  EXPECT_TRUE(saw_woken);
+  EXPECT_TRUE(saw_partial_series)
+      << "every home carried every series: the merge of a series some homes "
+         "lack went untested";
+}
+
+/// LiveServer's stream as the string path computed it, kept as the oracle:
+/// each subscription samples scalars(home) filtered by its pattern, deltas
+/// against its previous sample with telemetry::scalar_delta, queues with
+/// drop-oldest and flushes under the shared frame budget in id order.
+class OracleStream {
+ public:
+  void subscribe(std::uint64_t id, ClientAddress client, std::string pattern,
+                 std::uint32_t home, std::uint32_t every,
+                 std::size_t max_queue) {
+    Sub sub;
+    sub.id = id;
+    sub.client = client;
+    sub.pattern = std::move(pattern);
+    sub.home = home;
+    sub.every = every;
+    sub.max_queue = max_queue;
+    subs_.push_back(std::move(sub));
+  }
+
+  void sample(const LiveFleet& fleet) {
+    for (Sub& sub : subs_) {
+      if (++sub.barriers % sub.every != 0) continue;
+      telemetry::ScalarMap cur = filtered(fleet.scalars(sub.home), sub.pattern);
+      hwdb::rpc::DeltaPush frame;
+      frame.sub_id = sub.id;
+      frame.vtime = fleet.now();
+      frame.home = sub.home;
+      if (!sub.synced) {
+        frame.snapshot = true;
+        frame.dropped = sub.dropped_pending;
+        sub.dropped_pending = 0;
+        frame.values.assign(cur.begin(), cur.end());
+        sub.synced = true;
+      } else {
+        const telemetry::ScalarMap delta =
+            telemetry::scalar_delta(sub.prev, cur);
+        if (delta.empty()) {
+          sub.prev = std::move(cur);
+          continue;
+        }
+        frame.values.assign(delta.begin(), delta.end());
+      }
+      sub.prev = std::move(cur);
+      frame.seq = sub.next_seq++;
+      sub.queue.push_back(std::move(frame));
+      while (sub.queue.size() > sub.max_queue) {
+        sub.queue.pop_front();
+        ++sub.dropped_pending;
+        sub.synced = false;
+      }
+    }
+  }
+
+  std::vector<std::pair<ClientAddress, Bytes>> flush(std::size_t budget) {
+    std::vector<std::pair<ClientAddress, Bytes>> out;
+    for (Sub& sub : subs_) {
+      while (!sub.queue.empty() && budget > 0) {
+        out.emplace_back(sub.client, hwdb::rpc::encode(sub.queue.front()));
+        sub.queue.pop_front();
+        --budget;
+      }
+    }
+    return out;
+  }
+
+ private:
+  struct Sub {
+    std::uint64_t id = 0;
+    ClientAddress client = 0;
+    std::string pattern;
+    std::uint32_t home = kAllHomes;
+    std::uint32_t every = 1;
+    std::size_t max_queue = 64;
+    std::uint64_t barriers = 0;
+    std::uint64_t next_seq = 1;
+    bool synced = false;
+    std::uint64_t dropped_pending = 0;
+    telemetry::ScalarMap prev;
+    std::deque<hwdb::rpc::DeltaPush> queue;
+  };
+  std::vector<Sub> subs_;
+};
+
+/// Subscribes through the wire and returns the server's sub id.
+std::uint64_t wire_subscribe(LiveServer& server,
+                             std::vector<std::pair<ClientAddress, Bytes>>& sent,
+                             ClientAddress client, const std::string& pattern,
+                             std::uint32_t home, std::uint32_t every,
+                             std::uint32_t max_queue) {
+  hwdb::rpc::SubscribeSeriesRequest req;
+  req.pattern = pattern;
+  req.home = home;
+  req.every = every;
+  req.max_queue = max_queue;
+  server.handle_datagram(
+      client, hwdb::rpc::encode(hwdb::rpc::Request{
+                  static_cast<std::uint32_t>(client + 1), req}));
+  EXPECT_FALSE(sent.empty());
+  if (sent.empty()) return 0;
+  auto decoded = hwdb::rpc::decode(sent.back().second, /*from_server=*/true);
+  sent.clear();
+  EXPECT_TRUE(decoded.ok());
+  if (!decoded.ok()) return 0;
+  const auto* resp = std::get_if<hwdb::rpc::Response>(&decoded.value());
+  EXPECT_NE(resp, nullptr);
+  return resp != nullptr ? resp->sub_id.value_or(0) : 0;
+}
+
+// Differential stream: every frame the id-indexed server sends equals,
+// byte for byte, the frame the string path computes from the same fleet —
+// across fleet-wide and single-home subscriptions, prefix, exact and
+// never-matching patterns, every = 1 and 3, hibernate/wake verbs, and
+// queue overflow with resync.
+TEST(LiveStream, FramesMatchTheStringPathByteForByte) {
+  struct Spec {
+    std::string pattern;
+    std::uint32_t home;
+    std::uint32_t every;
+    std::uint32_t max_queue;
+  };
+  const std::vector<Spec> specs = {
+      {"*", kAllHomes, 1, 64},
+      {"openflow.*", kAllHomes, 3, 64},
+      {"live.home.attack_sent", 0, 1, 64},
+      {"no.such.series", kAllHomes, 1, 64},
+      {"*", 1, 1, 1},
+      {"homework.*", 2, 3, 1},
+      {"live.home.*", kAllHomes, 1, 1},
+      {"snapshot.bytes", 2, 1, 64},
+  };
+  constexpr std::size_t kUnlimited = static_cast<std::size_t>(-1);
+  for (const std::size_t threads : {1u, 2u}) {
+    LiveFleet fleet(paging_config(3, threads));
+    fleet.start();
+    std::vector<std::pair<ClientAddress, Bytes>> sent;
+    LiveServer server(fleet, [&](ClientAddress to, const Bytes& datagram) {
+      sent.emplace_back(to, datagram);
+    });
+    OracleStream oracle;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const Spec& spec = specs[i];
+      const std::uint64_t id =
+          wire_subscribe(server, sent, i, spec.pattern, spec.home, spec.every,
+                         spec.max_queue);
+      ASSERT_NE(id, 0u);
+      oracle.subscribe(id, i, spec.pattern, spec.home, spec.every,
+                       spec.max_queue);
+    }
+
+    std::size_t frames = 0;
+    std::size_t snapshots = 0;
+    Home0OnlySeries home0_only;
+    for (std::uint64_t b = 0; b < 64; ++b) {
+      submit_paging_verbs(fleet, b);
+      // Stall the flush for a stretch: the max_queue = 1 subscriptions
+      // overflow and must resync with a snapshot carrying the drop count.
+      const std::size_t budget = b >= 12 && b < 16 ? 0 : kUnlimited;
+      server.set_flush_budget(budget);
+      server.pump();
+      oracle.sample(fleet);
+      const auto want = oracle.flush(budget);
+      ASSERT_EQ(sent.size(), want.size()) << "barrier " << b;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        ASSERT_EQ(sent[k].first, want[k].first) << "barrier " << b;
+        ASSERT_TRUE(sent[k].second == want[k].second)
+            << "barrier " << b << " frame " << k << " differs";
+        auto decoded = hwdb::rpc::decode(sent[k].second, /*from_server=*/true);
+        ASSERT_TRUE(decoded.ok());
+        const auto* push = std::get_if<hwdb::rpc::DeltaPush>(&decoded.value());
+        ASSERT_NE(push, nullptr);
+        snapshots += push->snapshot ? 1 : 0;
+      }
+      frames += sent.size();
+      sent.clear();
+      home0_only.after_step(fleet, b);  // between pumps: the next view shows it
+    }
+    EXPECT_GT(server.stats().dropped.value(), 0u) << threads << " threads";
+    EXPECT_GT(snapshots, specs.size()) << "no resync snapshot was sent";
+    EXPECT_GT(frames, 64u);
+  }
+}
+
+// A pump in which no series moved allocates a constant number of times, not
+// once per series: the view reuses its vectors, each subscription compares
+// by id, and names are only copied into frames that are sent.
+TEST(LiveStream, UnchangedPumpAllocatesConstant) {
+  LiveConfig cfg = attack_config(4, 1);
+  // Every home frozen, so no series moves.
+  cfg.residency.hibernate_on_start = true;
+  cfg.residency.wake_on_due = false;
+  LiveFleet fleet(cfg);
+  fleet.start();
+  std::size_t frames = 0;
+  LiveServer server(fleet, [&](ClientAddress, const Bytes&) { ++frames; });
+  const std::vector<std::string> patterns = {"*", "*", "openflow.*",
+                                             "live.home.*"};
+  for (std::uint32_t i = 0; i < patterns.size(); ++i) {
+    hwdb::rpc::SubscribeSeriesRequest req;
+    req.pattern = patterns[i];
+    server.handle_datagram(0, hwdb::rpc::encode(hwdb::rpc::Request{i + 1, req}));
+  }
+  server.pump();  // snapshot frames
+  server.pump();
+  ASSERT_EQ(fleet.residency().resident_count(), 0u);
+  ASSERT_GT(fleet.scalars().size(), 100u);
+
+  frames = 0;
+  g_alloc_calls = 0;
+  g_count_allocs = true;
+  server.pump();
+  g_count_allocs = false;
+  EXPECT_EQ(frames, 0u) << "a series moved in a fully hibernated fleet";
+  EXPECT_LE(g_alloc_calls, 16u)
+      << "one pump over " << fleet.series_names().size() << " series";
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "residency/profile.hpp"
 #include "residency/residency.hpp"
 #include "router_fixture.hpp"
+#include "snapshot/codec.hpp"
 #include "util/rand.hpp"
 
 namespace hw::residency {
@@ -126,6 +127,63 @@ TEST_F(ImageStoreTest, SpillToDiskAndReloadBitExact) {
   EXPECT_EQ(got.value().bytes, image.bytes);
   EXPECT_EQ(got.value().captured_at, image.captured_at);
   std::remove((config.spill_dir + "/img-5.hwsn").c_str());
+}
+
+// The store's accounting attributes the 16-byte container header and each
+// chunk's 12-byte framing to the image, so an image sharing nothing costs
+// exactly its encoded size.
+TEST_F(ImageStoreTest, UnsharedImageStoresItsEncodedSize) {
+  snapshot::Writer w;
+  w.begin_chunk(snapshot::tag("META")).u64(42);
+  w.end_chunk();
+  w.begin_chunk(snapshot::tag("AAAA")).u32(7);
+  w.end_chunk();
+  ByteWriter& c = w.begin_chunk(snapshot::tag("BBBB"));
+  c.u64(1);
+  c.u64(2);
+  w.end_chunk();
+  const snapshot::SnapshotImage image{std::move(w).finish(), 42};
+
+  ImageStore store;
+  ASSERT_TRUE(store.put(1, image).ok());
+  EXPECT_EQ(store.stored_bytes(), image.bytes.size());
+  EXPECT_EQ(store.logical_bytes(), image.bytes.size());
+  EXPECT_EQ(store.deduped_bytes(), 0u);
+
+  // A router image with pooling off shares nothing either.
+  ImageStore::Config config;
+  config.dedup = false;
+  ImageStore plain(config);
+  const auto captured = capture_after(kSecond);
+  ASSERT_TRUE(plain.put(2, captured).ok());
+  EXPECT_EQ(plain.stored_bytes(), captured.bytes.size());
+}
+
+// A spilled image is read back from disk, so it is untrusted again: a
+// flipped payload byte in the file must fail the wake, and the entry must
+// survive for a later, intact retry.
+TEST_F(ImageStoreTest, CorruptSpillFileIsRejectedOnWake) {
+  ImageStore::Config config;
+  config.spill_dir = ::testing::TempDir();
+  ImageStore store(config);
+  const auto image = capture_after(kSecond);
+  ASSERT_TRUE(store.put(6, image).ok());
+  ASSERT_TRUE(store.spill(6).ok());
+
+  const std::string path = config.spill_dir + "/img-6.hwsn";
+  Bytes bytes = image.bytes;
+  bytes[bytes.size() - 1] ^= 0x01;  // inside the last chunk's payload
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+
+  const auto got = store.get(6);
+  ASSERT_FALSE(got.ok());
+  EXPECT_NE(got.error().message.find("checksum"), std::string::npos)
+      << got.error().message;
+  EXPECT_TRUE(store.contains(6));
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
