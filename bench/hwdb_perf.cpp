@@ -1,12 +1,42 @@
 // hwdb performance: the quantitative claims behind the measurement plane
 // (companion paper: Sventek et al., IM 2011). Insert throughput, query cost
-// vs window size, aggregation cost, subscription fan-out, and the
-// constant-memory steady state of the ephemeral tables.
+// vs window size, aggregation cost, subscription fan-out, the
+// constant-memory steady state of the ephemeral tables, and the heap bytes
+// a stored row costs.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
+#include <cstdlib>
+#include <new>
+
+#include "homework/event_export.hpp"
+#include "homework/metrics_export.hpp"
 #include "hwdb/database.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/rand.hpp"
+
+// Heap bytes held, net of the ones freed, while counting is on.
+static bool g_count_bytes = false;
+static std::int64_t g_live_bytes = 0;
+
+// The free() calls pair with the malloc() in the replacement operator new;
+// GCC cannot see that and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  if (g_count_bytes) g_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
+  return p;
+}
+void operator delete(void* p) noexcept {
+  if (g_count_bytes && p != nullptr) {
+    g_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
+  }
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+#pragma GCC diagnostic pop
 
 using namespace hw;
 using namespace hw::hwdb;
@@ -197,6 +227,59 @@ void BM_SubscriptionFanout(benchmark::State& state) {
   report_insert_latency(state, db);
 }
 BENCHMARK(BM_SubscriptionFanout)->Arg(0)->Arg(1)->Arg(4)->Arg(16);
+
+/// Heap bytes per stored row of a standard table (0 = Metrics, 1 = Flows),
+/// filled to 4,096 rows with a home's variety: 133 series names, or 8
+/// devices' flows to 64 servers. Counts the table's storage, its text pool
+/// and the database's bookkeeping for it.
+void BM_BytesPerRow(benchmark::State& state) {
+  constexpr std::size_t kRows = 4096;
+  const bool flows = state.range(0) == 1;
+  static const char* kApps[] = {"web", "dns", "streaming", "voip", "other"};
+  static const char* kKinds[] = {"counter", "gauge", "histogram.p99"};
+  Rng rng(1);
+  std::vector<std::vector<Value>> rows;
+  rows.reserve(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    if (flows) {
+      const auto device = rng.uniform(8);
+      const auto server = rng.uniform(64);
+      rows.push_back({Value{"02:00:00:00:00:0" + std::to_string(device)},
+                      Value{"192.168.1." + std::to_string(100 + device)},
+                      Value{"93.184." + std::to_string(server) + ".34"},
+                      Value{17}, Value{rng.uniform_range(1024, 65535)},
+                      Value{443}, Value{kApps[rng.uniform(5)]},
+                      Value{rng.uniform_range(64, 150000)},
+                      Value{rng.uniform_range(1, 100)}});
+    } else {
+      const auto series = rng.uniform(133);
+      rows.push_back({Value{"home.module.series_" + std::to_string(series)},
+                      Value{kKinds[series % 3]}, Value{rng.uniform01() * 1e6}});
+    }
+  }
+  double bytes_per_row = 0;
+  for (auto _ : state) {
+    sim::EventLoop loop;
+    Database db(loop);
+    const char* table = flows ? "Flows" : "Metrics";
+    g_live_bytes = 0;
+    g_count_bytes = true;
+    if (flows) {
+      homework::EventExport::Config config;
+      config.flows_capacity = kRows;
+      (void)homework::EventExport::create_tables(db, config);
+    } else {
+      homework::MetricsExport::Config config;
+      config.capacity = kRows;
+      (void)homework::MetricsExport::create_table(db, config);
+    }
+    for (const auto& row : rows) (void)db.insert(table, row);
+    g_count_bytes = false;
+    bytes_per_row = static_cast<double>(g_live_bytes) / kRows;
+  }
+  state.counters["bytes_per_row"] = bytes_per_row;
+}
+BENCHMARK(BM_BytesPerRow)->Arg(0)->Arg(1)->Iterations(3);
 
 }  // namespace
 

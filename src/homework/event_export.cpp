@@ -80,9 +80,16 @@ void EventExport::handle_datapath_join(nox::DatapathId dpid,
   }
 }
 
+EventExport::FlowId EventExport::flow_id(nox::DatapathId dpid,
+                                         const ofp::Match& match) {
+  const ofp::FlowKey key = ofp::apply(ofp::FlowMask::from_wildcards(match.wildcards),
+                                      ofp::FlowKey::from_match(match));
+  return {dpid, match.wildcards, key.w};
+}
+
 void EventExport::handle_flow_removed(nox::DatapathId dpid,
                                       const ofp::FlowRemoved& fr) {
-  prev_.erase({dpid, fr.match.to_string()});
+  prev_.erase(flow_id(dpid, fr.match));
 }
 
 void EventExport::poll_flows() {
@@ -121,11 +128,19 @@ void EventExport::export_flow_stats(
         continue;
       }
     }
-    auto& prev = prev_[{dpid, e.match.to_string()}];
-    const std::uint64_t dp = e.packet_count - prev.packets;
-    const std::uint64_t db_bytes = e.byte_count - prev.bytes;
-    prev.packets = e.packet_count;
-    prev.bytes = e.byte_count;
+    auto& prev = prev_[flow_id(dpid, e.match)];
+    // A flow whose age or counters went backwards is a new entry for the
+    // same match (the datapath restarted, or the rule was re-installed):
+    // everything it counted is new.
+    const bool reinstalled =
+        std::tie(e.duration_sec, e.duration_nsec) <
+            std::tie(prev.duration_sec, prev.duration_nsec) ||
+        e.packet_count < prev.packets || e.byte_count < prev.bytes;
+    const std::uint64_t dp =
+        reinstalled ? e.packet_count : e.packet_count - prev.packets;
+    const std::uint64_t db_bytes =
+        reinstalled ? e.byte_count : e.byte_count - prev.bytes;
+    prev = {e.packet_count, e.byte_count, e.duration_sec, e.duration_nsec};
     if (dp == 0) continue;  // idle this interval
 
     // Attribute to the home device on one end of the flow.

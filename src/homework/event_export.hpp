@@ -13,12 +13,14 @@
 
 #include <map>
 #include <memory>
+#include <tuple>
 
 #include "homework/device_registry.hpp"
 #include "homework/wireless_map.hpp"
 #include "hwdb/database.hpp"
 #include "nox/component.hpp"
 #include "nox/controller.hpp"
+#include "openflow/flow_key.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace hw::homework {
@@ -74,13 +76,18 @@ class EventExport final : public nox::Component {
   Instruments metrics_;
   std::vector<nox::DatapathId> datapaths_;
 
-  /// Previous cumulative counters per flow, keyed by (home, rendered match):
-  /// two homes may carry the same flow.
+  /// Previous cumulative counters per flow, keyed by home (two homes may
+  /// carry the same flow), wildcards and the match's fields under them.
   struct PrevCounters {
     std::uint64_t packets = 0;
     std::uint64_t bytes = 0;
+    std::uint32_t duration_sec = 0;
+    std::uint32_t duration_nsec = 0;
   };
-  std::map<std::pair<nox::DatapathId, std::string>, PrevCounters> prev_;
+  using FlowId =
+      std::tuple<nox::DatapathId, std::uint32_t, ofp::FlowKey::Words>;
+  static FlowId flow_id(nox::DatapathId dpid, const ofp::Match& match);
+  std::map<FlowId, PrevCounters> prev_;
 
   /// Previous cumulative retry/tx counters per station.
   struct PrevLink {

@@ -1,10 +1,9 @@
 #include "hwdb/database.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <limits>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 
 #include "util/logging.hpp"
 
@@ -133,82 +132,16 @@ namespace {
 constexpr std::uint32_t kTableTag = snapshot::tag("HTBL");
 constexpr std::uint32_t kMetaTag = snapshot::tag("HMET");
 
-/// Interns a table's text values: each distinct string is written once in
-/// the chunk's string table and rows carry its u32 id.
-class StringTable {
- public:
-  std::uint32_t id(std::string_view s) {
-    const auto [it, added] =
-        ids_.try_emplace(s, static_cast<std::uint32_t>(strings_.size()));
-    if (added) strings_.push_back(s);
-    return it->second;
-  }
-  [[nodiscard]] const std::vector<std::string_view>& strings() const {
-    return strings_;
-  }
-
- private:
-  std::unordered_map<std::string_view, std::uint32_t> ids_;
-  std::vector<std::string_view> strings_;
-};
-
-void put_value(ByteWriter& w, const Value& v, StringTable& strings) {
-  w.u8(static_cast<std::uint8_t>(v.type()));
-  switch (v.type()) {
-    case ColumnType::Int:
-      w.u64(static_cast<std::uint64_t>(v.as_int()));
-      break;
-    case ColumnType::Real:
-      w.u64(std::bit_cast<std::uint64_t>(v.as_real()));
-      break;
-    case ColumnType::Text:
-      w.u32(strings.id(v.as_text()));
-      break;
-    case ColumnType::Ts:
-      w.u64(v.as_ts());
-      break;
-  }
-}
-
-Result<Value> get_value(ByteReader& r, const std::vector<std::string>& strings) {
-  auto type = r.u8();
-  if (!type) return type.error();
-  switch (static_cast<ColumnType>(type.value())) {
-    case ColumnType::Int: {
-      auto v = r.u64();
-      if (!v) return v.error();
-      return Value{static_cast<std::int64_t>(v.value())};
-    }
-    case ColumnType::Real: {
-      auto v = r.u64();
-      if (!v) return v.error();
-      return Value{std::bit_cast<double>(v.value())};
-    }
-    case ColumnType::Text: {
-      auto id = r.u32();
-      if (!id) return id.error();
-      if (id.value() >= strings.size()) {
-        return make_error("hwdb snapshot: string id out of range");
-      }
-      return Value{strings[id.value()]};
-    }
-    case ColumnType::Ts: {
-      auto v = r.u64();
-      if (!v) return v.error();
-      return Value::ts(v.value());
-    }
-  }
-  return make_error("hwdb snapshot: unknown value type");
-}
-
-/// One decoded HTBL chunk, applied only once every chunk decoded.
+/// One decoded HTBL chunk, applied only once every chunk decoded. Rows are
+/// already cells; a text cell holds an index into `strings`.
 struct TableImage {
   std::string name;
   std::uint64_t capacity = 0;
   std::uint64_t inserted = 0;
   std::uint64_t evicted = 0;
   std::vector<ColumnDef> columns;
-  std::vector<Row> rows;
+  std::vector<std::string> strings;
+  std::vector<std::uint64_t> cells;
 };
 
 Result<TableImage> decode_table(const Bytes& chunk) {
@@ -228,7 +161,7 @@ Result<TableImage> decode_table(const Bytes& chunk) {
   t.inserted = inserted.value();
   t.evicted = evicted.value();
   // Every count is checked against the bytes left before anything is
-  // reserved: a column takes at least 5 bytes, a string 4, a row 8.
+  // reserved: a column takes at least 5 bytes, a string 4.
   if (ncols.value() > br.remaining() / 5) {
     return make_error("hwdb snapshot: column count past chunk end");
   }
@@ -239,6 +172,9 @@ Result<TableImage> decode_table(const Bytes& chunk) {
     if (!col_name || !col_type) {
       return make_error("hwdb snapshot: truncated column defs");
     }
+    if (col_type.value() > static_cast<std::uint8_t>(ColumnType::Ts)) {
+      return make_error("hwdb snapshot: unknown column type");
+    }
     t.columns.push_back(ColumnDef{std::move(col_name).take(),
                                   static_cast<ColumnType>(col_type.value())});
   }
@@ -247,31 +183,45 @@ Result<TableImage> decode_table(const Bytes& chunk) {
   if (nstrings.value() > br.remaining() / 4) {
     return make_error("hwdb snapshot: string count past chunk end");
   }
-  std::vector<std::string> strings;
-  strings.reserve(nstrings.value());
+  t.strings.reserve(nstrings.value());
   for (std::uint32_t i = 0; i < nstrings.value(); ++i) {
     auto str = snapshot::get_string(br);
     if (!str) return str.error();
-    strings.push_back(std::move(str).take());
+    t.strings.push_back(std::move(str).take());
   }
   auto nrows = br.u32();
   if (!nrows) return nrows.error();
-  if (nrows.value() > br.remaining() / 8) {
+  // A row takes at least 8 bytes of ts and 5 per cell (tag and string id).
+  const std::size_t stride = t.columns.size() + 1;
+  if (nrows.value() > br.remaining() / (8 + 5 * t.columns.size())) {
     return make_error("hwdb snapshot: row count past chunk end");
   }
-  t.rows.reserve(nrows.value());
+  // Each cell carries its value's type tag, which must be its column's.
+  t.cells.reserve(nrows.value() * stride);
   for (std::uint32_t i = 0; i < nrows.value(); ++i) {
-    Row row;
     auto ts = br.u64();
     if (!ts) return ts.error();
-    row.ts = ts.value();
-    row.values.reserve(t.columns.size());
-    for (std::size_t col = 0; col < t.columns.size(); ++col) {
-      auto v = get_value(br, strings);
-      if (!v) return v.error();
-      row.values.push_back(std::move(v).take());
+    t.cells.push_back(ts.value());
+    for (const ColumnDef& col : t.columns) {
+      auto type = br.u8();
+      if (!type) return type.error();
+      if (type.value() != static_cast<std::uint8_t>(col.type)) {
+        return make_error("hwdb snapshot: " + t.name + "." + col.name +
+                          " holds a value of the wrong type");
+      }
+      if (col.type == ColumnType::Text) {
+        auto id = br.u32();
+        if (!id) return id.error();
+        if (id.value() >= t.strings.size()) {
+          return make_error("hwdb snapshot: string id out of range");
+        }
+        t.cells.push_back(id.value());
+      } else {
+        auto v = br.u64();
+        if (!v) return v.error();
+        t.cells.push_back(v.value());
+      }
     }
-    t.rows.push_back(std::move(row));
   }
   return t;
 }
@@ -280,14 +230,34 @@ Result<TableImage> decode_table(const Bytes& chunk) {
 
 void Database::save(snapshot::Writer& w) const {
   // tables_ is an ordered map, so the chunk sequence is deterministic.
+  constexpr std::uint32_t kUnseen = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> chunk_id;
+  std::vector<std::string_view> strings;
   for (const auto& [name, table] : tables_) {
-    // Rows go to a scratch writer first: the string table they fill is
-    // written ahead of them.
-    StringTable strings;
+    // The chunk's string table lists the pool's strings in order of first
+    // use, oldest row first; rows carry those indexes. It precedes the
+    // rows, so rows go to a scratch writer first.
+    chunk_id.assign(table->text_pool().id_space(), kUnseen);
+    strings.clear();
+    const auto& columns = table->schema().columns();
     ByteWriter rows;
-    table->rows().for_each([&](const Row& row) {
-      rows.u64(row.ts);
-      for (const Value& v : row.values) put_value(rows, v, strings);
+    table->for_each([&](const RecordView& row) {
+      rows.u64(row.ts());
+      for (std::size_t col = 0; col < columns.size(); ++col) {
+        const ColumnType type = columns[col].type;
+        rows.u8(static_cast<std::uint8_t>(type));
+        if (type != ColumnType::Text) {
+          rows.u64(row.cell(col));
+          continue;
+        }
+        const auto pool_id = static_cast<std::uint32_t>(row.cell(col));
+        std::uint32_t& id = chunk_id[pool_id];
+        if (id == kUnseen) {
+          id = static_cast<std::uint32_t>(strings.size());
+          strings.push_back(table->text_pool().text(pool_id));
+        }
+        rows.u32(id);
+      }
       return true;
     });
     ByteWriter& c = w.begin_chunk(kTableTag);
@@ -295,16 +265,13 @@ void Database::save(snapshot::Writer& w) const {
     c.u64(table->capacity());
     c.u64(table->inserted());
     c.u64(table->evicted());
-    const auto& columns = table->schema().columns();
     c.u32(static_cast<std::uint32_t>(columns.size()));
     for (const auto& col : columns) {
       snapshot::put_string(c, col.name);
       c.u8(static_cast<std::uint8_t>(col.type));
     }
-    c.u32(static_cast<std::uint32_t>(strings.strings().size()));
-    for (const std::string_view s : strings.strings()) {
-      snapshot::put_string(c, s);
-    }
+    c.u32(static_cast<std::uint32_t>(strings.size()));
+    for (const std::string_view s : strings) snapshot::put_string(c, s);
     c.u32(static_cast<std::uint32_t>(table->size()));
     c.raw(rows.bytes());
     w.end_chunk();
@@ -361,8 +328,8 @@ Status Database::restore(const snapshot::Reader& r) {
       }
       t = table(img.name);
     }
-    if (auto s = t->restore_rows(std::move(img.rows), img.inserted,
-                                 img.evicted);
+    if (auto s = t->restore(std::move(img.cells), std::move(img.strings),
+                            img.inserted, img.evicted);
         !s.ok()) {
       return s;
     }

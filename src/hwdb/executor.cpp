@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <unordered_map>
@@ -86,26 +87,25 @@ class ColumnSpace {
 /// columns then right columns); -2 is the ts pseudo-column.
 class RowView {
  public:
-  RowView(const Row& left, const Row* right)
-      : left_(left), right_(right), ts_(Value::ts(left.ts)) {}
+  RowView(RecordView left, const RecordView* right)
+      : left_(left), right_(right) {}
 
-  [[nodiscard]] const Value& at(int idx) const {
-    if (idx == -2) return ts_;
+  [[nodiscard]] ValueRef at(int idx) const {
+    if (idx == -2) return ValueRef::of_ts(left_.ts());
     const auto i = static_cast<std::size_t>(idx);
-    if (i < left_.values.size()) return left_.values[i];
-    return right_->values[i - left_.values.size()];
+    if (i < left_.width()) return left_.at(i);
+    return right_->at(i - left_.width());
   }
 
  private:
-  const Row& left_;
-  const Row* right_;
-  Value ts_;
+  RecordView left_;
+  const RecordView* right_;
 };
 
 /// A value's rendering. Text is viewed in place; numbers render into
 /// `scratch`, and all but the longest integers fit its small-string buffer,
 /// so this does not allocate.
-std::string_view rendered(const Value& v, std::string& scratch) {
+std::string_view rendered(ValueRef v, std::string& scratch) {
   if (v.type() == ColumnType::Text) return v.as_text();
   scratch = v.to_string();
   return scratch;
@@ -120,7 +120,7 @@ struct Accumulator {
   double sum = 0;
   double sum_sq = 0;
   bool integral = true;  // sum of only Int values renders as Int
-  Value picked;          // the min, max or last value so far
+  ValueRef picked;       // the min, max or last value so far
   bool any = false;
 
   // Rows are fed newest-first, so the first value seen is the LAST value.
@@ -133,7 +133,7 @@ struct Accumulator {
       case AggFn::Sum:
       case AggFn::Avg:
       case AggFn::Stddev: {
-        const Value& v = row.at(column);
+        const ValueRef v = row.at(column);
         if (v.type() != ColumnType::Int) integral = false;
         const double x = v.as_real();
         sum += x;
@@ -141,12 +141,12 @@ struct Accumulator {
         return;
       }
       case AggFn::Min: {
-        const Value& v = row.at(column);
+        const ValueRef v = row.at(column);
         if (!any || v.compare(picked) < 0) picked = v;
         break;
       }
       case AggFn::Max: {
-        const Value& v = row.at(column);
+        const ValueRef v = row.at(column);
         if (!any || v.compare(picked) > 0) picked = v;
         break;
       }
@@ -168,7 +168,7 @@ struct Accumulator {
       case AggFn::Min:
       case AggFn::Max:
       case AggFn::Last:
-        return any ? picked : Value{};
+        return any ? Value(picked) : Value{};
       case AggFn::Stddev: {
         if (count == 0) return Value{0.0};
         const double n = static_cast<double>(count);
@@ -189,6 +189,7 @@ struct Accumulator {
 struct Filter {
   const Predicate* source = nullptr;
   int column = -1;
+  ValueRef literal;    // views the predicate's literal
   std::string needle;  // rendered literal, for CONTAINS
   std::vector<Filter> children;
 };
@@ -198,6 +199,7 @@ Filter resolve_filter(const Predicate& p, const ColumnSpace& cols) {
   f.source = &p;
   if (p.kind == Predicate::Kind::Compare) {
     f.column = cols.resolve(p.column);
+    f.literal = p.literal;
     if (p.op == CmpOp::Contains) f.needle = p.literal.to_string();
   }
   f.children.reserve(p.children.size());
@@ -208,14 +210,14 @@ Filter resolve_filter(const Predicate& p, const ColumnSpace& cols) {
 Result<bool> eval_compare(const Filter& f, const RowView& row) {
   const Predicate& p = *f.source;
   if (f.column == -1) return make_error("unknown column in WHERE: " + p.column);
-  const Value& lhs = row.at(f.column);
+  const ValueRef lhs = row.at(f.column);
   switch (p.op) {
-    case CmpOp::Eq: return lhs.compare(p.literal) == 0;
-    case CmpOp::Ne: return lhs.compare(p.literal) != 0;
-    case CmpOp::Lt: return lhs.compare(p.literal) < 0;
-    case CmpOp::Le: return lhs.compare(p.literal) <= 0;
-    case CmpOp::Gt: return lhs.compare(p.literal) > 0;
-    case CmpOp::Ge: return lhs.compare(p.literal) >= 0;
+    case CmpOp::Eq: return lhs.compare(f.literal) == 0;
+    case CmpOp::Ne: return lhs.compare(f.literal) != 0;
+    case CmpOp::Lt: return lhs.compare(f.literal) < 0;
+    case CmpOp::Le: return lhs.compare(f.literal) <= 0;
+    case CmpOp::Gt: return lhs.compare(f.literal) > 0;
+    case CmpOp::Ge: return lhs.compare(f.literal) >= 0;
     case CmpOp::Contains: {
       std::string scratch;
       return rendered(lhs, scratch).find(f.needle) != std::string_view::npos;
@@ -345,7 +347,7 @@ Result<ResultSet> run_pipeline(const SelectQuery& q, const ColumnSpace& cols,
       ++taken;
       std::vector<Value> out;
       out.reserve(projs.size());
-      for (const auto& rp : projs) out.push_back(row.at(rp.column));
+      for (const auto& rp : projs) out.emplace_back(row.at(rp.column));
       rs.rows.push_back(std::move(out));
       return true;
     });
@@ -382,7 +384,7 @@ Result<ResultSet> run_pipeline(const SelectQuery& q, const ColumnSpace& cols,
   }
 
   struct Group {
-    std::vector<Value> key_values;
+    std::vector<ValueRef> key_values;
     std::vector<Accumulator> accs;
   };
   std::unordered_map<GroupKey, Group, KeyHash, KeyEq> groups;
@@ -427,9 +429,9 @@ Result<ResultSet> run_pipeline(const SelectQuery& q, const ColumnSpace& cols,
       if (acc_slot[i] >= 0) {
         out.push_back(group.accs[static_cast<std::size_t>(acc_slot[i])].result());
       } else if (key_slot[i] >= 0) {
-        out.push_back(group.key_values[static_cast<std::size_t>(key_slot[i])]);
+        out.emplace_back(group.key_values[static_cast<std::size_t>(key_slot[i])]);
       } else {
-        out.push_back(Value{});
+        out.emplace_back();
       }
     }
     rs.rows.push_back(std::move(out));
@@ -452,10 +454,10 @@ class AsOfIndex {
   AsOfIndex(const Table& right, int key_column) : right_(right) {
     std::string scratch;
     std::size_t pos = 0;
-    right.rows().for_each([&](const Row& row) {
+    right.for_each([&](const RecordView& row) {
       // for_each is oldest-first; positions stored in that order.
-      const std::string_view key = rendered(
-          row.values[static_cast<std::size_t>(key_column)], scratch);
+      const std::string_view key =
+          rendered(row.at(static_cast<std::size_t>(key_column)), scratch);
       auto it = keys_.find(key);
       if (it == keys_.end()) it = keys_.emplace(std::string(key), Positions{}).first;
       it->second.push_back(pos++);
@@ -464,19 +466,20 @@ class AsOfIndex {
   }
 
   /// Newest right row with the given key and ts <= `as_of`, or nullptr.
-  [[nodiscard]] const Row* lookup(const Value& key, Timestamp as_of) const {
+  [[nodiscard]] std::optional<RecordView> lookup(ValueRef key,
+                                                 Timestamp as_of) const {
     std::string scratch;
     auto it = keys_.find(rendered(key, scratch));
-    if (it == keys_.end()) return nullptr;
+    if (it == keys_.end()) return std::nullopt;
     const auto& positions = it->second;
     // Binary search for the last position with ts <= as_of.
-    const Row* best = nullptr;
+    std::optional<RecordView> best;
     std::size_t lo = 0, hi = positions.size();
     while (lo < hi) {
       const std::size_t mid = (lo + hi) / 2;
-      const Row& row = right_.rows().at(positions[mid]);
-      if (row.ts <= as_of) {
-        best = &row;
+      const RecordView row = right_.record(positions[mid]);
+      if (row.ts() <= as_of) {
+        best = row;
         lo = mid + 1;
       } else {
         hi = mid;
@@ -522,12 +525,6 @@ std::string ResultSet::to_string() const {
   return out;
 }
 
-Result<bool> eval_predicate(const Predicate& p, const Schema& schema,
-                            const Row& row) {
-  return eval(resolve_filter(p, ColumnSpace(schema, nullptr)),
-              RowView(row, nullptr));
-}
-
 Result<ResultSet> execute(const SelectQuery& q, const Table& table,
                           const Table* right, Timestamp now) {
   // Window bounds over the driving table.
@@ -554,8 +551,8 @@ Result<ResultSet> execute(const SelectQuery& q, const Table& table,
   if (!q.join) {
     const ColumnSpace cols(table.schema(), nullptr);
     return run_pipeline(q, cols, max_rows, [&](const auto& fn) {
-      table.rows().for_each_newest_first([&](const Row& row) {
-        if (row.ts < min_ts) return false;
+      table.for_each_newest_first([&](const RecordView& row) {
+        if (row.ts() < min_ts) return false;
         return fn(RowView(row, nullptr));
       });
     });
@@ -576,12 +573,12 @@ Result<ResultSet> execute(const SelectQuery& q, const Table& table,
   const ColumnSpace cols(table.schema(), &right->schema());
 
   return run_pipeline(q, cols, max_rows, [&](const auto& fn) {
-    table.rows().for_each_newest_first([&](const Row& left_row) {
-      if (left_row.ts < min_ts) return false;
-      const Row* match = index.lookup(
-          left_row.values[static_cast<std::size_t>(left_key)], left_row.ts);
-      if (match == nullptr) return true;  // inner join: drop unmatched
-      return fn(RowView(left_row, match));
+    table.for_each_newest_first([&](const RecordView& left_row) {
+      if (left_row.ts() < min_ts) return false;
+      const std::optional<RecordView> match = index.lookup(
+          left_row.at(static_cast<std::size_t>(left_key)), left_row.ts());
+      if (!match) return true;  // inner join: drop unmatched
+      return fn(RowView(left_row, &*match));
     });
   });
 }

@@ -18,8 +18,4 @@ Result<ResultSet> execute(const SelectQuery& q, const Table& table, Timestamp no
 Result<ResultSet> execute(const SelectQuery& q, const Table& table,
                           const Table* right, Timestamp now);
 
-/// Evaluates a WHERE tree against one row (exposed for property tests).
-Result<bool> eval_predicate(const Predicate& p, const Schema& schema,
-                            const Row& row);
-
 }  // namespace hw::hwdb

@@ -1,6 +1,8 @@
 #include "hwdb/persist.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <span>
+#include <string_view>
 
 #include "util/logging.hpp"
 #include "util/strings.hpp"
@@ -15,88 +17,91 @@ Result<std::size_t> dump_table_tsv(const Table& table, const std::string& path) 
     std::fprintf(f, "\t%s:%s", col.name.c_str(), to_string(col.type));
   }
   std::fputc('\n', f);
-  std::size_t rows = 0;
-  table.rows().for_each([&](const Row& row) {
-    std::fprintf(f, "%llu", static_cast<unsigned long long>(row.ts));
-    for (const auto& v : row.values) {
-      std::fprintf(f, "\t%s", v.to_string().c_str());
+  table.for_each([&](const RecordView& row) {
+    std::fprintf(f, "%llu", static_cast<unsigned long long>(row.ts()));
+    for (std::size_t col = 0; col < row.width(); ++col) {
+      const ValueRef v = row.at(col);
+      if (v.type() == ColumnType::Text) {
+        std::fprintf(f, "\t%.*s", static_cast<int>(v.as_text().size()),
+                     v.as_text().data());
+      } else {
+        std::fprintf(f, "\t%s", v.to_string().c_str());
+      }
     }
     std::fputc('\n', f);
-    ++rows;
     return true;
   });
   std::fclose(f);
-  return rows;
+  return table.size();
 }
 
 Result<std::size_t> load_table_tsv(Table& table, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) return make_error("cannot open " + path);
-
-  // Two-phase load: parse and validate the whole file into a staging buffer
-  // first, insert only once everything checked out. A malformed file —
-  // truncated mid-line, wrong column count, timestamps running backwards —
-  // therefore never partially mutates the table.
-  struct StagedRow {
-    Timestamp ts = 0;
-    std::vector<Value> values;
-  };
-  std::vector<StagedRow> staged;
-  std::string line;
-  int lineno = 0;
-  Timestamp prev_ts = 0;
-  bool have_prev = false;
-  const auto fail = [&](const std::string& what) {
-    std::fclose(f);
-    return make_error(path + ":" + std::to_string(lineno) + ": " + what);
-  };
-  for (;;) {
-    line.clear();
-    int c = 0;
-    while ((c = std::fgetc(f)) != EOF && c != '\n') {
-      line.push_back(static_cast<char>(c));
-    }
-    if (c == EOF) {
-      // dump_table_tsv terminates every line, header included. Data with no
-      // final newline is a torn write, not a last line.
-      if (!line.empty()) return fail("truncated file (no trailing newline)");
-      break;
-    }
-    ++lineno;
-    const std::string_view text = trim(line);
-    if (text.empty() || text[0] == '#') continue;
-    const auto fields = split(text, '\t');
-    if (fields.size() != table.schema().width() + 1) {
-      return fail("expected " + std::to_string(table.schema().width() + 1) +
-                  " fields, got " + std::to_string(fields.size()));
-    }
-    auto ts = Value::from_string(ColumnType::Ts, fields[0]);
-    if (!ts) return fail("bad ts");
-    const Timestamp row_ts = ts.value().as_ts();
-    if (have_prev && row_ts < prev_ts) {
-      return fail("non-monotonic timestamp");
-    }
-    prev_ts = row_ts;
-    have_prev = true;
-    StagedRow row;
-    row.ts = row_ts;
-    row.values.reserve(fields.size() - 1);
-    for (std::size_t i = 1; i < fields.size(); ++i) {
-      auto v = Value::from_string(table.schema().columns()[i - 1].type,
-                                  fields[i]);
-      if (!v) return fail(v.error().message);
-      row.values.push_back(std::move(v).take());
-    }
-    staged.push_back(std::move(row));
+  std::string text;
+  char buf[4096];
+  for (std::size_t n = 0; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) {
+    text.append(buf, n);
   }
   std::fclose(f);
 
-  for (auto& row : staged) {
-    if (auto s = table.insert(row.ts, std::move(row.values)); !s.ok()) {
+  // Two-phase load: parse and validate the whole file into staged values
+  // (text viewing the file) first, insert only once everything checked out.
+  // A malformed file — truncated mid-line, wrong column count, timestamps
+  // running backwards — therefore never partially mutates the table.
+  const auto& columns = table.schema().columns();
+  std::vector<Timestamp> stamps;
+  std::vector<ValueRef> staged;  // columns.size() per row
+  int lineno = 0;
+  const auto fail = [&](const std::string& what) {
+    return make_error(path + ":" + std::to_string(lineno) + ": " + what);
+  };
+  for (std::string_view rest = text; !rest.empty();) {
+    const std::size_t eol = rest.find('\n');
+    // dump_table_tsv terminates every line, header included. Data with no
+    // final newline is a torn write, not a last line.
+    if (eol == std::string_view::npos) {
+      return fail("truncated file (no trailing newline)");
+    }
+    const std::string_view line = trim(rest.substr(0, eol));
+    rest.remove_prefix(eol + 1);
+    ++lineno;
+    if (line.empty() || line[0] == '#') continue;
+    const auto fields =
+        static_cast<std::size_t>(std::count(line.begin(), line.end(), '\t')) + 1;
+    if (fields != columns.size() + 1) {
+      return fail("expected " + std::to_string(columns.size() + 1) +
+                  " fields, got " + std::to_string(fields));
+    }
+    std::size_t start = 0;
+    const auto next_field = [&] {
+      const std::size_t tab = std::min(line.find('\t', start), line.size());
+      const std::string_view field = line.substr(start, tab - start);
+      start = tab + 1;
+      return field;
+    };
+    auto ts = ValueRef::parse(ColumnType::Ts, next_field());
+    if (!ts) return fail("bad ts");
+    if (!stamps.empty() && ts.value().as_ts() < stamps.back()) {
+      return fail("non-monotonic timestamp");
+    }
+    stamps.push_back(ts.value().as_ts());
+    for (const ColumnDef& col : columns) {
+      auto v = ValueRef::parse(col.type, next_field());
+      if (!v) return fail(v.error().message);
+      staged.push_back(v.value());
+    }
+  }
+
+  const std::span<const ValueRef> values(staged);
+  for (std::size_t r = 0; r < stamps.size(); ++r) {
+    if (auto s = table.insert(stamps[r],
+                              values.subspan(r * columns.size(), columns.size()));
+        !s.ok()) {
       return s.error();
     }
   }
-  return staged.size();
+  return stamps.size();
 }
 
 PersistSink::PersistSink(Database& db, std::string query_text,

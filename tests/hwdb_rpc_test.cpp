@@ -726,9 +726,9 @@ TEST(TableTsv, DumpLoadRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.error().message;
   EXPECT_EQ(loaded.value(), 5u);
   EXPECT_EQ(copy.size(), 5u);
-  EXPECT_EQ(copy.rows().oldest().ts, kSecond);
-  EXPECT_EQ(copy.rows().newest().values[0].as_text(), "m4");
-  EXPECT_DOUBLE_EQ(copy.rows().newest().values[1].as_real(), -64.0);
+  EXPECT_EQ(copy.oldest().ts(), kSecond);
+  EXPECT_EQ(copy.newest().at(0).as_text(), "m4");
+  EXPECT_DOUBLE_EQ(copy.newest().at(1).as_real(), -64.0);
   std::remove(path.c_str());
 }
 

@@ -1,21 +1,72 @@
-// hwdb: typed tables over ring buffers, the CQL-variant parser, windowed
-// query execution with filters/grouping/aggregates, and continuous queries.
+// hwdb: typed tables of fixed-width records, the CQL-variant parser,
+// windowed query execution with filters/grouping/aggregates, continuous
+// queries, and the tables' storage against the previous Row-vector storage
+// kept here as the oracle.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
+#include <memory>
+#include <new>
+#include <set>
 #include <unordered_map>
 
 #include "hwdb/cql_parser.hpp"
 #include "hwdb/database.hpp"
 #include "hwdb/executor.hpp"
 #include "homework/event_export.hpp"
+#include "homework/metrics_export.hpp"
+#include "ring_buffer.hpp"
+#include "snapshot/codec.hpp"
 #include "util/rand.hpp"
 #include "util/strings.hpp"
+
+// Calls to operator new, and the heap bytes they hold net of the ones freed,
+// while counting is on.
+static bool g_count_allocs = false;
+static std::size_t g_alloc_calls = 0;
+static std::int64_t g_live_bytes = 0;
+
+// The free() calls pair with the malloc() in the replacement operator new;
+// GCC cannot see that and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  if (g_count_allocs) {
+    ++g_alloc_calls;
+    g_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
+  }
+  return p;
+}
+void operator delete(void* p) noexcept {
+  if (g_count_allocs && p != nullptr) {
+    g_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
+  }
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+#pragma GCC diagnostic pop
+
+/// Counts operator new calls and net heap bytes over its lifetime.
+struct AllocCount {
+  AllocCount() {
+    g_alloc_calls = 0;
+    g_live_bytes = 0;
+    g_count_allocs = true;
+  }
+  ~AllocCount() { g_count_allocs = false; }
+  [[nodiscard]] std::size_t calls() const { return g_alloc_calls; }
+  [[nodiscard]] std::int64_t live_bytes() const { return g_live_bytes; }
+};
 
 namespace hw::hwdb {
 namespace {
@@ -46,6 +97,8 @@ TEST(Value, CompareNumericAndText) {
   EXPECT_EQ(Value{2.0}.compare(Value{2}), 0);  // cross-type numeric
   EXPECT_EQ(Value{"b"}.compare(Value{"a"}), 1);
   EXPECT_TRUE(Value{"x"} == Value{"x"});
+  // A mixed pair compares renderings: "b" sorts after "1".
+  EXPECT_EQ(Value{"b"}.compare(Value{1}), 1);
 }
 
 TEST(Value, FromString) {
@@ -69,7 +122,7 @@ TEST(Table, InsertValidatesArityAndTypes) {
       t.insert(0, {Value{"mac"}, Value{"web"}, Value{"oops"}, Value{0.5}}).ok());
   // Int where Real expected: converted.
   EXPECT_TRUE(t.insert(0, {Value{"mac"}, Value{"web"}, Value{100}, Value{2}}).ok());
-  EXPECT_EQ(t.rows().newest().values[3].type(), ColumnType::Real);
+  EXPECT_EQ(t.newest().at(3).type(), ColumnType::Real);
 }
 
 TEST(Table, EphemeralFixedSize) {
@@ -83,7 +136,7 @@ TEST(Table, EphemeralFixedSize) {
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t.evicted(), 6u);
   EXPECT_EQ(t.inserted(), 10u);
-  EXPECT_EQ(t.rows().oldest().values[2].as_int(), 6);
+  EXPECT_EQ(t.oldest().at(2).as_int(), 6);
   EXPECT_EQ(t.newest_ts(), 9u);
 }
 
@@ -616,8 +669,115 @@ namespace oracle {
 // into every accumulator, re-resolves WHERE columns per row and builds a
 // combined row per joined row. Its one known fault, keys that collide when
 // text holds the separator byte, stays out of reach of the generated
-// (printable) text.
+// (printable) text. It reads OracleTable, the tables' previous storage.
 
+/// One stored event as the previous storage held it.
+struct Row {
+  Timestamp ts = 0;
+  std::vector<Value> values;
+};
+
+/// The table's previous storage, kept as the oracle: each row a heap Row
+/// of Values in a RingBuffer.
+class OracleTable {
+ public:
+  OracleTable(Schema schema, std::size_t capacity)
+      : schema_(std::move(schema)), rows_(capacity) {}
+
+  [[nodiscard]] const Schema& schema() const { return schema_; }
+  [[nodiscard]] std::size_t size() const { return rows_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return rows_.capacity(); }
+  [[nodiscard]] std::uint64_t evicted() const { return rows_.evicted(); }
+  [[nodiscard]] std::uint64_t inserted() const { return inserted_; }
+  [[nodiscard]] const RingBuffer<Row>& rows() const { return rows_; }
+  [[nodiscard]] Timestamp newest_ts() const {
+    return rows_.empty() ? 0 : rows_.newest().ts;
+  }
+  void clear() { rows_.clear(); }
+
+  Status insert(Timestamp now, std::vector<Value> values) {
+    if (values.size() != schema_.width()) {
+      return Status::failure("insert into " + schema_.name() + ": expected " +
+                             std::to_string(schema_.width()) + " values, got " +
+                             std::to_string(values.size()));
+    }
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const ColumnType want = schema_.columns()[i].type;
+      const ColumnType got = values[i].type();
+      if (want == got) continue;
+      if (want == ColumnType::Real && got == ColumnType::Int) {
+        values[i] = Value{values[i].as_real()};
+      } else if (want == ColumnType::Int && got == ColumnType::Real) {
+        values[i] = Value{values[i].as_int()};
+      } else if (want == ColumnType::Ts && got == ColumnType::Int) {
+        values[i] = Value::ts(static_cast<Timestamp>(values[i].as_int()));
+      } else {
+        return Status::failure("insert into " + schema_.name() + ": column " +
+                               schema_.columns()[i].name + " wants " +
+                               std::string(to_string(want)) + ", got " +
+                               std::string(to_string(got)));
+      }
+    }
+    rows_.push(Row{now, std::move(values)});
+    ++inserted_;
+    return {};
+  }
+
+  void restore_rows(std::vector<Row> rows, std::uint64_t inserted,
+                    std::uint64_t evicted) {
+    rows_.assign(std::move(rows));
+    inserted_ = inserted;
+    rows_.restore_evicted(evicted);
+  }
+
+ private:
+  Schema schema_;
+  RingBuffer<Row> rows_;
+  std::uint64_t inserted_ = 0;
+};
+
+/// The HTBL chunk payload the previous Database::save wrote for `table`:
+/// each value tagged with its own type, each distinct text interned into a
+/// string table in order of first use.
+Bytes encode_table(const OracleTable& table) {
+  std::unordered_map<std::string, std::uint32_t> ids;
+  std::vector<std::string> strings;
+  ByteWriter rows;
+  table.rows().for_each([&](const Row& row) {
+    rows.u64(row.ts);
+    for (const Value& v : row.values) {
+      rows.u8(static_cast<std::uint8_t>(v.type()));
+      switch (v.type()) {
+        case ColumnType::Int: rows.u64(static_cast<std::uint64_t>(v.as_int())); break;
+        case ColumnType::Real: rows.u64(std::bit_cast<std::uint64_t>(v.as_real())); break;
+        case ColumnType::Ts: rows.u64(v.as_ts()); break;
+        case ColumnType::Text: {
+          const auto [it, added] = ids.try_emplace(
+              v.as_text(), static_cast<std::uint32_t>(strings.size()));
+          if (added) strings.push_back(v.as_text());
+          rows.u32(it->second);
+          break;
+        }
+      }
+    }
+    return true;
+  });
+  ByteWriter c;
+  snapshot::put_string(c, table.schema().name());
+  c.u64(table.capacity());
+  c.u64(table.inserted());
+  c.u64(table.evicted());
+  c.u32(static_cast<std::uint32_t>(table.schema().width()));
+  for (const auto& col : table.schema().columns()) {
+    snapshot::put_string(c, col.name);
+    c.u8(static_cast<std::uint8_t>(col.type));
+  }
+  c.u32(static_cast<std::uint32_t>(strings.size()));
+  for (const auto& str : strings) snapshot::put_string(c, str);
+  c.u32(static_cast<std::uint32_t>(table.size()));
+  c.raw(rows.bytes());
+  return c.bytes();
+}
 
 /// Column namespace over the driving table and (optionally) a joined table:
 /// resolves bare and "table.column"-qualified names to combined-row indexes.
@@ -939,7 +1099,7 @@ Result<ResultSet> run_pipeline(
 /// by insertion (oldest → newest).
 class AsOfIndex {
  public:
-  AsOfIndex(const Table& right, int key_column) : right_(right) {
+  AsOfIndex(const OracleTable& right, int key_column) : right_(right) {
     right.rows().for_each([&](const Row& row) {
       // for_each is oldest-first; positions stored in that order.
       keys_[row.values[static_cast<std::size_t>(key_column)].to_string()]
@@ -970,13 +1130,13 @@ class AsOfIndex {
   }
 
  private:
-  const Table& right_;
+  const OracleTable& right_;
   std::unordered_map<std::string, std::vector<std::size_t>> keys_;
   std::size_t pos_ = 0;
 };
 
-Result<ResultSet> execute(const SelectQuery& q, const Table& table,
-                          const Table* right, Timestamp now) {
+Result<ResultSet> execute(const SelectQuery& q, const OracleTable& table,
+                          const OracleTable* right, Timestamp now) {
   // Window bounds over the driving table.
   Timestamp min_ts = 0;
   std::uint64_t max_rows = std::numeric_limits<std::uint64_t>::max();
@@ -1042,9 +1202,28 @@ Result<ResultSet> execute(const SelectQuery& q, const Table& table,
 
 }  // namespace oracle
 
+/// A table and its oracle twin, filled by the same inserts.
+struct TwinTable {
+  TwinTable(const Schema& schema, std::size_t capacity)
+      : table(schema, capacity), oracle(schema, capacity) {}
+
+  Status insert(Timestamp now, std::vector<Value> values) {
+    const Status got = table.insert(now, values);
+    const Status want = oracle.insert(now, std::move(values));
+    EXPECT_EQ(got.ok(), want.ok());
+    if (!got.ok() && !want.ok()) {
+      EXPECT_EQ(got.error().message, want.error().message);
+    }
+    return got;
+  }
+
+  Table table;
+  oracle::OracleTable oracle;
+};
+
 /// Random contents for a Flows-like driving table (one column of each type)
-/// and a Names table to join against. Text is printable; Reals include
-/// distinct values that render equal under %.6g.
+/// and a Names table to join against, each with its oracle twin. Text is
+/// printable; Reals include distinct values that render equal under %.6g.
 struct RandomTables {
   explicit RandomTables(Rng& rng)
       : left(Schema("Flows", {{"device", ColumnType::Text},
@@ -1089,21 +1268,28 @@ struct RandomTables {
     now = std::max(t, u) + rng.uniform(3) * kSecond;
   }
 
-  Table left;
-  Table right;
+  TwinTable left;
+  TwinTable right;
   Timestamp now = 0;
 };
 
 /// Generates CQL text over RandomTables: every window kind, WHERE trees of
 /// every operator, every aggregate over every column type and ts, GROUP BY
-/// on each type, joins and LIMIT.
+/// on each type, joins and LIMIT. Over any other table it makes the same
+/// queries without joins.
 class QueryGen {
  public:
   explicit QueryGen(Rng& rng) : rng_(rng) {}
+  QueryGen(Rng& rng, const Schema& schema)
+      : rng_(rng), table_(schema.name()), joins_(false) {
+    columns_.clear();
+    for (const auto& col : schema.columns()) columns_.push_back(col.name);
+    columns_.emplace_back("ts");
+  }
 
   std::string next() {
-    join_ = rng_.chance(0.25);
-    std::vector<std::string> cols = {"device", "app", "bytes", "rtt", "seen", "ts"};
+    join_ = joins_ && rng_.chance(0.25);
+    std::vector<std::string> cols = columns_;
     if (join_) {
       for (const char* c : {"hostname", "weight", "Names.mac", "Flows.device"}) {
         cols.emplace_back(c);
@@ -1139,7 +1325,7 @@ class QueryGen {
         }
       }
     }
-    q += " FROM Flows";
+    q += " FROM " + table_;
     switch (rng_.uniform(7)) {
       case 0: break;
       case 1: q += " [RANGE " + std::to_string(rng_.uniform(11)) + " SECONDS]"; break;
@@ -1184,8 +1370,35 @@ class QueryGen {
   }
 
   Rng& rng_;
+  std::string table_ = "Flows";
+  std::vector<std::string> columns_ = {"device", "app", "bytes", "rtt", "seen", "ts"};
+  bool joins_ = true;
   bool join_ = false;
 };
+
+/// Both results equal: the same error, or the same columns and rows with
+/// every value of the same type and rendering.
+void expect_same_results(const Result<ResultSet>& got,
+                         const Result<ResultSet>& want, const std::string& text) {
+  ASSERT_EQ(got.ok(), want.ok()) << text;
+  if (!want.ok()) {
+    EXPECT_EQ(got.error().message, want.error().message) << text;
+    return;
+  }
+  const ResultSet& g = got.value();
+  const ResultSet& w = want.value();
+  ASSERT_EQ(g.columns, w.columns) << text;
+  ASSERT_EQ(g.rows.size(), w.rows.size()) << text;
+  for (std::size_t r = 0; r < w.rows.size(); ++r) {
+    ASSERT_EQ(g.rows[r].size(), w.rows[r].size()) << text;
+    for (std::size_t i = 0; i < w.rows[r].size(); ++i) {
+      EXPECT_EQ(g.rows[r][i].type(), w.rows[r][i].type())
+          << text << " row " << r << " col " << i;
+      EXPECT_EQ(g.rows[r][i].to_string(), w.rows[r][i].to_string())
+          << text << " row " << r << " col " << i;
+    }
+  }
+}
 
 TEST(ExecutorDifferential, MatchesOracleOnRandomTablesAndQueries) {
   Rng rng(0x5eed15);
@@ -1198,29 +1411,16 @@ TEST(ExecutorDifferential, MatchesOracleOnRandomTablesAndQueries) {
     const std::string text = gen.next();
     auto q = parse_query(text);
     ASSERT_TRUE(q.ok()) << text << ": " << q.error().message;
-    const Table* right = q.value().join ? &tables.right : nullptr;
-    auto got = execute(q.value(), tables.left, right, tables.now);
-    auto want = oracle::execute(q.value(), tables.left, right, tables.now);
-    ASSERT_EQ(got.ok(), want.ok()) << text;
-    if (!want.ok()) {
-      EXPECT_EQ(got.error().message, want.error().message) << text;
-      continue;
-    }
-    const ResultSet& g = got.value();
-    const ResultSet& w = want.value();
-    ASSERT_EQ(g.columns, w.columns) << text;
-    ASSERT_EQ(g.rows.size(), w.rows.size()) << text;
-    for (std::size_t r = 0; r < w.rows.size(); ++r) {
-      ASSERT_EQ(g.rows[r].size(), w.rows[r].size()) << text;
-      for (std::size_t i = 0; i < w.rows[r].size(); ++i) {
-        EXPECT_EQ(g.rows[r][i].type(), w.rows[r][i].type())
-            << text << " row " << r << " col " << i;
-        EXPECT_EQ(g.rows[r][i].to_string(), w.rows[r][i].to_string())
-            << text << " row " << r << " col " << i;
-      }
-    }
+    const bool join = q.value().join.has_value();
+    expect_same_results(
+        execute(q.value(), tables.left.table,
+                join ? &tables.right.table : nullptr, tables.now),
+        oracle::execute(q.value(), tables.left.oracle,
+                        join ? &tables.right.oracle : nullptr, tables.now),
+        text);
+    if (HasFatalFailure()) return;
     grouped += q.value().group_by.empty() ? 0 : 1;
-    joined += right != nullptr ? 1 : 0;
+    joined += join ? 1 : 0;
   }
   // The generator really covers both pipelines and the join.
   EXPECT_GT(grouped, kCases / 4);
@@ -1282,6 +1482,384 @@ struct StandardTablesFixture : ::testing::Test {
   int parsed = 0;
   int executed = 0;
 };
+
+// ---------------------------------------------------------------------------
+// Storage: fixed-width records and the text pool against the oracle
+
+/// The four Homework tables' schemas.
+std::vector<Schema> homework_schemas() {
+  sim::EventLoop loop;
+  Database db(loop);
+  EXPECT_TRUE(homework::EventExport::create_tables(db, {}).ok());
+  EXPECT_TRUE(homework::MetricsExport::create_table(db, {}).ok());
+  std::vector<Schema> out;
+  for (const auto& name : db.table_names()) out.push_back(db.table(name)->schema());
+  return out;
+}
+
+/// A value for a cell of `type`: text from a small vocabulary (short and
+/// heap-sized strings, the empty string) or, now and then, never seen
+/// before, so the pool both shares and churns.
+Value random_value(Rng& rng, ColumnType type, std::uint64_t& unique) {
+  static const char* kTexts[] = {"",          "web",  "dns",  "aa:bb:cc:dd:ee:01",
+                                 "10.0.0.1",  "hwdb.database.inserts_total",
+                                 "counter",   "gauge", "Mac-A", "streaming"};
+  switch (type) {
+    case ColumnType::Int: return Value{rng.uniform_range(-1000, 100000)};
+    case ColumnType::Real:
+      // An Int in a Real column is converted on insert.
+      return rng.chance(0.2) ? Value{rng.uniform_range(-50, 50)}
+                             : Value{rng.uniform01() * 200 - 100};
+    case ColumnType::Ts:
+      return rng.chance(0.2) ? Value{rng.uniform_range(0, 1000)}
+                             : Value::ts(rng.uniform(30) * kSecond);
+    case ColumnType::Text:
+      if (rng.chance(0.15)) return Value{"unique-string-number-" + std::to_string(unique++)};
+      return Value{kTexts[rng.uniform(std::size(kTexts))]};
+  }
+  return {};
+}
+
+/// The table holds exactly the oracle's rows and counters.
+void expect_same_table(const Table& table, const oracle::OracleTable& want) {
+  ASSERT_EQ(table.size(), want.size());
+  EXPECT_EQ(table.capacity(), want.capacity());
+  EXPECT_EQ(table.inserted(), want.inserted());
+  EXPECT_EQ(table.evicted(), want.evicted());
+  EXPECT_EQ(table.newest_ts(), want.newest_ts());
+  std::set<std::string_view> texts;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const RecordView got = table.record(i);
+    const oracle::Row& row = want.rows().at(i);
+    ASSERT_EQ(got.ts(), row.ts) << "row " << i;
+    for (std::size_t c = 0; c < row.values.size(); ++c) {
+      const ValueRef v = got.at(c);
+      EXPECT_EQ(v.type(), row.values[c].type()) << "row " << i << " col " << c;
+      EXPECT_EQ(v.to_string(), row.values[c].to_string()) << "row " << i << " col " << c;
+      if (v.type() == ColumnType::Text) texts.insert(v.as_text());
+    }
+  }
+  // The pool holds exactly the strings the live rows use.
+  EXPECT_EQ(table.text_pool().size(), texts.size());
+}
+
+/// `db`'s HTBL chunk for table `name`.
+Bytes htbl_chunk(const Database& db, const std::string& name) {
+  snapshot::Writer w;
+  db.save(w);
+  const Bytes image = std::move(w).finish();
+  auto reader = snapshot::Reader::parse(image);
+  EXPECT_TRUE(reader.ok());
+  for (const Bytes* chunk : reader.value().find_all(snapshot::tag("HTBL"))) {
+    ByteReader br(*chunk);
+    auto chunk_name = snapshot::get_string(br);
+    if (chunk_name.ok() && chunk_name.value() == name) return *chunk;
+  }
+  ADD_FAILURE() << "no HTBL chunk for " << name;
+  return {};
+}
+
+/// Seeded inserts (most of them evicting), clears, save/restore round trips
+/// and queries over each Homework schema and one random schema, in a
+/// Database and in the oracle table side by side: after every step the
+/// table equals the oracle row for row, every query result is equal, and
+/// every HTBL chunk is byte-identical to the one the oracle encodes.
+TEST(TableDifferential, MatchesRowVectorOracle) {
+  Rng rng(0x7ab1ec);
+  std::vector<Schema> schemas = homework_schemas();
+  ASSERT_EQ(schemas.size(), 4u);
+  std::vector<ColumnDef> random_columns;
+  const std::uint64_t width = 1 + rng.uniform(7);
+  for (std::uint64_t c = 0; c < width; ++c) {
+    random_columns.push_back(
+        {"c" + std::to_string(c), static_cast<ColumnType>(rng.uniform(4))});
+  }
+  schemas.emplace_back("Random", random_columns);
+
+  std::uint64_t unique = 0;
+  int restores = 0;
+  int queries = 0;
+  for (const Schema& schema : schemas) {
+    for (int trial = 0; trial < 6; ++trial) {
+      sim::EventLoop loop;
+      auto db = std::make_unique<Database>(loop);
+      const std::size_t capacity = 1 + rng.uniform(48);
+      ASSERT_TRUE(db->create_table(schema, capacity).ok());
+      oracle::OracleTable want(schema, capacity);
+      for (int step = 0; step < 240; ++step) {
+        const std::uint64_t op = rng.uniform(100);
+        if (op < 84) {
+          loop.run_for(rng.uniform(4) * 250 * kMillisecond);
+          std::vector<Value> values;
+          for (const auto& col : schema.columns()) {
+            values.push_back(random_value(rng, col.type, unique));
+          }
+          if (rng.chance(0.03)) {
+            // A value of a type no conversion admits, or a short row.
+            if (rng.chance(0.5) || values.empty()) {
+              values.emplace_back(1);
+            } else {
+              values[rng.uniform(values.size())] = Value{"not-a-number"};
+            }
+          }
+          const Status got = db->insert(schema.name(), values);
+          const Status expected = want.insert(loop.now(), values);
+          ASSERT_EQ(got.ok(), expected.ok()) << schema.name() << " step " << step;
+        } else if (op < 87) {
+          db->table(schema.name())->clear();
+          want.clear();
+        } else if (op < 94) {
+          const Bytes chunk = htbl_chunk(*db, schema.name());
+          ASSERT_EQ(chunk, oracle::encode_table(want)) << schema.name();
+          snapshot::Writer w;
+          db->save(w);
+          const Bytes image = std::move(w).finish();
+          auto reader = snapshot::Reader::parse(image);
+          ASSERT_TRUE(reader.ok());
+          // Into a fresh home, or over the live table (a warm restart).
+          if (rng.chance(0.5)) db = std::make_unique<Database>(loop);
+          ASSERT_TRUE(db->restore(reader.value()).ok());
+          std::vector<oracle::Row> rows;
+          want.rows().for_each([&](const oracle::Row& row) {
+            rows.push_back(row);
+            return true;
+          });
+          want.restore_rows(std::move(rows), want.inserted(), want.evicted());
+          ++restores;
+        } else {
+          QueryGen gen(rng, schema);
+          for (int k = 0; k < 4; ++k) {
+            const std::string text = gen.next();
+            auto q = parse_query(text);
+            ASSERT_TRUE(q.ok()) << text << ": " << q.error().message;
+            expect_same_results(db->query(q.value()),
+                                oracle::execute(q.value(), want, nullptr, loop.now()),
+                                text);
+            if (HasFatalFailure()) return;
+            ++queries;
+          }
+        }
+        expect_same_table(*db->table(schema.name()), want);
+        if (HasFatalFailure()) return;
+      }
+      EXPECT_EQ(htbl_chunk(*db, schema.name()), oracle::encode_table(want))
+          << schema.name();
+    }
+  }
+  EXPECT_GT(restores, 100);
+  EXPECT_GT(queries, 1000);
+  EXPECT_GT(unique, 500u);
+}
+
+Schema metrics_schema() {
+  return Schema("Metrics", {{"name", ColumnType::Text},
+                            {"kind", ColumnType::Text},
+                            {"value", ColumnType::Real}});
+}
+
+/// Metrics-like rows over 16 series names, half of them longer than the
+/// small-string buffer.
+std::vector<std::vector<Value>> metrics_rows(std::size_t n) {
+  static const char* kKinds[] = {"counter", "gauge", "histogram.p99"};
+  std::vector<std::vector<Value>> rows;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string name = i % 2 == 0 ? "s" + std::to_string(i % 16)
+                                        : "home.module.series_" + std::to_string(i % 16);
+    rows.push_back({Value{name}, Value{kKinds[i % 3]}, Value{0.5 * static_cast<double>(i)}});
+  }
+  return rows;
+}
+
+TEST(TableStorage, FullTableInsertAllocatesNothing) {
+  // At a cap of 16 each insert evicts the one row that holds its name.
+  for (const std::size_t cap : {std::size_t{16}, std::size_t{256}}) {
+    Table table(metrics_schema(), cap);
+    const auto rows = metrics_rows(8 * cap);
+    for (std::size_t i = 0; i < cap; ++i) ASSERT_TRUE(table.insert(i, rows[i]).ok());
+    {
+      const AllocCount count;
+      for (std::size_t i = cap; i < rows.size(); ++i) {
+        ASSERT_TRUE(table.insert(i, rows[i]).ok());
+      }
+      // Every string is already pooled and the ring is full: an insert
+      // only overwrites cells.
+      EXPECT_EQ(count.calls(), 0u) << "cap " << cap;
+    }
+    EXPECT_EQ(table.size(), cap);
+    EXPECT_EQ(table.text_pool().size(), 16u + 3u);
+  }
+}
+
+TEST(TableStorage, FullTableWithNewStringsKeepsNothingPerRow) {
+  constexpr std::size_t kCap = 128;
+  Table table(metrics_schema(), kCap);
+  const auto insert_unique = [&](std::size_t i) {
+    // One string per row the pool has not seen, long enough for the heap
+    // and all of one length.
+    return table.insert(i, {Value{"a-series-name-longer-than-sso-" + std::to_string(100000 + i)},
+                            Value{"gauge"}, Value{1.0}});
+  };
+  std::size_t i = 0;
+  for (; i < 4 * kCap; ++i) ASSERT_TRUE(insert_unique(i).ok());
+  std::vector<std::string> names;
+  for (std::size_t k = 0; k < 10 * kCap; ++k) {
+    names.push_back("a-series-name-longer-than-sso-" + std::to_string(100000 + i + k));
+  }
+  const AllocCount count;
+  for (const std::string& name : names) {
+    ASSERT_TRUE(table.insert(i++, {Value{name}, Value{"gauge"}, Value{1.0}}).ok());
+  }
+  // Each row's new string is stored and the evicted row's freed: the heap
+  // ends where it started, whatever the number of rows.
+  EXPECT_EQ(count.live_bytes(), 0);
+  EXPECT_EQ(table.text_pool().size(), kCap + 1);
+}
+
+/// Allocations made by restoring a Metrics table that holds `rows` rows
+/// of the same 19 strings into a home that lacks the table.
+std::size_t restore_allocations(std::size_t rows) {
+  sim::EventLoop loop;
+  Database db(loop);
+  EXPECT_TRUE(db.create_table(metrics_schema(), 4096).ok());
+  for (const auto& row : metrics_rows(rows)) EXPECT_TRUE(db.insert("Metrics", row).ok());
+  snapshot::Writer w;
+  db.save(w);
+  const Bytes image = std::move(w).finish();
+  auto reader = snapshot::Reader::parse(image);
+  EXPECT_TRUE(reader.ok());
+  Database fresh(loop);
+  const AllocCount count;
+  EXPECT_TRUE(fresh.restore(reader.value()).ok());
+  EXPECT_EQ(fresh.table("Metrics")->size(), rows);
+  return count.calls();
+}
+
+TEST(TableStorage, RestoreAllocatesPerStringNotPerRow) {
+  const std::size_t small = restore_allocations(64);
+  const std::size_t large = restore_allocations(4096);
+  EXPECT_EQ(small, large);
+  EXPECT_LT(large, 100u);
+}
+
+TEST(TextPool, NeverHoldsMoreThanTheLiveRowsStrings) {
+  constexpr std::size_t kCap = 32;
+  const Schema leases("Leases", {{"mac", ColumnType::Text},
+                                 {"ip", ColumnType::Text},
+                                 {"hostname", ColumnType::Text},
+                                 {"event", ColumnType::Text},
+                                 {"state", ColumnType::Text}});
+  Table table(leases, kCap);
+  // Ten times the ring's cap, every row with a MAC no other row has (a
+  // spoofed-MAC flood) next to strings every row shares.
+  for (std::size_t i = 0; i < 10 * kCap; ++i) {
+    ASSERT_TRUE(table.insert(i, {Value{"02:00:00:00:" + std::to_string(i)},
+                                 Value{"10.0.0." + std::to_string(i % 7)},
+                                 Value{"host"}, Value{"add"}, Value{"pending"}})
+                    .ok());
+    std::set<std::string_view> live;
+    table.for_each([&](const RecordView& row) {
+      for (std::size_t c = 0; c < row.width(); ++c) live.insert(row.at(c).as_text());
+      return true;
+    });
+    ASSERT_EQ(table.text_pool().size(), live.size()) << "after insert " << i;
+    // Freed ids are reused: the id space stays within what one row more
+    // than the ring can reference.
+    ASSERT_LE(table.text_pool().id_space(), (kCap + 1) * leases.width());
+  }
+  EXPECT_EQ(table.evicted(), 9 * kCap);
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.text_pool().size(), 0u);
+  EXPECT_EQ(table.text_pool().id_space(), 0u);
+}
+
+TEST(DatabaseSnapshot, RestoreRejectsACellOfTheWrongType) {
+  sim::EventLoop loop;
+  Database db(loop);
+  const Schema links("Links", {{"mac", ColumnType::Text},
+                               {"rssi", ColumnType::Real},
+                               {"retries", ColumnType::Int},
+                               {"seen", ColumnType::Ts}});
+  ASSERT_TRUE(db.create_table(links, 8).ok());
+  loop.run_for(kSecond);
+  ASSERT_TRUE(db.insert("Links", {Value{"m1"}, Value{-40.5}, Value{3},
+                                  Value::ts(7)}).ok());
+  const Bytes valid = htbl_chunk(db, "Links");
+  // The one row ends the chunk: ts, then (tag, payload) per cell.
+  const std::size_t row = valid.size() - (8 + 5 + 9 + 9 + 9);
+  struct Flip {
+    std::size_t offset;  // of the cell's type tag
+    ColumnType to;
+  };
+  // Same-width payloads, so only the tag gives the flip away.
+  const Flip flips[] = {{row + 8 + 5, ColumnType::Int},
+                        {row + 8 + 5, ColumnType::Ts},
+                        {row + 8 + 5 + 9, ColumnType::Real},
+                        {row + 8 + 5 + 9 + 9, ColumnType::Int}};
+  const auto with_chunk = [](const Bytes& chunk) {
+    snapshot::Writer w;
+    w.begin_chunk(snapshot::tag("HTBL")).raw(chunk);
+    w.end_chunk();
+    return std::move(w).finish();
+  };
+  // The untouched chunk restores.
+  {
+    const Bytes image = with_chunk(valid);
+    Database fresh(loop);
+    ASSERT_TRUE(fresh.restore(snapshot::Reader::parse(image).value()).ok());
+    EXPECT_EQ(fresh.table("Links")->size(), 1u);
+  }
+  for (const Flip& flip : flips) {
+    Bytes bad = valid;
+    ASSERT_NE(bad[flip.offset], static_cast<std::uint8_t>(flip.to));
+    bad[flip.offset] = static_cast<std::uint8_t>(flip.to);
+    const Bytes image = with_chunk(bad);
+    auto reader = snapshot::Reader::parse(image);
+    ASSERT_TRUE(reader.ok());
+    // Rejected into a fresh home and over the live table, which stays as
+    // it was.
+    Database fresh(loop);
+    EXPECT_FALSE(fresh.restore(reader.value()).ok());
+    EXPECT_EQ(fresh.table("Links"), nullptr);
+    const Status s = db.restore(reader.value());
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.error().message.find("wrong type"), std::string::npos)
+        << s.error().message;
+    EXPECT_EQ(htbl_chunk(db, "Links"), valid);
+  }
+}
+
+TEST(DatabaseSnapshot, RestoreKeepsTheNewestRowsThatFit) {
+  // A chunk holding six rows of a table whose capacity it gives as four.
+  ByteWriter c;
+  snapshot::put_string(c, "T");
+  c.u64(4);  // capacity
+  c.u64(6);  // inserted
+  c.u64(2);  // evicted
+  c.u32(1);
+  snapshot::put_string(c, "n");
+  c.u8(static_cast<std::uint8_t>(ColumnType::Int));
+  c.u32(0);  // strings
+  c.u32(6);  // rows
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    c.u64(i * kSecond);
+    c.u8(static_cast<std::uint8_t>(ColumnType::Int));
+    c.u64(i);
+  }
+  snapshot::Writer w;
+  w.begin_chunk(snapshot::tag("HTBL")).raw(c.bytes());
+  w.end_chunk();
+  const Bytes image = std::move(w).finish();
+  sim::EventLoop loop;
+  Database db(loop);
+  ASSERT_TRUE(db.restore(snapshot::Reader::parse(image).value()).ok());
+  const Table& t = *db.table("T");
+  ASSERT_EQ(t.size(), 4u);
+  EXPECT_EQ(t.oldest().at(0).as_int(), 2);
+  EXPECT_EQ(t.newest().at(0).as_int(), 5);
+  EXPECT_EQ(t.inserted(), 6u);
+  EXPECT_EQ(t.evicted(), 2u);
+}
 
 TEST_F(StandardTablesFixture, DocQueriesRunCleanly) {
   for (const char* text : kDocQueries) {

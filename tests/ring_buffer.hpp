@@ -1,6 +1,7 @@
-// Bounded overwriting ring buffer: the storage discipline of hwdb's "active
-// ephemeral stream database ... fixed size memory buffer" (paper §2). The
-// capacity bounds what the ring holds; storage grows to it as rows arrive.
+// Bounded overwriting ring buffer: hwdb's row storage before rows became
+// fixed-width records, kept as the storage of the tests' reference table
+// (hwdb_test's OracleTable). The capacity bounds what the ring holds;
+// storage grows to it as rows arrive.
 #pragma once
 
 #include <algorithm>

@@ -14,9 +14,9 @@
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/rand.hpp"
-#include "util/ring_buffer.hpp"
 #include "util/strings.hpp"
 #include "util/token_bucket.hpp"
+#include "ring_buffer.hpp"
 
 // Calls to operator new, and the largest request, while counting is on: the
 // grown-ring test bounds what a ring may reserve and proves a full ring
