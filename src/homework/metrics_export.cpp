@@ -1,6 +1,7 @@
 #include "homework/metrics_export.hpp"
 
 #include <bit>
+#include <string_view>
 #include <vector>
 
 #include "util/logging.hpp"
@@ -148,21 +149,27 @@ void MetricsExport::save(snapshot::Writer& w) const {
   std::uint32_t entries = 0;
   for (const auto& [name, s] : scalars_) entries += s.written ? 1 : 0;
   for (const auto& [name, h] : histograms_) entries += h.written ? 1 : 0;
+  // Each entry: its name front-coded after the entry before's (the maps
+  // are name-ordered, so names share their prefixes), its kind, a scalar's
+  // value bits, and written_at as a varint.
   ByteWriter& c = w.begin_chunk(kBaselineTag);
   c.u32(entries);
+  std::string_view prev;
   for (const auto& [name, s] : scalars_) {
     if (!s.written) continue;
-    snapshot::put_string(c, name);
+    snapshot::put_front_coded(c, prev, name);
+    prev = name;
     c.u8(kScalarEntry);
     c.u64(std::bit_cast<std::uint64_t>(s.last_value));
-    c.u64(s.written_at);
+    snapshot::put_varint(c, s.written_at);
   }
   for (const auto& [name, h] : histograms_) {
     if (!h.written) continue;
-    snapshot::put_string(c, name);
+    snapshot::put_front_coded(c, prev, name);
+    prev = name;
     c.u8(histogram_count(name) != h.last_count ? kHistogramMoved
                                                : kHistogramSettled);
-    c.u64(h.written_at);
+    snapshot::put_varint(c, h.written_at);
   }
   w.end_chunk();
 }
@@ -180,15 +187,18 @@ Status MetricsExport::restore(const snapshot::Reader& r) {
   ByteReader br(*chunk);
   auto count = br.u32();
   if (!count) return count.error();
-  // The smallest entry is an empty name, its kind and written_at.
-  if (count.value() > br.remaining() / 13) {
+  // The smallest entry is a name that repeats the one before (two bytes),
+  // its kind and a one-byte written_at.
+  if (count.value() > br.remaining() / 4) {
     return make_error("metrics-export snapshot: entry count past chunk end");
   }
   std::vector<Entry> entries(count.value());
+  std::string_view prev;
   for (Entry& e : entries) {
-    auto name = snapshot::get_string(br);
+    auto name = snapshot::get_front_coded(br, prev);
     if (!name) return name.error();
     e.name = std::move(name).take();
+    prev = e.name;
     auto kind = br.u8();
     if (!kind) return kind.error();
     e.kind = kind.value();
@@ -200,7 +210,7 @@ Status MetricsExport::restore(const snapshot::Reader& r) {
       if (!bits) return bits.error();
       e.value = std::bit_cast<double>(bits.value());
     }
-    auto at = br.u64();
+    auto at = snapshot::get_varint(br);
     if (!at) return at.error();
     e.written_at = at.value();
   }

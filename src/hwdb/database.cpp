@@ -1,8 +1,10 @@
 #include "hwdb/database.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "util/logging.hpp"
@@ -132,6 +134,77 @@ namespace {
 constexpr std::uint32_t kTableTag = snapshot::tag("HTBL");
 constexpr std::uint32_t kMetaTag = snapshot::tag("HMET");
 
+// An HTBL chunk holds the table's header, its string table (front-coded,
+// each string after the one before), then one block per column, ts first,
+// each with one entry per row, oldest row first:
+//   ts         zigzag varint of the delta of deltas;
+//   Int, Ts    zigzag varint of the delta from the row before;
+//   Text       varint index into the chunk's string table;
+//   Real       the bits XORed with the row before's: a mask byte whose bit i
+//              flags byte i (least significant first) as nonzero, then
+//              those bytes.
+// The row before a block's first row reads as zero. The column's type picks
+// the coding, so a cell of another type cannot be written; every entry takes
+// at least one byte.
+
+std::uint64_t zigzag(std::uint64_t v) { return (v << 1) ^ (0 - (v >> 63)); }
+std::uint64_t unzigzag(std::uint64_t v) { return (v >> 1) ^ (0 - (v & 1)); }
+
+void put_xor(ByteWriter& w, std::uint64_t x) {
+  std::uint8_t buf[9];
+  std::size_t n = 1;
+  std::uint8_t mask = 0;
+  for (int i = 0; i < 8; ++i, x >>= 8) {
+    if ((x & 0xFFu) == 0) continue;
+    mask = static_cast<std::uint8_t>(mask | 1u << i);
+    buf[n++] = static_cast<std::uint8_t>(x);
+  }
+  buf[0] = mask;
+  w.raw(buf, n);
+}
+
+/// Reads column-block entries; each read fails at the end of the bytes. A
+/// bare cursor rather than snapshot::get_varint over a ByteReader: the
+/// blocks are most of an image's bytes, read without a Result per byte.
+class BlockReader {
+ public:
+  explicit BlockReader(std::span<const std::uint8_t> bytes)
+      : p_(bytes.data()), end_(bytes.data() + bytes.size()) {}
+
+  bool varint(std::uint64_t& out) {
+    std::uint64_t v = 0;
+    for (unsigned shift = 0; p_ != end_; shift += 7) {
+      const std::uint8_t b = *p_++;
+      v |= std::uint64_t{b & 0x7Fu} << shift;
+      if ((b & 0x80u) == 0) {
+        out = v;
+        // The tenth byte holds only bit 63.
+        return shift < 63 || b <= 1;
+      }
+      if (shift == 63) return false;
+    }
+    return false;
+  }
+
+  bool xor_bits(std::uint64_t& out) {
+    if (p_ == end_) return false;
+    const unsigned mask = *p_++;
+    if (end_ - p_ < std::popcount(mask)) return false;
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < 8; ++i) {
+      if ((mask >> i & 1u) != 0) v |= std::uint64_t{*p_++} << (8 * i);
+    }
+    out = v;
+    return true;
+  }
+
+  [[nodiscard]] bool empty() const { return p_ == end_; }
+
+ private:
+  const std::uint8_t* p_;
+  const std::uint8_t* end_;
+};
+
 /// One decoded HTBL chunk, applied only once every chunk decoded. Rows are
 /// already cells; a text cell holds an index into `strings`.
 struct TableImage {
@@ -143,6 +216,57 @@ struct TableImage {
   std::vector<std::string> strings;
   std::vector<std::uint64_t> cells;
 };
+
+/// Decodes the column blocks of `nrows` rows into `t.cells`, row-major.
+Status decode_blocks(BlockReader& in, std::size_t nrows, TableImage& t) {
+  const std::size_t stride = t.columns.size() + 1;
+  t.cells.resize(nrows * stride);
+  const auto truncated = [&] {
+    return Status::failure("hwdb snapshot: " + t.name + ": truncated column block");
+  };
+  std::uint64_t v = 0;
+  std::uint64_t ts = 0;
+  std::uint64_t delta = 0;
+  for (std::size_t r = 0; r < nrows; ++r) {
+    if (!in.varint(v)) return truncated();
+    delta += unzigzag(v);
+    ts += delta;
+    t.cells[r * stride] = ts;
+  }
+  for (std::size_t col = 0; col < t.columns.size(); ++col) {
+    std::uint64_t* cell = t.cells.data() + col + 1;
+    std::uint64_t prev = 0;
+    switch (t.columns[col].type) {
+      case ColumnType::Int:
+      case ColumnType::Ts:
+        for (std::size_t r = 0; r < nrows; ++r, cell += stride) {
+          if (!in.varint(v)) return truncated();
+          *cell = prev += unzigzag(v);
+        }
+        break;
+      case ColumnType::Real:
+        for (std::size_t r = 0; r < nrows; ++r, cell += stride) {
+          if (!in.xor_bits(v)) return truncated();
+          *cell = prev ^= v;
+        }
+        break;
+      case ColumnType::Text:
+        for (std::size_t r = 0; r < nrows; ++r, cell += stride) {
+          if (!in.varint(v)) return truncated();
+          if (v >= t.strings.size()) {
+            return Status::failure("hwdb snapshot: string id out of range");
+          }
+          *cell = v;
+        }
+        break;
+    }
+  }
+  if (!in.empty()) {
+    return Status::failure("hwdb snapshot: " + t.name +
+                           ": bytes past the last column block");
+  }
+  return {};
+}
 
 Result<TableImage> decode_table(const Bytes& chunk) {
   ByteReader br(chunk);
@@ -161,7 +285,7 @@ Result<TableImage> decode_table(const Bytes& chunk) {
   t.inserted = inserted.value();
   t.evicted = evicted.value();
   // Every count is checked against the bytes left before anything is
-  // reserved: a column takes at least 5 bytes, a string 4.
+  // reserved: a column takes at least 5 bytes, a string 2.
   if (ncols.value() > br.remaining() / 5) {
     return make_error("hwdb snapshot: column count past chunk end");
   }
@@ -180,49 +304,24 @@ Result<TableImage> decode_table(const Bytes& chunk) {
   }
   auto nstrings = br.u32();
   if (!nstrings) return nstrings.error();
-  if (nstrings.value() > br.remaining() / 4) {
+  if (nstrings.value() > br.remaining() / 2) {
     return make_error("hwdb snapshot: string count past chunk end");
   }
   t.strings.reserve(nstrings.value());
   for (std::uint32_t i = 0; i < nstrings.value(); ++i) {
-    auto str = snapshot::get_string(br);
+    auto str = snapshot::get_front_coded(
+        br, t.strings.empty() ? std::string_view{} : t.strings.back());
     if (!str) return str.error();
     t.strings.push_back(std::move(str).take());
   }
   auto nrows = br.u32();
   if (!nrows) return nrows.error();
-  // A row takes at least 8 bytes of ts and 5 per cell (tag and string id).
-  const std::size_t stride = t.columns.size() + 1;
-  if (nrows.value() > br.remaining() / (8 + 5 * t.columns.size())) {
+  // Every entry of every block, ts included, takes at least one byte.
+  if (nrows.value() > br.remaining() / (t.columns.size() + 1)) {
     return make_error("hwdb snapshot: row count past chunk end");
   }
-  // Each cell carries its value's type tag, which must be its column's.
-  t.cells.reserve(nrows.value() * stride);
-  for (std::uint32_t i = 0; i < nrows.value(); ++i) {
-    auto ts = br.u64();
-    if (!ts) return ts.error();
-    t.cells.push_back(ts.value());
-    for (const ColumnDef& col : t.columns) {
-      auto type = br.u8();
-      if (!type) return type.error();
-      if (type.value() != static_cast<std::uint8_t>(col.type)) {
-        return make_error("hwdb snapshot: " + t.name + "." + col.name +
-                          " holds a value of the wrong type");
-      }
-      if (col.type == ColumnType::Text) {
-        auto id = br.u32();
-        if (!id) return id.error();
-        if (id.value() >= t.strings.size()) {
-          return make_error("hwdb snapshot: string id out of range");
-        }
-        t.cells.push_back(id.value());
-      } else {
-        auto v = br.u64();
-        if (!v) return v.error();
-        t.cells.push_back(v.value());
-      }
-    }
-  }
+  BlockReader blocks(br.view(br.remaining()).value());
+  if (auto s = decode_blocks(blocks, nrows.value(), t); !s.ok()) return s.error();
   return t;
 }
 
@@ -234,32 +333,26 @@ void Database::save(snapshot::Writer& w) const {
   std::vector<std::uint32_t> chunk_id;
   std::vector<std::string_view> strings;
   for (const auto& [name, table] : tables_) {
+    const auto& columns = table->schema().columns();
     // The chunk's string table lists the pool's strings in order of first
-    // use, oldest row first; rows carry those indexes. It precedes the
-    // rows, so rows go to a scratch writer first.
+    // use, oldest row first and left to right within a row; text entries
+    // carry those indexes.
     chunk_id.assign(table->text_pool().id_space(), kUnseen);
     strings.clear();
-    const auto& columns = table->schema().columns();
-    ByteWriter rows;
-    table->for_each([&](const RecordView& row) {
-      rows.u64(row.ts());
-      for (std::size_t col = 0; col < columns.size(); ++col) {
-        const ColumnType type = columns[col].type;
-        rows.u8(static_cast<std::uint8_t>(type));
-        if (type != ColumnType::Text) {
-          rows.u64(row.cell(col));
-          continue;
+    if (table->text_pool().size() != 0) {
+      table->for_each([&](const RecordView& row) {
+        for (std::size_t col = 0; col < columns.size(); ++col) {
+          if (columns[col].type != ColumnType::Text) continue;
+          const auto pool_id = static_cast<std::uint32_t>(row.cell(col));
+          std::uint32_t& id = chunk_id[pool_id];
+          if (id == kUnseen) {
+            id = static_cast<std::uint32_t>(strings.size());
+            strings.push_back(table->text_pool().text(pool_id));
+          }
         }
-        const auto pool_id = static_cast<std::uint32_t>(row.cell(col));
-        std::uint32_t& id = chunk_id[pool_id];
-        if (id == kUnseen) {
-          id = static_cast<std::uint32_t>(strings.size());
-          strings.push_back(table->text_pool().text(pool_id));
-        }
-        rows.u32(id);
-      }
-      return true;
-    });
+        return true;
+      });
+    }
     ByteWriter& c = w.begin_chunk(kTableTag);
     snapshot::put_string(c, name);
     c.u64(table->capacity());
@@ -271,9 +364,48 @@ void Database::save(snapshot::Writer& w) const {
       c.u8(static_cast<std::uint8_t>(col.type));
     }
     c.u32(static_cast<std::uint32_t>(strings.size()));
-    for (const std::string_view s : strings) snapshot::put_string(c, s);
+    std::string_view prev;
+    for (const std::string_view s : strings) {
+      snapshot::put_front_coded(c, prev, s);
+      prev = s;
+    }
     c.u32(static_cast<std::uint32_t>(table->size()));
-    c.raw(rows.bytes());
+
+    std::uint64_t ts = 0;
+    std::uint64_t delta = 0;
+    table->for_each([&](const RecordView& row) {
+      const std::uint64_t d = row.ts() - ts;
+      snapshot::put_varint(c, zigzag(d - delta));
+      ts = row.ts();
+      delta = d;
+      return true;
+    });
+    for (std::size_t col = 0; col < columns.size(); ++col) {
+      std::uint64_t prev = 0;
+      switch (columns[col].type) {
+        case ColumnType::Int:
+        case ColumnType::Ts:
+          table->for_each([&](const RecordView& row) {
+            snapshot::put_varint(c, zigzag(row.cell(col) - prev));
+            prev = row.cell(col);
+            return true;
+          });
+          break;
+        case ColumnType::Real:
+          table->for_each([&](const RecordView& row) {
+            put_xor(c, row.cell(col) ^ prev);
+            prev = row.cell(col);
+            return true;
+          });
+          break;
+        case ColumnType::Text:
+          table->for_each([&](const RecordView& row) {
+            snapshot::put_varint(c, chunk_id[row.cell(col)]);
+            return true;
+          });
+          break;
+      }
+    }
     w.end_chunk();
   }
   ByteWriter& meta = w.begin_chunk(kMetaTag);

@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "util/logging.hpp"
-#include "util/strings.hpp"
 
 namespace hw::hwdb {
 
@@ -63,7 +62,10 @@ Result<std::size_t> load_table_tsv(Table& table, const std::string& path) {
     if (eol == std::string_view::npos) {
       return fail("truncated file (no trailing newline)");
     }
-    const std::string_view line = trim(rest.substr(0, eol));
+    // Only the line ending goes: a tab at either end separates an empty
+    // text field.
+    std::string_view line = rest.substr(0, eol);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     rest.remove_prefix(eol + 1);
     ++lineno;
     if (line.empty() || line[0] == '#') continue;

@@ -64,7 +64,8 @@ Table::Table(Schema schema, std::size_t capacity)
     : schema_(std::move(schema)),
       cap_(capacity),
       stride_(schema_.width() + 1),
-      scratch_(stride_) {
+      scratch_(stride_),
+      last_text_(schema_.width(), std::numeric_limits<std::uint32_t>::max()) {
   assert(capacity > 0 && "table needs nonzero capacity");
   types_.reserve(schema_.width());
   for (const ColumnDef& col : schema_.columns()) types_.push_back(col.type);
@@ -109,7 +110,10 @@ Status Table::insert_values(Timestamp now, std::span<const V> values) {
       case ColumnType::Int: cell = static_cast<std::uint64_t>(values[i].as_int()); break;
       case ColumnType::Real: cell = std::bit_cast<std::uint64_t>(values[i].as_real()); break;
       case ColumnType::Ts: cell = values[i].as_ts(); break;
-      case ColumnType::Text: cell = pool_.acquire(std::string_view(values[i].as_text())); break;
+      case ColumnType::Text:
+        cell = last_text_[i] =
+            pool_.acquire(std::string_view(values[i].as_text()), last_text_[i]);
+        break;
     }
   }
   if (size_ < cap_) {

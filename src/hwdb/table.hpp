@@ -56,6 +56,16 @@ class TextPool {
   /// The id of `s`, stored on first use; takes one reference.
   std::uint32_t acquire(std::string_view s);
   std::uint32_t acquire(std::string&& s);
+  /// acquire(s), trying `hint` first: when that id holds `s`, it takes the
+  /// reference without a lookup.
+  std::uint32_t acquire(std::string_view s, std::uint32_t hint) {
+    if (hint < entries_.size() && entries_[hint].refs != 0 &&
+        entries_[hint].text == s) {
+      ++entries_[hint].refs;
+      return hint;
+    }
+    return acquire(s);
+  }
   /// Takes one more reference to a held id.
   void retain(std::uint32_t id) { ++entries_[id].refs; }
   /// Drops one reference; the last one frees the string.
@@ -195,6 +205,9 @@ class Table {
   // the rows held, never past the cap.
   std::vector<std::uint64_t> cells_;
   std::vector<std::uint64_t> scratch_;  // the row being inserted
+  // Per column, the text id the last insert wrote: a column that repeats
+  // its text (a device, a series kind) skips the pool lookup.
+  std::vector<std::uint32_t> last_text_;
   std::size_t head_ = 0;  // next write slot once full
   std::size_t tail_ = 0;  // oldest row
   std::size_t size_ = 0;

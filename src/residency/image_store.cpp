@@ -28,6 +28,8 @@ Status ImageStore::put(std::uint64_t key,
                        const snapshot::SnapshotImage& image) {
   auto reader = snapshot::Reader::parse(image.bytes);
   if (!reader) return reader.error();
+  // The parsed chunks are this put's own copies: the pool takes them over.
+  std::vector<snapshot::Reader::Chunk> chunks = std::move(reader).take().chunks();
 
   std::lock_guard<std::mutex> lock(mu_);
   if (auto it = entries_.find(key); it != entries_.end()) {
@@ -39,7 +41,7 @@ Status ImageStore::put(std::uint64_t key,
   Entry entry;
   entry.captured_at = image.captured_at;
   entry.image_bytes = image.bytes.size();
-  for (const snapshot::Reader::Chunk& c : reader.value().chunks()) {
+  for (snapshot::Reader::Chunk& c : chunks) {
     // parse() verified each chunk against its header CRC: key on that.
     const PoolKey pkey{c.tag, c.crc,
                        static_cast<std::uint32_t>(c.payload.size())};
@@ -56,9 +58,9 @@ Status ImageStore::put(std::uint64_t key,
     if (found == nullptr) {
       bucket.push_back(std::make_unique<PoolChunk>());
       found = bucket.back().get();
-      found->payload = c.payload;
-      found->crc = c.crc;
       stored_bytes_ += kChunkOverhead + c.payload.size();
+      found->payload = std::move(c.payload);
+      found->crc = c.crc;
     }
     ++found->refs;
     entry.chunks.emplace_back(c.tag, found);
@@ -77,7 +79,14 @@ Result<snapshot::SnapshotImage> ImageStore::get(std::uint64_t key) const {
     return make_error("residency: no image for key " + std::to_string(key));
   }
   if (it->second.spilled) {
-    return snapshot::SnapshotCoordinator::read_file(spill_path(key));
+    // The entry holds captured_at, so the file is not parsed for its META:
+    // one body-CRC pass refuses a damaged file, and the home that restores
+    // the image verifies every chunk when it parses it.
+    auto bytes = snapshot::SnapshotCoordinator::read_file_bytes(spill_path(key));
+    if (!bytes) return bytes.error();
+    if (auto s = snapshot::check_image(bytes.value()); !s.ok()) return s.error();
+    return snapshot::SnapshotImage{std::move(bytes).take(),
+                                   it->second.captured_at};
   }
   return snapshot::SnapshotImage{encode(it->second), it->second.captured_at};
 }

@@ -10,7 +10,7 @@
 //
 // Optionally file-backed: spill(key) writes the image to `spill_dir` (atomic
 // tmp+rename via SnapshotCoordinator) and drops the in-memory chunks; get()
-// transparently reloads from disk. Thread-safe — fleet workers hibernate
+// transparently reloads from disk, checking the body CRC. Thread-safe — fleet workers hibernate
 // homes concurrently; gauges are written under the same mutex, so they must
 // only be read once the caller has synchronized with every writer (the fleet
 // barrier handshake / pool join provides that).
@@ -50,7 +50,8 @@ class ImageStore {
   ImageStore& operator=(const ImageStore&) = delete;
 
   /// Validates and stores `image` under `key` (replacing any previous
-  /// image). Rejects images that fail container validation untouched.
+  /// image). Rejects images that fail container validation untouched. The
+  /// pool takes over the chunks the validating parse copied out.
   Status put(std::uint64_t key, const snapshot::SnapshotImage& image);
   /// Reassembles the stored image bit-exactly (reloading from disk when the
   /// key was spilled).

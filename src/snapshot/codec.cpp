@@ -1,5 +1,6 @@
 #include "snapshot/codec.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 
@@ -29,6 +30,9 @@ constexpr CrcTables make_crc_tables() {
 }
 
 constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// magic 4 + version 2 + chunk count 2 + body size 4 + body CRC 4.
+constexpr std::size_t kHeaderSize = 16;
 
 inline std::uint32_t load_le32(const std::uint8_t* p) {
   return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
@@ -64,6 +68,59 @@ Result<std::string> get_string(ByteReader& r) {
   auto bytes = r.raw(len.value());
   if (!bytes) return bytes.error();
   return std::string(bytes.value().begin(), bytes.value().end());
+}
+
+void put_varint(ByteWriter& w, std::uint64_t v) {
+  std::uint8_t buf[10];
+  std::size_t n = 0;
+  for (; v >= 0x80; v >>= 7) buf[n++] = static_cast<std::uint8_t>(v | 0x80);
+  buf[n++] = static_cast<std::uint8_t>(v);
+  w.raw(buf, n);
+}
+
+Result<std::uint64_t> get_varint(ByteReader& r) {
+  std::uint64_t v = 0;
+  for (unsigned shift = 0; shift < 64; shift += 7) {
+    auto b = r.u8();
+    if (!b) return b.error();
+    v |= std::uint64_t{b.value() & 0x7Fu} << shift;
+    if ((b.value() & 0x80u) == 0) {
+      // The tenth byte holds only bit 63.
+      if (shift == 63 && b.value() > 1) break;
+      return v;
+    }
+  }
+  return make_error("snapshot: varint past 64 bits");
+}
+
+void put_front_coded(ByteWriter& w, std::string_view prev, std::string_view s) {
+  const std::size_t limit =
+      std::min({prev.size(), s.size(), std::size_t{kMaxSharedPrefix}});
+  std::size_t shared = 0;
+  while (shared < limit && prev[shared] == s[shared]) ++shared;
+  w.u8(static_cast<std::uint8_t>(shared));
+  put_varint(w, s.size() - shared);
+  w.raw(s.data() + shared, s.size() - shared);
+}
+
+Result<std::string> get_front_coded(ByteReader& r, std::string_view prev) {
+  auto shared = r.u8();
+  if (!shared) return shared.error();
+  if (shared.value() > prev.size()) {
+    return make_error("snapshot: shared prefix longer than the string before");
+  }
+  auto rest_size = get_varint(r);
+  if (!rest_size) return rest_size.error();
+  if (rest_size.value() > r.remaining()) {
+    return make_error("snapshot: string past chunk end");
+  }
+  auto rest = r.view(static_cast<std::size_t>(rest_size.value()));
+  if (!rest) return rest.error();
+  std::string s;
+  s.reserve(shared.value() + rest.value().size());
+  s.append(prev.substr(0, shared.value()));
+  s.append(rest.value().begin(), rest.value().end());
+  return s;
 }
 
 void put_mac(ByteWriter& w, MacAddress mac) { w.raw(mac.octets()); }
@@ -103,7 +160,6 @@ Bytes encode_image(std::span<const FramedChunk> chunks) {
   // Header (magic / version / chunk count / body size / body CRC), then
   // every chunk framed as tag / length / crc / bytes straight into the
   // image; the body CRC is patched in over the finished span.
-  constexpr std::size_t kHeaderSize = 16;
   ByteWriter image(kHeaderSize + body_size);
   image.u32(kMagic);
   image.u16(kFormatVersion);
@@ -132,7 +188,11 @@ Bytes Writer::finish() && {
   return encode_image(framed);
 }
 
-Result<Reader> Reader::parse(std::span<const std::uint8_t> image) {
+namespace {
+
+/// The image's body once its header and body CRC check out.
+Result<std::span<const std::uint8_t>> checked_body(
+    std::span<const std::uint8_t> image, std::uint16_t& chunk_count) {
   ByteReader r(image);
   auto magic = r.u32();
   if (!magic || magic.value() != kMagic) {
@@ -142,10 +202,10 @@ Result<Reader> Reader::parse(std::span<const std::uint8_t> image) {
   if (!version || version.value() != kFormatVersion) {
     return make_error("snapshot: unsupported format version");
   }
-  auto chunk_count = r.u16();
+  auto count = r.u16();
   auto payload_size = r.u32();
   auto payload_crc = r.u32();
-  if (!chunk_count || !payload_size || !payload_crc) {
+  if (!count || !payload_size || !payload_crc) {
     return make_error("snapshot: truncated header");
   }
   if (payload_size.value() != r.remaining()) {
@@ -156,10 +216,27 @@ Result<Reader> Reader::parse(std::span<const std::uint8_t> image) {
   if (crc32(body.value()) != payload_crc.value()) {
     return make_error("snapshot: payload checksum mismatch");
   }
+  chunk_count = count.value();
+  return body.value();
+}
+
+}  // namespace
+
+Status check_image(std::span<const std::uint8_t> image) {
+  std::uint16_t chunk_count = 0;
+  auto body = checked_body(image, chunk_count);
+  if (!body) return body.error();
+  return Status::success();
+}
+
+Result<Reader> Reader::parse(std::span<const std::uint8_t> image) {
+  std::uint16_t chunk_count = 0;
+  auto body = checked_body(image, chunk_count);
+  if (!body) return body.error();
 
   Reader out;
   ByteReader chunks(body.value());
-  for (std::uint16_t i = 0; i < chunk_count.value(); ++i) {
+  for (std::uint16_t i = 0; i < chunk_count; ++i) {
     auto chunk_tag = chunks.u32();
     auto len = chunks.u32();
     auto crc = chunks.u32();
@@ -193,11 +270,6 @@ std::vector<const Bytes*> Reader::find_all(std::uint32_t chunk_tag) const {
     if (c.tag == chunk_tag) out.push_back(&c.payload);
   }
   return out;
-}
-
-void Reader::for_each_chunk(
-    const std::function<void(std::uint32_t, const Bytes&)>& fn) const {
-  for (const Chunk& c : chunks_) fn(c.tag, c.payload);
 }
 
 }  // namespace hw::snapshot

@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/addr.hpp"
@@ -33,11 +33,27 @@ constexpr std::uint32_t tag(const char (&s)[5]) {
 }
 
 inline constexpr std::uint32_t kMagic = tag("HWSN");
-inline constexpr std::uint16_t kFormatVersion = 3;
+inline constexpr std::uint16_t kFormatVersion = 4;
 
 /// Length-prefixed string helpers shared by every layer codec.
 void put_string(ByteWriter& w, std::string_view s);
 Result<std::string> get_string(ByteReader& r);
+
+/// Unsigned LEB128 varints: seven bits a byte, least significant group
+/// first, at most ten bytes. get_varint refuses a value past 64 bits.
+void put_varint(ByteWriter& w, std::uint64_t v);
+Result<std::uint64_t> get_varint(ByteReader& r);
+
+/// Front-coded strings, each written after the one before it in a run (the
+/// first after ""): a u8 count of leading bytes shared with the string
+/// before, at most kMaxSharedPrefix, then a varint length and the bytes of
+/// the rest. Sorted or grouped names (`homework.dhcp.acks`,
+/// `homework.dhcp.naks`, ...) store mostly their tails. An entry takes at
+/// least two bytes and decodes to at most kMaxSharedPrefix bytes more than
+/// it reads, so a decoder's work stays bounded by its input.
+inline constexpr std::size_t kMaxSharedPrefix = 255;
+void put_front_coded(ByteWriter& w, std::string_view prev, std::string_view s);
+Result<std::string> get_front_coded(ByteReader& r, std::string_view prev);
 
 /// Address helpers shared by the DHCP / registry layer codecs.
 void put_mac(ByteWriter& w, MacAddress mac);
@@ -58,6 +74,11 @@ struct FramedChunk {
 /// pass over the bytes. The chunk CRCs are taken as given; Writer::finish
 /// computes its own and calls this.
 [[nodiscard]] Bytes encode_image(std::span<const FramedChunk> chunks);
+
+/// Checks an image's container header (magic, version, body size) and its
+/// whole-body CRC: one hash pass, no chunk walked or copied. A consumer
+/// that parses the image later verifies each chunk then.
+Status check_image(std::span<const std::uint8_t> image);
 
 /// Builds a snapshot image chunk by chunk. Usage:
 ///   Writer w;
@@ -110,14 +131,13 @@ class Reader {
     Bytes payload;
     std::uint32_t crc = 0;
   };
-  /// Every chunk in image order.
-  [[nodiscard]] const std::vector<Chunk>& chunks() const { return chunks_; }
-  /// Visits every chunk in image order. The encoding is canonical — header
-  /// fields are pure functions of the chunk sequence — so re-emitting the
-  /// visited chunks through a Writer reproduces the image bit-exactly
+  /// Every chunk in image order. The encoding is canonical — header fields
+  /// are pure functions of the chunk sequence — so framing these chunks
+  /// again (encode_image, or a Writer) reproduces the image bit-exactly
   /// (what the residency ImageStore's content-addressed pool relies on).
-  void for_each_chunk(
-      const std::function<void(std::uint32_t, const Bytes&)>& fn) const;
+  [[nodiscard]] const std::vector<Chunk>& chunks() const& { return chunks_; }
+  /// Hands every chunk over, payloads moved rather than copied.
+  [[nodiscard]] std::vector<Chunk> chunks() && { return std::move(chunks_); }
 
  private:
   std::vector<Chunk> chunks_;

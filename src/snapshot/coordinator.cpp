@@ -156,7 +156,7 @@ Status SnapshotCoordinator::write_file(const std::string& path,
   return Status::success();
 }
 
-Result<SnapshotImage> SnapshotCoordinator::read_file(const std::string& path) {
+Result<Bytes> SnapshotCoordinator::read_file_bytes(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return make_error("snapshot: cannot open " + path);
   Bytes bytes;
@@ -166,11 +166,17 @@ Result<SnapshotImage> SnapshotCoordinator::read_file(const std::string& path) {
     bytes.insert(bytes.end(), buf, buf + n);
   }
   std::fclose(f);
-  auto reader = Reader::parse(bytes);
+  return bytes;
+}
+
+Result<SnapshotImage> SnapshotCoordinator::read_file(const std::string& path) {
+  auto bytes = read_file_bytes(path);
+  if (!bytes) return bytes.error();
+  auto reader = Reader::parse(bytes.value());
   if (!reader) return reader.error();
   auto at = captured_at(reader.value());
   if (!at) return at.error();
-  return SnapshotImage{std::move(bytes), at.value()};
+  return SnapshotImage{std::move(bytes).take(), at.value()};
 }
 
 void CaptureTagLayer::save(Writer& w) const {
@@ -203,20 +209,21 @@ Result<Bytes> with_capture_tag(std::span<const std::uint8_t> image,
   if (reader.value().find(kFtagTag) == nullptr) {
     return make_error("snapshot: no FTAG chunk to restamp");
   }
-  Writer w;
-  reader.value().for_each_chunk([&](std::uint32_t chunk_tag,
-                                    const Bytes& payload) {
-    ByteWriter& c = w.begin_chunk(chunk_tag);
-    if (chunk_tag == kFtagTag) {
-      c.u64(tag.capture_id);
-      c.u32(tag.member);
-      c.u32(tag.members);
-    } else {
-      c.raw(payload);
-    }
-    w.end_chunk();
-  });
-  return std::move(w).finish();
+  ByteWriter ftag;
+  ftag.u64(tag.capture_id);
+  ftag.u32(tag.member);
+  ftag.u32(tag.members);
+  const std::uint32_t ftag_crc = crc32(ftag.bytes());
+  // Every other chunk keeps the CRC parse() verified: only the new FTAG
+  // and the body are hashed.
+  std::vector<FramedChunk> framed;
+  framed.reserve(reader.value().chunk_count());
+  for (const Reader::Chunk& c : reader.value().chunks()) {
+    framed.push_back(c.tag == kFtagTag
+                         ? FramedChunk{c.tag, ftag.bytes(), ftag_crc}
+                         : FramedChunk{c.tag, c.payload, c.crc});
+  }
+  return encode_image(framed);
 }
 
 void TelemetryLayer::save(Writer& w) const {

@@ -86,7 +86,10 @@ class SnapshotCoordinator {
   /// Atomic file persistence: writes to `path + ".tmp"` then renames, so a
   /// crash mid-write never leaves a torn snapshot at `path`.
   static Status write_file(const std::string& path, const SnapshotImage& image);
+  /// Reads and parses an image, taking captured_at from its META chunk.
   static Result<SnapshotImage> read_file(const std::string& path);
+  /// The file's bytes as they are, neither parsed nor verified.
+  static Result<Bytes> read_file_bytes(const std::string& path);
 
  private:
   void arm_next_capture(Duration interval);
@@ -167,7 +170,8 @@ class CaptureTagLayer final : public Snapshottable {
 };
 
 /// Rewrites the FTAG chunk of an encoded image with `tag`, leaving every
-/// other chunk byte-identical (header CRCs recomputed). A fleet checkpoint
+/// other chunk byte-identical (framed with the CRCs the parse verified; only
+/// the new FTAG and the body are hashed). A fleet checkpoint
 /// of a mixed resident/hibernated fleet reuses a hibernated member's stored
 /// image, restamped into the new capture so the stitched-set validation
 /// still holds. Errors when the image does not parse or has no FTAG chunk.

@@ -456,5 +456,75 @@ TEST(MetricsExportDifferential, CheckpointMidIntervalKeepsRowsIdentical) {
   }
 }
 
+/// The exporter's MEXP chunk as it saves it.
+Bytes baseline_chunk(const MetricsExport& exporter) {
+  snapshot::Writer w;
+  exporter.save(w);
+  const Bytes image = std::move(w).finish();
+  auto reader = snapshot::Reader::parse(image);
+  EXPECT_TRUE(reader.ok());
+  const Bytes* chunk = reader.value().find(snapshot::tag("MEXP"));
+  return chunk != nullptr ? *chunk : Bytes{};
+}
+
+Bytes image_with_baseline(const Bytes& chunk) {
+  snapshot::Writer w;
+  w.begin_chunk(snapshot::tag("MEXP")).raw(chunk);
+  w.end_chunk();
+  return std::move(w).finish();
+}
+
+// The baseline's names are front-coded and its write counts are varints.
+// Cut at every offset or with any byte flipped, the chunk is refused with
+// the baseline as it was, or restored whole; the intact chunk restores to a
+// baseline that saves the same bytes again.
+TEST(MetricsExportSnapshot, DamagedBaselineIsRefusedWithTheBaselineKept) {
+  Rng rng(11);
+  ExportHome source(400);
+  for (std::uint64_t k = 1; k <= 6; ++k) source.poll_at(k * kSecond, rng);
+  const Bytes saved = baseline_chunk(source.exporter);
+
+  ExportHome target(400);
+  const auto restore = [&](const Bytes& chunk) {
+    auto reader = snapshot::Reader::parse(image_with_baseline(chunk));
+    EXPECT_TRUE(reader.ok());
+    return target.exporter.restore(reader.value());
+  };
+  ASSERT_TRUE(restore(saved).ok());
+  // A histogram that moved since its write is left unwritten by a restore,
+  // so the restored baseline is the fixed point.
+  const Bytes reference = baseline_chunk(target.exporter);
+  ASSERT_GT(reference.size(), 200u);
+  ASSERT_TRUE(restore(reference).ok());
+  ASSERT_EQ(baseline_chunk(target.exporter), reference);
+
+  std::size_t refused = 0;
+  std::size_t accepted = 0;
+  const auto trial = [&](const Bytes& bad) {
+    ASSERT_TRUE(restore(reference).ok());
+    if (restore(bad).ok()) {
+      ++accepted;
+    } else {
+      ++refused;
+      ASSERT_EQ(baseline_chunk(target.exporter), reference);
+    }
+  };
+  for (std::size_t len = 0; len < reference.size(); ++len) {
+    const std::size_t before = refused;
+    trial(Bytes(reference.begin(), reference.begin() + static_cast<long>(len)));
+    ASSERT_EQ(refused, before + 1) << "accepted a chunk cut to " << len << " bytes";
+  }
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    for (const std::uint8_t flip : {0x01, 0x80, 0xFF}) {
+      Bytes bad = reference;
+      bad[i] ^= flip;
+      trial(bad);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(refused, reference.size());
+  EXPECT_GT(accepted, 0u);
+}
+
 }  // namespace
 }  // namespace hw::homework

@@ -732,6 +732,25 @@ TEST(TableTsv, DumpLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(TableTsv, TrailingEmptyTextRoundTrips) {
+  // The empty text ends its line with the tab before it, which the load
+  // must keep to count the fields.
+  const Schema schema("Notes", {{"n", ColumnType::Int}, {"note", ColumnType::Text}});
+  Table table(schema, 4);
+  ASSERT_TRUE(table.insert(kSecond, {Value{1}, Value{""}}).ok());
+  const std::string path = ::testing::TempDir() + "/hwdb_empty_text_test.tsv";
+  ASSERT_TRUE(dump_table_tsv(table, path).ok());
+
+  Table copy(schema, 4);
+  auto loaded = load_table_tsv(copy, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  ASSERT_EQ(copy.size(), 1u);
+  EXPECT_EQ(copy.oldest().ts(), kSecond);
+  EXPECT_EQ(copy.oldest().at(0).as_int(), 1);
+  EXPECT_EQ(copy.oldest().at(1).as_text(), "");
+  std::remove(path.c_str());
+}
+
 TEST(TableTsv, LoadRejectsSchemaMismatch) {
   const std::string path = ::testing::TempDir() + "/hwdb_bad_test.tsv";
   std::FILE* f = std::fopen(path.c_str(), "w");

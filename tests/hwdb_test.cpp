@@ -736,33 +736,43 @@ class OracleTable {
   std::uint64_t inserted_ = 0;
 };
 
-/// The HTBL chunk payload the previous Database::save wrote for `table`:
-/// each value tagged with its own type, each distinct text interned into a
-/// string table in order of first use.
-Bytes encode_table(const OracleTable& table) {
+/// The pool's strings in order of first use, oldest row first and left to
+/// right within a row, and each one's index.
+struct ChunkStrings {
   std::unordered_map<std::string, std::uint32_t> ids;
   std::vector<std::string> strings;
-  ByteWriter rows;
-  table.rows().for_each([&](const Row& row) {
-    rows.u64(row.ts);
-    for (const Value& v : row.values) {
-      rows.u8(static_cast<std::uint8_t>(v.type()));
-      switch (v.type()) {
-        case ColumnType::Int: rows.u64(static_cast<std::uint64_t>(v.as_int())); break;
-        case ColumnType::Real: rows.u64(std::bit_cast<std::uint64_t>(v.as_real())); break;
-        case ColumnType::Ts: rows.u64(v.as_ts()); break;
-        case ColumnType::Text: {
-          const auto [it, added] = ids.try_emplace(
-              v.as_text(), static_cast<std::uint32_t>(strings.size()));
-          if (added) strings.push_back(v.as_text());
-          rows.u32(it->second);
-          break;
-        }
+
+  explicit ChunkStrings(const OracleTable& table) {
+    table.rows().for_each([&](const Row& row) {
+      for (const Value& v : row.values) {
+        if (v.type() != ColumnType::Text) continue;
+        const auto [it, added] = ids.try_emplace(
+            v.as_text(), static_cast<std::uint32_t>(strings.size()));
+        if (added) strings.push_back(v.as_text());
       }
-    }
-    return true;
-  });
-  ByteWriter c;
+      return true;
+    });
+  }
+};
+
+/// Zigzag over two's-complement bits: 0, -1, 1, -2 ... become 0, 1, 2, 3 ...
+std::uint64_t zigzag(std::uint64_t v) {
+  return (v << 1) ^ static_cast<std::uint64_t>(static_cast<std::int64_t>(v) >> 63);
+}
+
+void put_varint(ByteWriter& c, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) c.u8(static_cast<std::uint8_t>(0x80 | (v & 0x7F)));
+  c.u8(static_cast<std::uint8_t>(v));
+}
+
+enum class Format { V3, V4 };
+
+/// The HTBL head: name, capacity, counters, column definitions, string
+/// table and row count. Format 3 writes each string with a u32 length;
+/// format 4 writes the count of leading bytes (at most 255) it shares with
+/// the string before, then the rest with a varint length.
+void put_table_head(ByteWriter& c, const OracleTable& table,
+                    const std::vector<std::string>& strings, Format format) {
   snapshot::put_string(c, table.schema().name());
   c.u64(table.capacity());
   c.u64(table.inserted());
@@ -773,9 +783,179 @@ Bytes encode_table(const OracleTable& table) {
     c.u8(static_cast<std::uint8_t>(col.type));
   }
   c.u32(static_cast<std::uint32_t>(strings.size()));
-  for (const auto& str : strings) snapshot::put_string(c, str);
+  std::string prev;
+  for (const auto& str : strings) {
+    if (format == Format::V3) {
+      snapshot::put_string(c, str);
+      continue;
+    }
+    std::size_t shared = 0;
+    while (shared < 255 && shared < prev.size() && shared < str.size() &&
+           prev[shared] == str[shared]) {
+      ++shared;
+    }
+    c.u8(static_cast<std::uint8_t>(shared));
+    put_varint(c, str.size() - shared);
+    c.raw(str.data() + shared, str.size() - shared);
+    prev = str;
+  }
   c.u32(static_cast<std::uint32_t>(table.size()));
-  c.raw(rows.bytes());
+}
+
+/// A value's 8-byte cell as the table stores it (text aside).
+std::uint64_t cell_bits(const Value& v) {
+  switch (v.type()) {
+    case ColumnType::Int: return static_cast<std::uint64_t>(v.as_int());
+    case ColumnType::Real: return std::bit_cast<std::uint64_t>(v.as_real());
+    case ColumnType::Ts: return v.as_ts();
+    case ColumnType::Text: break;
+  }
+  return 0;
+}
+
+/// The HTBL chunk payload of snapshot format 3, the oracle for format 4:
+/// row after row, the ts then each value tagged with its own type, text
+/// as a u32 string index.
+Bytes encode_table_v3(const OracleTable& table) {
+  const ChunkStrings text(table);
+  ByteWriter c;
+  put_table_head(c, table, text.strings, Format::V3);
+  table.rows().for_each([&](const Row& row) {
+    c.u64(row.ts);
+    for (const Value& v : row.values) {
+      c.u8(static_cast<std::uint8_t>(v.type()));
+      if (v.type() == ColumnType::Text) {
+        c.u32(text.ids.at(v.as_text()));
+      } else {
+        c.u64(cell_bits(v));
+      }
+    }
+    return true;
+  });
+  return c.bytes();
+}
+
+/// A format-3 chunk decoded as format 3 restored it: the cells and strings
+/// that Table::restore takes.
+struct TableImageV3 {
+  std::string name;
+  std::uint64_t capacity = 0;
+  std::uint64_t inserted = 0;
+  std::uint64_t evicted = 0;
+  std::vector<ColumnDef> columns;
+  std::vector<std::string> strings;
+  std::vector<std::uint64_t> cells;
+};
+
+Result<TableImageV3> decode_table_v3(const Bytes& chunk) {
+  ByteReader br(chunk);
+  TableImageV3 t;
+  auto name = snapshot::get_string(br);
+  if (!name) return name.error();
+  t.name = std::move(name).take();
+  auto capacity = br.u64();
+  auto inserted = br.u64();
+  auto evicted = br.u64();
+  auto ncols = br.u32();
+  if (!capacity || !inserted || !evicted || !ncols) {
+    return make_error("v3: truncated table header");
+  }
+  t.capacity = capacity.value();
+  t.inserted = inserted.value();
+  t.evicted = evicted.value();
+  if (ncols.value() > br.remaining() / 5) return make_error("v3: column count");
+  for (std::uint32_t i = 0; i < ncols.value(); ++i) {
+    auto col_name = snapshot::get_string(br);
+    auto col_type = br.u8();
+    if (!col_name || !col_type || col_type.value() > 3) {
+      return make_error("v3: column defs");
+    }
+    t.columns.push_back(ColumnDef{std::move(col_name).take(),
+                                  static_cast<ColumnType>(col_type.value())});
+  }
+  auto nstrings = br.u32();
+  if (!nstrings || nstrings.value() > br.remaining() / 4) {
+    return make_error("v3: string count");
+  }
+  for (std::uint32_t i = 0; i < nstrings.value(); ++i) {
+    auto str = snapshot::get_string(br);
+    if (!str) return str.error();
+    t.strings.push_back(std::move(str).take());
+  }
+  auto nrows = br.u32();
+  if (!nrows || nrows.value() > br.remaining() / (8 + 5 * t.columns.size())) {
+    return make_error("v3: row count");
+  }
+  for (std::uint32_t i = 0; i < nrows.value(); ++i) {
+    auto ts = br.u64();
+    if (!ts) return ts.error();
+    t.cells.push_back(ts.value());
+    for (const ColumnDef& col : t.columns) {
+      auto type = br.u8();
+      if (!type || type.value() != static_cast<std::uint8_t>(col.type)) {
+        return make_error("v3: cell of the wrong type");
+      }
+      if (col.type == ColumnType::Text) {
+        auto id = br.u32();
+        if (!id || id.value() >= t.strings.size()) return make_error("v3: string id");
+        t.cells.push_back(id.value());
+      } else {
+        auto v = br.u64();
+        if (!v) return v.error();
+        t.cells.push_back(v.value());
+      }
+    }
+  }
+  return t;
+}
+
+/// The HTBL chunk payload Database::save writes for `table` (format 4),
+/// encoded here from the row-vector storage: the head, then one block per
+/// column, ts first. ts is a zigzag varint of its delta of deltas, an Int or
+/// Ts cell a zigzag varint of its delta from the row before, a text cell a
+/// varint string index, and a Real its bits XORed with the row before's as
+/// a mask of nonzero bytes and then those bytes, least significant first.
+Bytes encode_table(const OracleTable& table) {
+  const ChunkStrings text(table);
+  ByteWriter c;
+  put_table_head(c, table, text.strings, Format::V4);
+  std::vector<const Row*> rows;
+  table.rows().for_each([&](const Row& row) {
+    rows.push_back(&row);
+    return true;
+  });
+  std::uint64_t delta = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::uint64_t d = rows[r]->ts - (r == 0 ? 0 : rows[r - 1]->ts);
+    put_varint(c, zigzag(d - delta));
+    delta = d;
+  }
+  for (std::size_t col = 0; col < table.schema().width(); ++col) {
+    std::uint64_t prev = 0;
+    for (const Row* row : rows) {
+      const Value& v = row->values[col];
+      const std::uint64_t bits = cell_bits(v);
+      switch (v.type()) {
+        case ColumnType::Text: put_varint(c, text.ids.at(v.as_text())); break;
+        case ColumnType::Int:
+        case ColumnType::Ts: put_varint(c, zigzag(bits - prev)); break;
+        case ColumnType::Real: {
+          std::uint8_t mask = 0;
+          ByteWriter nonzero;
+          for (int byte = 0; byte < 8; ++byte) {
+            const auto b = static_cast<std::uint8_t>((bits ^ prev) >> (8 * byte));
+            if (b == 0) continue;
+            mask = static_cast<std::uint8_t>(mask | 1 << byte);
+            nonzero.u8(b);
+          }
+          c.u8(mask);
+          c.raw(nonzero.bytes());
+          break;
+        }
+      }
+      prev = bits;
+    }
+  }
   return c.bytes();
 }
 
@@ -1651,6 +1831,128 @@ TEST(TableDifferential, MatchesRowVectorOracle) {
   EXPECT_GT(unique, 500u);
 }
 
+/// random_value, or now and then a value at an edge of its type's range,
+/// where deltas and XORs wrap.
+Value edge_or_random_value(Rng& rng, ColumnType type, std::uint64_t& unique) {
+  if (!rng.chance(0.1)) return random_value(rng, type, unique);
+  switch (type) {
+    case ColumnType::Int: {
+      static const std::int64_t kInts[] = {std::numeric_limits<std::int64_t>::min(),
+                                           std::numeric_limits<std::int64_t>::max(),
+                                           -1, 0};
+      return Value{kInts[rng.uniform(std::size(kInts))]};
+    }
+    case ColumnType::Real: {
+      static const double kReals[] = {-0.0,
+                                      std::numeric_limits<double>::quiet_NaN(),
+                                      std::numeric_limits<double>::infinity(),
+                                      -std::numeric_limits<double>::infinity(),
+                                      std::numeric_limits<double>::denorm_min(),
+                                      std::numeric_limits<double>::max()};
+      return Value{kReals[rng.uniform(std::size(kReals))]};
+    }
+    case ColumnType::Ts: {
+      static const Timestamp kStamps[] = {0, std::numeric_limits<Timestamp>::max(),
+                                          Timestamp{1} << 63};
+      return Value::ts(kStamps[rng.uniform(std::size(kStamps))]);
+    }
+    case ColumnType::Text:
+      return Value{std::string(200 + rng.uniform(200), 'x')};
+  }
+  return {};
+}
+
+/// restore(format 4) against restore(format 3): seeded tables of the four
+/// Homework schemas and a random one are saved by Database::save and
+/// encoded by the format-3 oracle from their row-vector twin. The tables the
+/// two restore hold the same cells, counters and pool, and answer every
+/// query alike.
+TEST(TableDifferential, RestoreOfV4MatchesRestoreOfV3Oracle) {
+  Rng rng(0xf04);
+  std::vector<Schema> schemas = homework_schemas();
+  ASSERT_EQ(schemas.size(), 4u);
+  std::vector<ColumnDef> random_columns;
+  const std::uint64_t width = 1 + rng.uniform(7);
+  for (std::uint64_t c = 0; c < width; ++c) {
+    random_columns.push_back(
+        {"c" + std::to_string(c), static_cast<ColumnType>(rng.uniform(4))});
+  }
+  schemas.emplace_back("Random", random_columns);
+
+  std::uint64_t unique = 0;
+  std::size_t rows = 0;
+  int queries = 0;
+  for (const Schema& schema : schemas) {
+    for (int trial = 0; trial < 10; ++trial) {
+      sim::EventLoop loop;
+      Database db(loop);
+      const std::size_t capacity = 1 + rng.uniform(64);
+      ASSERT_TRUE(db.create_table(schema, capacity).ok());
+      oracle::OracleTable want(schema, capacity);
+      const std::uint64_t inserts = rng.uniform(3 * capacity + 1);
+      for (std::uint64_t i = 0; i < inserts; ++i) {
+        // Mostly rows in the same or the next poll, now and then a gap.
+        loop.run_for(rng.chance(0.05) ? rng.uniform(1000) * kSecond
+                                      : rng.uniform(3) * 250 * kMillisecond);
+        std::vector<Value> values;
+        for (const auto& col : schema.columns()) {
+          values.push_back(edge_or_random_value(rng, col.type, unique));
+        }
+        ASSERT_TRUE(db.insert(schema.name(), values).ok());
+        ASSERT_TRUE(want.insert(loop.now(), values).ok());
+      }
+
+      snapshot::Writer w;
+      db.save(w);
+      const Bytes image = std::move(w).finish();
+      auto reader = snapshot::Reader::parse(image);
+      ASSERT_TRUE(reader.ok());
+      Database restored(loop);
+      ASSERT_TRUE(restored.restore(reader.value()).ok());
+      const Table& v4 = *restored.table(schema.name());
+
+      auto img = oracle::decode_table_v3(oracle::encode_table_v3(want));
+      ASSERT_TRUE(img.ok()) << img.error().message;
+      Table v3(schema, img.value().capacity);
+      ASSERT_TRUE(v3.restore(std::move(img.value().cells), std::move(img.value().strings),
+                             img.value().inserted, img.value().evicted)
+                      .ok());
+
+      ASSERT_EQ(v4.size(), v3.size());
+      EXPECT_EQ(v4.capacity(), v3.capacity());
+      EXPECT_EQ(v4.inserted(), v3.inserted());
+      EXPECT_EQ(v4.evicted(), v3.evicted());
+      EXPECT_EQ(v4.text_pool().size(), v3.text_pool().size());
+      EXPECT_EQ(v4.text_pool().id_space(), v3.text_pool().id_space());
+      for (std::size_t r = 0; r < v3.size(); ++r) {
+        ASSERT_EQ(v4.record(r).ts(), v3.record(r).ts()) << schema.name() << " row " << r;
+        for (std::size_t c = 0; c < schema.width(); ++c) {
+          // Both pools hand out ids in order of first use.
+          ASSERT_EQ(v4.record(r).cell(c), v3.record(r).cell(c))
+              << schema.name() << " row " << r << " col " << c;
+          if (schema.columns()[c].type == ColumnType::Text) {
+            EXPECT_EQ(v4.record(r).at(c).as_text(), v3.record(r).at(c).as_text());
+          }
+        }
+      }
+      rows += v3.size();
+      expect_same_table(v4, want);
+      QueryGen gen(rng, schema);
+      for (int k = 0; k < 8; ++k) {
+        const std::string text = gen.next();
+        auto q = parse_query(text);
+        ASSERT_TRUE(q.ok()) << text << ": " << q.error().message;
+        expect_same_results(restored.query(q.value()),
+                            execute(q.value(), v3, nullptr, loop.now()), text);
+        if (HasFatalFailure()) return;
+        ++queries;
+      }
+    }
+  }
+  EXPECT_GT(rows, 1000u);
+  EXPECT_GT(queries, 300);
+}
+
 Schema metrics_schema() {
   return Schema("Metrics", {{"name", ColumnType::Text},
                             {"kind", ColumnType::Text},
@@ -1773,7 +2075,10 @@ TEST(TextPool, NeverHoldsMoreThanTheLiveRowsStrings) {
   EXPECT_EQ(table.text_pool().id_space(), 0u);
 }
 
-TEST(DatabaseSnapshot, RestoreRejectsACellOfTheWrongType) {
+TEST(DatabaseSnapshot, RestoreRejectsColumnTypesOtherThanTheTables) {
+  // A column's type picks how its block is coded, so a chunk cannot hold a
+  // cell of another type than its column; a chunk whose column types
+  // differ from the live table's is refused over that table.
   sim::EventLoop loop;
   Database db(loop);
   const Schema links("Links", {{"mac", ColumnType::Text},
@@ -1785,47 +2090,46 @@ TEST(DatabaseSnapshot, RestoreRejectsACellOfTheWrongType) {
   ASSERT_TRUE(db.insert("Links", {Value{"m1"}, Value{-40.5}, Value{3},
                                   Value::ts(7)}).ok());
   const Bytes valid = htbl_chunk(db, "Links");
-  // The one row ends the chunk: ts, then (tag, payload) per cell.
-  const std::size_t row = valid.size() - (8 + 5 + 9 + 9 + 9);
-  struct Flip {
-    std::size_t offset;  // of the cell's type tag
-    ColumnType to;
-  };
-  // Same-width payloads, so only the tag gives the flip away.
-  const Flip flips[] = {{row + 8 + 5, ColumnType::Int},
-                        {row + 8 + 5, ColumnType::Ts},
-                        {row + 8 + 5 + 9, ColumnType::Real},
-                        {row + 8 + 5 + 9 + 9, ColumnType::Int}};
+  // Each column definition's type byte follows its name.
+  std::vector<std::size_t> type_at;
+  std::size_t at = 4 + links.name().size() + 3 * 8 + 4;
+  for (const ColumnDef& col : links.columns()) {
+    at += 4 + col.name.size();
+    ASSERT_EQ(valid[at], static_cast<std::uint8_t>(col.type));
+    type_at.push_back(at++);
+  }
   const auto with_chunk = [](const Bytes& chunk) {
     snapshot::Writer w;
     w.begin_chunk(snapshot::tag("HTBL")).raw(chunk);
     w.end_chunk();
     return std::move(w).finish();
   };
-  // The untouched chunk restores.
   {
     const Bytes image = with_chunk(valid);
     Database fresh(loop);
     ASSERT_TRUE(fresh.restore(snapshot::Reader::parse(image).value()).ok());
     EXPECT_EQ(fresh.table("Links")->size(), 1u);
   }
-  for (const Flip& flip : flips) {
-    Bytes bad = valid;
-    ASSERT_NE(bad[flip.offset], static_cast<std::uint8_t>(flip.to));
-    bad[flip.offset] = static_cast<std::uint8_t>(flip.to);
-    const Bytes image = with_chunk(bad);
-    auto reader = snapshot::Reader::parse(image);
-    ASSERT_TRUE(reader.ok());
-    // Rejected into a fresh home and over the live table, which stays as
-    // it was.
-    Database fresh(loop);
-    EXPECT_FALSE(fresh.restore(reader.value()).ok());
-    EXPECT_EQ(fresh.table("Links"), nullptr);
-    const Status s = db.restore(reader.value());
-    ASSERT_FALSE(s.ok());
-    EXPECT_NE(s.error().message.find("wrong type"), std::string::npos)
-        << s.error().message;
-    EXPECT_EQ(htbl_chunk(db, "Links"), valid);
+  for (std::size_t col = 0; col < type_at.size(); ++col) {
+    const std::size_t offset = type_at[col];
+    for (std::uint8_t type = 0; type <= 4; ++type) {
+      if (type == valid[offset]) continue;
+      Bytes bad = valid;
+      bad[offset] = type;
+      const Bytes image = with_chunk(bad);
+      auto reader = snapshot::Reader::parse(image);
+      ASSERT_TRUE(reader.ok());
+      const Status s = db.restore(reader.value());
+      ASSERT_FALSE(s.ok()) << "type " << int{type} << " at " << offset;
+      EXPECT_EQ(htbl_chunk(db, "Links"), valid);
+      // A fresh home takes the chunk's own schema, when its blocks decode
+      // under it.
+      Database fresh(loop);
+      if (fresh.restore(reader.value()).ok()) {
+        EXPECT_EQ(fresh.table("Links")->schema().columns()[col].type,
+                  static_cast<ColumnType>(type));
+      }
+    }
   }
 }
 
@@ -1841,11 +2145,13 @@ TEST(DatabaseSnapshot, RestoreKeepsTheNewestRowsThatFit) {
   c.u8(static_cast<std::uint8_t>(ColumnType::Int));
   c.u32(0);  // strings
   c.u32(6);  // rows
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    c.u64(i * kSecond);
-    c.u8(static_cast<std::uint8_t>(ColumnType::Int));
-    c.u64(i);
-  }
+  // The ts block: rows one second apart, so the delta changes once.
+  oracle::put_varint(c, 0);
+  oracle::put_varint(c, oracle::zigzag(kSecond));
+  for (int i = 2; i < 6; ++i) oracle::put_varint(c, 0);
+  // The n block: 0, 1, ... 5, each one more than the row before.
+  oracle::put_varint(c, 0);
+  for (int i = 1; i < 6; ++i) oracle::put_varint(c, oracle::zigzag(1));
   snapshot::Writer w;
   w.begin_chunk(snapshot::tag("HTBL")).raw(c.bytes());
   w.end_chunk();
@@ -1855,6 +2161,7 @@ TEST(DatabaseSnapshot, RestoreKeepsTheNewestRowsThatFit) {
   ASSERT_TRUE(db.restore(snapshot::Reader::parse(image).value()).ok());
   const Table& t = *db.table("T");
   ASSERT_EQ(t.size(), 4u);
+  EXPECT_EQ(t.oldest().ts(), 2 * kSecond);
   EXPECT_EQ(t.oldest().at(0).as_int(), 2);
   EXPECT_EQ(t.newest().at(0).as_int(), 5);
   EXPECT_EQ(t.inserted(), 6u);

@@ -467,6 +467,56 @@ TEST(LiveFleetResidency, MixedCheckpointReplaysBitIdentical) {
   }
 }
 
+/// `image` restamped the way with_capture_tag once built it: every chunk
+/// re-emitted through a Writer, which hashes each one again.
+Bytes restamp_through_writer(const Bytes& image, const snapshot::CaptureTag& tag) {
+  auto reader = snapshot::Reader::parse(image);
+  EXPECT_TRUE(reader.ok());
+  snapshot::Writer w;
+  for (const snapshot::Reader::Chunk& chunk : reader.value().chunks()) {
+    ByteWriter& c = w.begin_chunk(chunk.tag);
+    if (chunk.tag == snapshot::tag("FTAG")) {
+      c.u64(tag.capture_id);
+      c.u32(tag.member);
+      c.u32(tag.members);
+    } else {
+      c.raw(chunk.payload);
+    }
+    w.end_chunk();
+  }
+  return std::move(w).finish();
+}
+
+// The restamp frames the untouched chunks with their verified CRCs; the
+// image it builds is the one a full Writer rebuild gives, byte for byte,
+// for the stored and the live members of a mixed checkpoint alike.
+TEST(LiveFleetResidency, CaptureTagRestampMatchesAWriterRebuild) {
+  LiveFleet fleet(residency_config(4, 2));
+  fleet.start();
+  fleet.submit(hibernate_home(2));
+  fleet.submit(hibernate_home(3));
+  fleet.advance_to(kBootSettle + LiveFleet::kCheckpointAlign);
+  fleet.submit(checkpoint());
+  fleet.advance_to(kBootSettle + 2 * LiveFleet::kCheckpointAlign);
+  ASSERT_EQ(fleet.checkpoints().size(), 1u);
+  const FleetCheckpoint& cp = fleet.checkpoints()[0];
+  ASSERT_EQ(cp.images.size(), 4u);
+  ASSERT_LT(cp.images[2].captured_at, cp.captured_at);
+  for (std::uint32_t i = 0; i < cp.images.size(); ++i) {
+    const Bytes& image = cp.images[i].bytes;
+    const snapshot::CaptureTag next{cp.capture_id + 7, i, 4};
+    auto got = snapshot::with_capture_tag(image, next);
+    ASSERT_TRUE(got.ok()) << got.error().message;
+    EXPECT_EQ(got.value(), restamp_through_writer(image, next)) << "home " << i;
+    EXPECT_NE(got.value(), image);
+    // Restamping with the tag the image holds gives the image back.
+    auto same = snapshot::with_capture_tag(
+        image, snapshot::CaptureTag{cp.capture_id, i, 4});
+    ASSERT_TRUE(same.ok());
+    EXPECT_EQ(same.value(), image) << "home " << i;
+  }
+}
+
 TEST(LiveFleetResidency, PolicyEvictsIdleHomesAndCountsPeak) {
   LiveConfig cfg = residency_config(4, 2);
   cfg.residency.max_resident = 1;

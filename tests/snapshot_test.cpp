@@ -6,17 +6,50 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <set>
 #include <string>
 
 #include "homework/dhcp_server.hpp"
+#include "homework/event_export.hpp"
+#include "homework/metrics_export.hpp"
 #include "homework/router.hpp"
+#include "hwdb/database.hpp"
 #include "hwdb/value.hpp"
 #include "sim/fault_injector.hpp"
 #include "snapshot/codec.hpp"
 #include "snapshot/coordinator.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/rand.hpp"
+
+// Calls to operator new and the bytes they ask for, while counting is on.
+// The nothrow form (std::stable_sort's scratch buffer) is replaced too, so
+// every block comes from malloc and goes back to free.
+static bool g_count_allocs = false;
+static std::size_t g_alloc_calls = 0;
+static std::size_t g_alloc_bytes = 0;
+
+// The free() calls pair with the malloc() in the replacement operator new;
+// GCC cannot see that and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  if (g_count_allocs) {
+    ++g_alloc_calls;
+    g_alloc_bytes += n;
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new(std::size_t n) {
+  if (void* p = operator new(n, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace hw::snapshot {
 namespace {
@@ -152,21 +185,37 @@ TEST(SnapshotCodec, RejectsEverySingleByteFlip) {
   }
 }
 
-TEST(SnapshotCodec, RejectsFormatVersionTwo) {
-  // Format 3 dropped the policy layer's global tag section: a version-2
-  // image has a different PLCY layout and must not be read as format 3.
+/// A valid one-chunk image relabelled as format `version`.
+Bytes image_of_version(std::uint16_t version) {
   Writer w;
   w.begin_chunk(tag("DATA")).u32(1);
   w.end_chunk();
   Bytes image = std::move(w).finish();
-  ASSERT_TRUE(Reader::parse(image).ok());
-  ASSERT_EQ(kFormatVersion, 3);
-  image[4] = 0;  // the header's u16 format version, after the magic
-  image[5] = 2;
+  EXPECT_TRUE(Reader::parse(image).ok());
+  image[4] = static_cast<std::uint8_t>(version >> 8);  // the u16 after the magic
+  image[5] = static_cast<std::uint8_t>(version);
+  return image;
+}
+
+TEST(SnapshotCodec, RejectsFormatVersionTwo) {
+  // Format 3 dropped the policy layer's global tag section: a version-2
+  // image has a different PLCY layout and must not be read as format 3.
+  ASSERT_EQ(kFormatVersion, 4);
+  auto r = Reader::parse(image_of_version(2));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("version"), std::string::npos)
+      << r.error().message;
+}
+
+TEST(SnapshotCodec, RejectsFormatVersionThree) {
+  // Format 4 stores HTBL rows as column blocks: a version-3 image's
+  // row-major HTBL chunks must not be read as format 4.
+  const Bytes image = image_of_version(3);
   auto r = Reader::parse(image);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().message.find("version"), std::string::npos)
       << r.error().message;
+  EXPECT_FALSE(check_image(image).ok());
 }
 
 TEST(SnapshotCodec, DhcpChunkWithoutVersionSentinelRejected) {
@@ -330,14 +379,12 @@ Bytes with_bad_table(const Bytes& image, const Bytes& bad) {
   auto reader = Reader::parse(image);
   EXPECT_TRUE(reader.ok());
   Writer w;
-  reader.value().for_each_chunk([&](std::uint32_t chunk_tag,
-                                    const Bytes& payload) {
-    if (chunk_tag == tag("META") || chunk_tag == tag("HTBL") ||
-        chunk_tag == tag("HMET")) {
-      w.begin_chunk(chunk_tag).raw(payload);
+  for (const Reader::Chunk& c : reader.value().chunks()) {
+    if (c.tag == tag("META") || c.tag == tag("HTBL") || c.tag == tag("HMET")) {
+      w.begin_chunk(c.tag).raw(c.payload);
       w.end_chunk();
     }
-  });
+  }
   w.begin_chunk(tag("HTBL")).raw(bad);
   w.end_chunk();
   return std::move(w).finish();
@@ -379,15 +426,12 @@ TEST(SnapshotCoordinator, HwdbStringIdOutOfRangeRejectedWithoutSideEffects) {
 
   ByteWriter c = bad_table_head();
   c.u32(1);  // one string...
-  put_string(c, "counter");
+  put_front_coded(c, "", "counter");
   c.u32(1);  // ...and one row whose name refers to a second
-  c.u64(older.captured_at);
-  c.u8(static_cast<std::uint8_t>(hwdb::ColumnType::Text));
-  c.u32(1);
-  c.u8(static_cast<std::uint8_t>(hwdb::ColumnType::Text));
-  c.u32(0);
-  c.u8(static_cast<std::uint8_t>(hwdb::ColumnType::Real));
-  c.u64(0);
+  put_varint(c, older.captured_at << 1);  // ts: zigzag delta of deltas
+  put_varint(c, 1);  // name
+  put_varint(c, 0);  // kind
+  c.u8(0);           // value: no byte differs from zero
   expect_rejected_untouched(rig, with_bad_table(older.bytes, c.bytes()));
 }
 
@@ -398,8 +442,155 @@ TEST(SnapshotCoordinator, HwdbStringCountPastChunkEndRejectedWithoutSideEffects)
 
   ByteWriter c = bad_table_head();
   c.u32(0xfffffff0u);  // far more strings than bytes left in the chunk
-  put_string(c, "counter");
+  put_front_coded(c, "", "counter");
   expect_rejected_untouched(rig, with_bad_table(older.bytes, c.bytes()));
+}
+
+// ---------------------------------------------------------------------------
+// The hwdb column-block decoder against damaged chunks
+
+/// A hwdb with the four Homework tables, each holding rows of the values
+/// its columns see: repeated and fresh text, growing and jumping numbers,
+/// stamps one poll apart and the odd gap.
+void fill_homework_tables(hwdb::Database& db, sim::EventLoop& loop) {
+  ASSERT_TRUE(homework::EventExport::create_tables(db, {}).ok());
+  ASSERT_TRUE(homework::MetricsExport::create_table(db, {}).ok());
+  static const char* kTexts[] = {"", "web", "aa:bb:cc:dd:ee:01", "10.0.0.7",
+                                 "hwdb.database.inserts", "counter"};
+  Rng rng(31);
+  std::int64_t counter = 0;
+  for (int i = 0; i < 10; ++i) {
+    loop.run_for(rng.chance(0.2) ? 40 * kSecond : rng.uniform(3) * 250 * kMillisecond);
+    for (const std::string& name : db.table_names()) {
+      std::vector<hwdb::Value> values;
+      for (const auto& col : db.table(name)->schema().columns()) {
+        switch (col.type) {
+          case hwdb::ColumnType::Int:
+            counter += rng.uniform_range(0, 3000);
+            values.emplace_back(rng.chance(0.1) ? -counter : counter);
+            break;
+          case hwdb::ColumnType::Real:
+            values.emplace_back(rng.chance(0.5) ? static_cast<double>(counter)
+                                                : rng.uniform01() * 100);
+            break;
+          case hwdb::ColumnType::Ts:
+            values.push_back(hwdb::Value::ts(loop.now() - rng.uniform(3) * kSecond));
+            break;
+          case hwdb::ColumnType::Text:
+            values.emplace_back(rng.chance(0.2) ? "fresh-" + std::to_string(i)
+                                                : kTexts[rng.uniform(std::size(kTexts))]);
+            break;
+        }
+      }
+      ASSERT_TRUE(db.insert(name, values).ok());
+    }
+  }
+}
+
+Bytes saved(const hwdb::Database& db) {
+  Writer w;
+  db.save(w);
+  return std::move(w).finish();
+}
+
+/// A restored database holds tables sound by their own rules: rows within
+/// capacity, every text cell naming a string its pool holds, the pool
+/// holding no string a row does not use, and a save that restores to
+/// itself.
+void expect_sound(const hwdb::Database& db, sim::EventLoop& loop) {
+  for (const std::string& name : db.table_names()) {
+    const hwdb::Table& t = *db.table(name);
+    EXPECT_LE(t.size(), t.capacity()) << name;
+    std::set<std::uint64_t> ids;
+    t.for_each([&](const hwdb::RecordView& row) {
+      for (std::size_t c = 0; c < row.width(); ++c) {
+        if (t.schema().columns()[c].type != hwdb::ColumnType::Text) continue;
+        EXPECT_LT(row.cell(c), t.text_pool().id_space()) << name;
+        ids.insert(row.cell(c));
+      }
+      return true;
+    });
+    EXPECT_EQ(ids.size(), t.text_pool().size()) << name;
+  }
+  const Bytes image = saved(db);
+  hwdb::Database again(loop);
+  ASSERT_TRUE(again.restore(Reader::parse(image).value()).ok());
+  EXPECT_EQ(saved(again), image);
+}
+
+TEST(HwdbChunkFuzz, TruncatedOrFlippedTableChunkIsRejectedOrRestoresSoundly) {
+  sim::EventLoop loop;
+  hwdb::Database source(loop);
+  fill_homework_tables(source, loop);
+  const Bytes reference = saved(source);
+  auto ref = Reader::parse(reference);
+  ASSERT_TRUE(ref.ok());
+  {
+    hwdb::Database copy(loop);
+    ASSERT_TRUE(copy.restore(ref.value()).ok());
+    ASSERT_EQ(saved(copy), reference);
+  }
+
+  std::size_t rejected = 0;
+  std::size_t restored = 0;
+  // One damaged chunk, alone in its image, into a fresh home and over the
+  // live tables.
+  const auto trial = [&](const Bytes& chunk) {
+    Writer w;
+    w.begin_chunk(tag("HTBL")).raw(chunk);
+    w.end_chunk();
+    const Bytes image = std::move(w).finish();
+    auto reader = Reader::parse(image);
+    ASSERT_TRUE(reader.ok());
+    {
+      hwdb::Database fresh(loop);
+      g_alloc_calls = g_alloc_bytes = 0;
+      g_count_allocs = true;
+      const Status s = fresh.restore(reader.value());
+      g_count_allocs = false;
+      // Every count is held to the bytes that carry it, so the work done
+      // is bounded by the input: a block entry takes at least one byte and
+      // becomes one 8-byte cell, a string at least two bytes and at most
+      // kMaxSharedPrefix more than it reads, plus its pool entry.
+      EXPECT_LE(g_alloc_calls, 64 + chunk.size() / 2);
+      EXPECT_LE(g_alloc_bytes, 16384 + (8 + kMaxSharedPrefix) * chunk.size());
+      if (s.ok()) {
+        ++restored;
+        expect_sound(fresh, loop);
+      } else {
+        ++rejected;
+        EXPECT_TRUE(fresh.table_names().empty());
+      }
+    }
+    hwdb::Database live(loop);
+    ASSERT_TRUE(live.restore(ref.value()).ok());
+    if (live.restore(reader.value()).ok()) {
+      expect_sound(live, loop);
+    } else {
+      ASSERT_EQ(saved(live), reference);
+    }
+  };
+  std::size_t chunks = 0;
+  for (const Bytes* chunk : ref.value().find_all(tag("HTBL"))) {
+    ++chunks;
+    for (std::size_t len = 0; len < chunk->size(); ++len) {
+      const std::size_t before = rejected;
+      trial(Bytes(chunk->begin(), chunk->begin() + static_cast<long>(len)));
+      ASSERT_EQ(rejected, before + 1) << "accepted a chunk cut to " << len << " bytes";
+      if (HasFatalFailure()) return;
+    }
+    for (std::size_t i = 0; i < chunk->size(); ++i) {
+      for (const std::uint8_t flip : {0x01, 0x80, 0xFF}) {
+        Bytes bad = *chunk;
+        bad[i] ^= flip;
+        trial(bad);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_EQ(chunks, 4u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(restored, 0u);
 }
 
 TEST(SnapshotCoordinator, WarmRestartRefillsTheFlowTable) {
