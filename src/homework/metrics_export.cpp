@@ -27,6 +27,14 @@ bool due(const S& s, bool moved, std::uint64_t inserted,
   return inserted - s.written_at >= capacity / 2;
 }
 
+/// A histogram's rows other than its count hold wall-clock nanoseconds.
+bool wall_clock_series(std::string_view name) {
+  for (const std::string_view stat : {".sum", ".mean", ".p50", ".p90", ".p99", ".max"}) {
+    if (name.ends_with(stat)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 MetricsExport::MetricsExport(Config config, hwdb::Database& db,
@@ -38,9 +46,11 @@ MetricsExport::~MetricsExport() = default;
 
 Status MetricsExport::create_table(hwdb::Database& db, const Config& config) {
   using hwdb::ColumnType;
-  return db.create_table(hwdb::Schema("Metrics", {{"name", ColumnType::Text},
-                                                  {"kind", ColumnType::Text},
-                                                  {"value", ColumnType::Real}}),
+  return db.create_table(hwdb::Schema("Metrics",
+                                      {{"name", ColumnType::Text},
+                                       {"kind", ColumnType::Text},
+                                       {"value", ColumnType::Real}},
+                                      &wall_clock_series),
                          config.capacity);
 }
 

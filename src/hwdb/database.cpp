@@ -140,22 +140,24 @@ constexpr std::uint32_t kMetaTag = snapshot::tag("HMET");
 //   ts         zigzag varint of the delta of deltas;
 //   Int, Ts    zigzag varint of the delta from the row before;
 //   Text       varint index into the chunk's string table;
-//   Real       the bits XORed with the row before's: a mask byte whose bit i
-//              flags byte i (least significant first) as nonzero, then
-//              those bytes.
-// The row before a block's first row reads as zero. The column's type picks
-// the coding, so a cell of another type cannot be written; every entry takes
-// at least one byte.
+//   Real       the bits XORed with the series' value before (series_column):
+//              a mask byte whose bit i flags byte i (least significant
+//              first) as written, then those bytes. A byte that XORs to zero
+//              is left out, except in a wall-clock series, where all eight
+//              are written so the value cannot change the chunk's size.
+// The row before a block's first row, and a series' value before its first,
+// read as zero. The column's type picks the coding, so a cell of another
+// type cannot be written; every entry takes at least one byte.
 
 std::uint64_t zigzag(std::uint64_t v) { return (v << 1) ^ (0 - (v >> 63)); }
 std::uint64_t unzigzag(std::uint64_t v) { return (v >> 1) ^ (0 - (v & 1)); }
 
-void put_xor(ByteWriter& w, std::uint64_t x) {
+void put_xor(ByteWriter& w, std::uint64_t x, bool full_width) {
   std::uint8_t buf[9];
   std::size_t n = 1;
   std::uint8_t mask = 0;
   for (int i = 0; i < 8; ++i, x >>= 8) {
-    if ((x & 0xFFu) == 0) continue;
+    if ((x & 0xFFu) == 0 && !full_width) continue;
     mask = static_cast<std::uint8_t>(mask | 1u << i);
     buf[n++] = static_cast<std::uint8_t>(x);
   }
@@ -163,47 +165,28 @@ void put_xor(ByteWriter& w, std::uint64_t x) {
   w.raw(buf, n);
 }
 
-/// Reads column-block entries; each read fails at the end of the bytes. A
-/// bare cursor rather than snapshot::get_varint over a ByteReader: the
-/// blocks are most of an image's bytes, read without a Result per byte.
-class BlockReader {
- public:
-  explicit BlockReader(std::span<const std::uint8_t> bytes)
-      : p_(bytes.data()), end_(bytes.data() + bytes.size()) {}
+// Column-block readers over a cursor into the chunk: each takes one entry
+// off its front, or fails at the end of the bytes.
+bool next_varint(std::span<const std::uint8_t>& in, std::uint64_t& out) {
+  const std::size_t n = snapshot::take_varint(in, out);
+  in = in.subspan(n);
+  return n != 0;
+}
 
-  bool varint(std::uint64_t& out) {
-    std::uint64_t v = 0;
-    for (unsigned shift = 0; p_ != end_; shift += 7) {
-      const std::uint8_t b = *p_++;
-      v |= std::uint64_t{b & 0x7Fu} << shift;
-      if ((b & 0x80u) == 0) {
-        out = v;
-        // The tenth byte holds only bit 63.
-        return shift < 63 || b <= 1;
-      }
-      if (shift == 63) return false;
-    }
-    return false;
+bool next_xor(std::span<const std::uint8_t>& in, std::uint64_t& out) {
+  if (in.empty()) return false;
+  const unsigned mask = in[0];
+  const std::size_t n = 1 + static_cast<std::size_t>(std::popcount(mask));
+  if (in.size() < n) return false;
+  std::uint64_t v = 0;
+  const std::uint8_t* p = in.data() + 1;
+  for (unsigned i = 0; i < 8; ++i) {
+    if ((mask >> i & 1u) != 0) v |= std::uint64_t{*p++} << (8 * i);
   }
-
-  bool xor_bits(std::uint64_t& out) {
-    if (p_ == end_) return false;
-    const unsigned mask = *p_++;
-    if (end_ - p_ < std::popcount(mask)) return false;
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i) {
-      if ((mask >> i & 1u) != 0) v |= std::uint64_t{*p_++} << (8 * i);
-    }
-    out = v;
-    return true;
-  }
-
-  [[nodiscard]] bool empty() const { return p_ == end_; }
-
- private:
-  const std::uint8_t* p_;
-  const std::uint8_t* end_;
-};
+  out = v;
+  in = in.subspan(n);
+  return true;
+}
 
 /// One decoded HTBL chunk, applied only once every chunk decoded. Rows are
 /// already cells; a text cell holds an index into `strings`.
@@ -218,17 +201,20 @@ struct TableImage {
 };
 
 /// Decodes the column blocks of `nrows` rows into `t.cells`, row-major.
-Status decode_blocks(BlockReader& in, std::size_t nrows, TableImage& t) {
+Status decode_blocks(std::span<const std::uint8_t> in, std::size_t nrows,
+                     TableImage& t) {
   const std::size_t stride = t.columns.size() + 1;
   t.cells.resize(nrows * stride);
   const auto truncated = [&] {
     return Status::failure("hwdb snapshot: " + t.name + ": truncated column block");
   };
+  const int series = series_column(t.columns);
+  std::vector<std::uint64_t> last;  // a Real column's value before, by series
   std::uint64_t v = 0;
   std::uint64_t ts = 0;
   std::uint64_t delta = 0;
   for (std::size_t r = 0; r < nrows; ++r) {
-    if (!in.varint(v)) return truncated();
+    if (!next_varint(in, v)) return truncated();
     delta += unzigzag(v);
     ts += delta;
     t.cells[r * stride] = ts;
@@ -240,19 +226,23 @@ Status decode_blocks(BlockReader& in, std::size_t nrows, TableImage& t) {
       case ColumnType::Int:
       case ColumnType::Ts:
         for (std::size_t r = 0; r < nrows; ++r, cell += stride) {
-          if (!in.varint(v)) return truncated();
+          if (!next_varint(in, v)) return truncated();
           *cell = prev += unzigzag(v);
         }
         break;
       case ColumnType::Real:
+        // The series column comes first, so its ids are decoded and checked.
+        last.assign(series < 0 ? 1 : t.strings.size(), 0);
         for (std::size_t r = 0; r < nrows; ++r, cell += stride) {
-          if (!in.xor_bits(v)) return truncated();
-          *cell = prev ^= v;
+          if (!next_xor(in, v)) return truncated();
+          std::uint64_t& before =
+              last[series < 0 ? 0 : t.cells[r * stride + 1 + series]];
+          *cell = before ^= v;
         }
         break;
       case ColumnType::Text:
         for (std::size_t r = 0; r < nrows; ++r, cell += stride) {
-          if (!in.varint(v)) return truncated();
+          if (!next_varint(in, v)) return truncated();
           if (v >= t.strings.size()) {
             return Status::failure("hwdb snapshot: string id out of range");
           }
@@ -320,8 +310,7 @@ Result<TableImage> decode_table(const Bytes& chunk) {
   if (nrows.value() > br.remaining() / (t.columns.size() + 1)) {
     return make_error("hwdb snapshot: row count past chunk end");
   }
-  BlockReader blocks(br.view(br.remaining()).value());
-  if (auto s = decode_blocks(blocks, nrows.value(), t); !s.ok()) return s.error();
+  if (auto s = decode_blocks(br.rest(), nrows.value(), t); !s.ok()) return s.error();
   return t;
 }
 
@@ -332,8 +321,11 @@ void Database::save(snapshot::Writer& w) const {
   constexpr std::uint32_t kUnseen = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> chunk_id;
   std::vector<std::string_view> strings;
+  std::vector<char> wall_clock;      // by chunk string id
+  std::vector<std::uint64_t> last;   // a Real column's value before, by series
   for (const auto& [name, table] : tables_) {
     const auto& columns = table->schema().columns();
+    const int series = series_column(columns);
     // The chunk's string table lists the pool's strings in order of first
     // use, oldest row first and left to right within a row; text entries
     // carry those indexes.
@@ -365,9 +357,11 @@ void Database::save(snapshot::Writer& w) const {
     }
     c.u32(static_cast<std::uint32_t>(strings.size()));
     std::string_view prev;
+    wall_clock.clear();
     for (const std::string_view s : strings) {
       snapshot::put_front_coded(c, prev, s);
       prev = s;
+      wall_clock.push_back(table->schema().wall_clock(s) ? 1 : 0);
     }
     c.u32(static_cast<std::uint32_t>(table->size()));
 
@@ -392,9 +386,11 @@ void Database::save(snapshot::Writer& w) const {
           });
           break;
         case ColumnType::Real:
+          last.assign(series < 0 ? 1 : strings.size(), 0);
           table->for_each([&](const RecordView& row) {
-            put_xor(c, row.cell(col) ^ prev);
-            prev = row.cell(col);
+            const std::uint32_t id = series < 0 ? 0 : chunk_id[row.cell(series)];
+            put_xor(c, row.cell(col) ^ last[id], series >= 0 && wall_clock[id] != 0);
+            last[id] = row.cell(col);
             return true;
           });
           break;

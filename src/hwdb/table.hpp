@@ -26,21 +26,41 @@ struct ColumnDef {
   ColumnType type = ColumnType::Text;
 };
 
+/// The column naming the series a Real cell belongs to: a table whose first
+/// column is Text keys its Real cells by the row's text there (Metrics by
+/// name, Links by mac); otherwise each Real column is one series (-1).
+inline int series_column(const std::vector<ColumnDef>& columns) {
+  return !columns.empty() && columns[0].type == ColumnType::Text ? 0 : -1;
+}
+
 class Schema {
  public:
+  /// Picks the series whose Real values time the wall clock, by the series'
+  /// text (see series_column): two runs of the same inputs write
+  /// different values to them.
+  using WallClockSeries = bool (*)(std::string_view series);
+
   Schema() = default;
-  Schema(std::string table_name, std::vector<ColumnDef> columns)
-      : name_(std::move(table_name)), columns_(std::move(columns)) {}
+  Schema(std::string table_name, std::vector<ColumnDef> columns,
+         WallClockSeries wall_clock = nullptr)
+      : name_(std::move(table_name)), columns_(std::move(columns)),
+        wall_clock_(wall_clock) {}
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::vector<ColumnDef>& columns() const { return columns_; }
   /// Column index by (case-insensitive) name, -1 if absent.
   [[nodiscard]] int column_index(const std::string& column) const;
   [[nodiscard]] std::size_t width() const { return columns_.size(); }
+  /// True when `series` holds wall-clock values; a snapshot writes those at
+  /// full width, so an image's size never depends on them.
+  [[nodiscard]] bool wall_clock(std::string_view series) const {
+    return wall_clock_ != nullptr && wall_clock_(series);
+  }
 
  private:
   std::string name_;
   std::vector<ColumnDef> columns_;
+  WallClockSeries wall_clock_ = nullptr;
 };
 
 /// A table's strings, each stored once and counted by the cells that hold

@@ -80,17 +80,10 @@ void put_varint(ByteWriter& w, std::uint64_t v) {
 
 Result<std::uint64_t> get_varint(ByteReader& r) {
   std::uint64_t v = 0;
-  for (unsigned shift = 0; shift < 64; shift += 7) {
-    auto b = r.u8();
-    if (!b) return b.error();
-    v |= std::uint64_t{b.value() & 0x7Fu} << shift;
-    if ((b.value() & 0x80u) == 0) {
-      // The tenth byte holds only bit 63.
-      if (shift == 63 && b.value() > 1) break;
-      return v;
-    }
-  }
-  return make_error("snapshot: varint past 64 bits");
+  const std::size_t n = take_varint(r.rest(), v);
+  if (n == 0) return make_error("snapshot: varint cut short or past 64 bits");
+  (void)r.skip(n);
+  return v;
 }
 
 void put_front_coded(ByteWriter& w, std::string_view prev, std::string_view s) {

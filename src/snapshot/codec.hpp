@@ -43,6 +43,25 @@ Result<std::string> get_string(ByteReader& r);
 /// first, at most ten bytes. get_varint refuses a value past 64 bits.
 void put_varint(ByteWriter& w, std::uint64_t v);
 Result<std::uint64_t> get_varint(ByteReader& r);
+/// Decodes the varint at the front of `bytes` into `out` and returns the
+/// bytes it took: 0 when `bytes` ends first or the value passes 64 bits.
+/// get_varint reads through it; a decoder of many varints (the hwdb column
+/// blocks) calls it on its own cursor.
+inline std::size_t take_varint(std::span<const std::uint8_t> bytes,
+                               std::uint64_t& out) {
+  std::uint64_t v = 0;
+  const std::size_t n = bytes.size() < 10 ? bytes.size() : 10;
+  for (std::size_t i = 0; i < n; ++i) {
+    v |= std::uint64_t{bytes[i] & 0x7Fu} << (7 * i);
+    if ((bytes[i] & 0x80u) == 0) {
+      // The tenth byte holds only bit 63.
+      if (i == 9 && bytes[i] > 1) return 0;
+      out = v;
+      return i + 1;
+    }
+  }
+  return 0;
+}
 
 /// Front-coded strings, each written after the one before it in a run (the
 /// first after ""): a u8 count of leading bytes shared with the string

@@ -169,16 +169,6 @@ Result<Bytes> SnapshotCoordinator::read_file_bytes(const std::string& path) {
   return bytes;
 }
 
-Result<SnapshotImage> SnapshotCoordinator::read_file(const std::string& path) {
-  auto bytes = read_file_bytes(path);
-  if (!bytes) return bytes.error();
-  auto reader = Reader::parse(bytes.value());
-  if (!reader) return reader.error();
-  auto at = captured_at(reader.value());
-  if (!at) return at.error();
-  return SnapshotImage{std::move(bytes).take(), at.value()};
-}
-
 void CaptureTagLayer::save(Writer& w) const {
   ByteWriter& c = w.begin_chunk(kFtagTag);
   c.u64(tag_.capture_id);

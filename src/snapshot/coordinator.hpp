@@ -86,9 +86,8 @@ class SnapshotCoordinator {
   /// Atomic file persistence: writes to `path + ".tmp"` then renames, so a
   /// crash mid-write never leaves a torn snapshot at `path`.
   static Status write_file(const std::string& path, const SnapshotImage& image);
-  /// Reads and parses an image, taking captured_at from its META chunk.
-  static Result<SnapshotImage> read_file(const std::string& path);
-  /// The file's bytes as they are, neither parsed nor verified.
+  /// The file's bytes as they are, neither parsed nor verified: a restore
+  /// (or Reader::parse) checks them.
   static Result<Bytes> read_file_bytes(const std::string& path);
 
  private:

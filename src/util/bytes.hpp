@@ -106,6 +106,8 @@ class ByteReader {
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] bool empty() const { return remaining() == 0; }
+  /// The bytes not yet read, left unread.
+  [[nodiscard]] std::span<const std::uint8_t> rest() const { return data_.subspan(pos_); }
 
   Result<std::uint8_t> u8();
   Result<std::uint16_t> u16();

@@ -913,8 +913,10 @@ Result<TableImageV3> decode_table_v3(const Bytes& chunk) {
 /// encoded here from the row-vector storage: the head, then one block per
 /// column, ts first. ts is a zigzag varint of its delta of deltas, an Int or
 /// Ts cell a zigzag varint of its delta from the row before, a text cell a
-/// varint string index, and a Real its bits XORed with the row before's as
-/// a mask of nonzero bytes and then those bytes, least significant first.
+/// varint string index, and a Real its bits XORed with its series' value
+/// before (the row's first-column text, when that column is Text) as a mask
+/// of written bytes and then those bytes, least significant first: the
+/// nonzero ones, or all eight in a wall-clock series.
 Bytes encode_table(const OracleTable& table) {
   const ChunkStrings text(table);
   ByteWriter c;
@@ -930,8 +932,10 @@ Bytes encode_table(const OracleTable& table) {
     put_varint(c, zigzag(d - delta));
     delta = d;
   }
+  const bool keyed = hwdb::series_column(table.schema().columns()) == 0;
   for (std::size_t col = 0; col < table.schema().width(); ++col) {
     std::uint64_t prev = 0;
+    std::map<std::string, std::uint64_t> series_prev;
     for (const Row* row : rows) {
       const Value& v = row->values[col];
       const std::uint64_t bits = cell_bits(v);
@@ -940,16 +944,20 @@ Bytes encode_table(const OracleTable& table) {
         case ColumnType::Int:
         case ColumnType::Ts: put_varint(c, zigzag(bits - prev)); break;
         case ColumnType::Real: {
+          const std::string series = keyed ? row->values[0].as_text() : "";
+          const bool full = keyed && table.schema().wall_clock(series);
+          const std::uint64_t x = bits ^ series_prev[series];
+          series_prev[series] = bits;
           std::uint8_t mask = 0;
-          ByteWriter nonzero;
+          ByteWriter written;
           for (int byte = 0; byte < 8; ++byte) {
-            const auto b = static_cast<std::uint8_t>((bits ^ prev) >> (8 * byte));
-            if (b == 0) continue;
+            const auto b = static_cast<std::uint8_t>(x >> (8 * byte));
+            if (b == 0 && !full) continue;
             mask = static_cast<std::uint8_t>(mask | 1 << byte);
-            nonzero.u8(b);
+            written.u8(b);
           }
           c.u8(mask);
-          c.raw(nonzero.bytes());
+          c.raw(written.bytes());
           break;
         }
       }
@@ -2041,6 +2049,49 @@ TEST(TableStorage, RestoreAllocatesPerStringNotPerRow) {
   const std::size_t large = restore_allocations(4096);
   EXPECT_EQ(small, large);
   EXPECT_LT(large, 100u);
+}
+
+/// A Metrics table's wall-clock series (a histogram's rows but its count)
+/// are written at full width, and every series XORs against its own value
+/// before. So two homes whose replay-exact rows agree save HTBL chunks of one
+/// size, whatever their wall clocks read, and each restores the rows it saved.
+TEST(TableSnapshot, WallClockSeriesDoNotMoveTheChunkSize) {
+  Bytes chunks[2];
+  for (int run = 0; run < 2; ++run) {
+    sim::EventLoop loop;
+    Database db(loop);
+    ASSERT_TRUE(homework::MetricsExport::create_table(db, {}).ok());
+    oracle::OracleTable want(db.table("Metrics")->schema(), 65536);
+    for (int i = 0; i < 200; ++i) {
+      loop.run_for(kSecond);
+      // Nanoseconds that differ from run to run, in value and in the number
+      // of bytes that change from one to the next.
+      const double ns = run == 0 ? 1000.0 + i : 1.0e6 / (i + 3);
+      const std::vector<std::vector<Value>> rows = {
+          {Value{"hwdb.database.inserts"}, Value{"counter"}, Value{3.0 * i}},
+          {Value{"hwdb.database.insert_ns.count"}, Value{"histogram"}, Value{1.0 * i}},
+          {Value{"hwdb.database.insert_ns.p99"}, Value{"histogram"}, Value{ns}},
+          {Value{"hwdb.database.insert_ns.max"}, Value{"histogram"}, Value{2 * ns}},
+      };
+      for (const auto& row : rows) {
+        ASSERT_TRUE(db.insert("Metrics", row).ok());
+        ASSERT_TRUE(want.insert(loop.now(), row).ok());
+      }
+    }
+    chunks[run] = htbl_chunk(db, "Metrics");
+    EXPECT_EQ(chunks[run], oracle::encode_table(want));
+
+    snapshot::Writer w;
+    db.save(w);
+    const Bytes image = std::move(w).finish();
+    auto reader = snapshot::Reader::parse(image);
+    ASSERT_TRUE(reader.ok());
+    Database fresh(loop);
+    ASSERT_TRUE(fresh.restore(reader.value()).ok());
+    expect_same_table(*fresh.table("Metrics"), want);
+  }
+  EXPECT_NE(chunks[0], chunks[1]);
+  EXPECT_EQ(chunks[0].size(), chunks[1].size());
 }
 
 TEST(TextPool, NeverHoldsMoreThanTheLiveRowsStrings) {

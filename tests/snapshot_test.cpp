@@ -666,10 +666,14 @@ TEST(SnapshotFiles, AtomicWriteThenReadRoundTrip) {
   const std::string path = ::testing::TempDir() + "/hw_snapshot_test.bin";
 
   ASSERT_TRUE(SnapshotCoordinator::write_file(path, image).ok());
-  auto back = SnapshotCoordinator::read_file(path);
+  auto back = SnapshotCoordinator::read_file_bytes(path);
   ASSERT_TRUE(back.ok()) << back.error().message;
-  EXPECT_EQ(back.value().bytes, image.bytes);
-  EXPECT_EQ(back.value().captured_at, image.captured_at);
+  EXPECT_EQ(back.value(), image.bytes);
+  auto reader = Reader::parse(back.value());
+  ASSERT_TRUE(reader.ok()) << reader.error().message;
+  auto at = captured_at(reader.value());
+  ASSERT_TRUE(at.ok());
+  EXPECT_EQ(at.value(), image.captured_at);
   // No temp residue after a successful rename.
   std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
   EXPECT_EQ(tmp, nullptr);
@@ -680,10 +684,12 @@ TEST(SnapshotFiles, AtomicWriteThenReadRoundTrip) {
   ASSERT_NE(f, nullptr);
   std::fwrite(image.bytes.data(), 1, image.bytes.size() / 2, f);
   std::fclose(f);
-  EXPECT_FALSE(SnapshotCoordinator::read_file(path).ok());
+  auto torn = SnapshotCoordinator::read_file_bytes(path);
+  ASSERT_TRUE(torn.ok());
+  EXPECT_FALSE(Reader::parse(torn.value()).ok());
 
   std::remove(path.c_str());
-  EXPECT_FALSE(SnapshotCoordinator::read_file(path).ok());
+  EXPECT_FALSE(SnapshotCoordinator::read_file_bytes(path).ok());
 }
 
 }  // namespace
