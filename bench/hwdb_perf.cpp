@@ -273,7 +273,7 @@ void BM_BytesPerRow(benchmark::State& state) {
       config.capacity = kRows;
       (void)homework::MetricsExport::create_table(db, config);
     }
-    for (const auto& row : rows) (void)db.insert(table, row);
+    for (const auto& row : rows) (void)db.insert(table, refs(row));
     g_count_bytes = false;
     bytes_per_row = static_cast<double>(g_live_bytes) / kRows;
   }

@@ -160,15 +160,16 @@ void EventExport::export_flow_stats(
     tuple.dst_port = e.match.tp_dst;
     const std::string app = net::app_protocol_name(net::classify_app(tuple));
 
+    using hwdb::ValueRef;
     auto status = db_.insert(
         "Flows",
-        {hwdb::Value{device}, hwdb::Value{e.match.nw_src.to_string()},
-         hwdb::Value{e.match.nw_dst.to_string()},
-         hwdb::Value{static_cast<std::int64_t>(e.match.nw_proto)},
-         hwdb::Value{static_cast<std::int64_t>(e.match.tp_src)},
-         hwdb::Value{static_cast<std::int64_t>(e.match.tp_dst)},
-         hwdb::Value{app}, hwdb::Value{static_cast<std::int64_t>(db_bytes)},
-         hwdb::Value{static_cast<std::int64_t>(dp)}});
+        {ValueRef::of_text(device),
+         ValueRef::of_text(e.match.nw_src.to_string()),
+         ValueRef::of_text(e.match.nw_dst.to_string()),
+         ValueRef::of_int(e.match.nw_proto), ValueRef::of_int(e.match.tp_src),
+         ValueRef::of_int(e.match.tp_dst), ValueRef::of_text(app),
+         ValueRef::of_int(static_cast<std::int64_t>(db_bytes)),
+         ValueRef::of_int(static_cast<std::int64_t>(dp))});
     if (status.ok()) metrics_.flow_rows.inc();
   }
 }
@@ -181,11 +182,12 @@ void EventExport::poll_links() {
     const std::uint64_t d_tx = sample.tx_frames - prev.tx;
     prev.retries = sample.retries;
     prev.tx = sample.tx_frames;
-    auto status =
-        db_.insert("Links", {hwdb::Value{sample.mac.to_string()},
-                             hwdb::Value{sample.rssi_dbm},
-                             hwdb::Value{static_cast<std::int64_t>(d_retries)},
-                             hwdb::Value{static_cast<std::int64_t>(d_tx)}});
+    using hwdb::ValueRef;
+    auto status = db_.insert(
+        "Links", {ValueRef::of_text(sample.mac.to_string()),
+                  ValueRef::of_real(sample.rssi_dbm),
+                  ValueRef::of_int(static_cast<std::int64_t>(d_retries)),
+                  ValueRef::of_int(static_cast<std::int64_t>(d_tx))});
     if (status.ok()) metrics_.link_rows.inc();
   }
 }
@@ -203,10 +205,11 @@ void EventExport::on_registry_event(RegistryEvent ev, const DeviceRecord& rec) {
       return;
   }
   const std::string ip = rec.lease ? rec.lease->ip.to_string() : "";
+  using hwdb::ValueRef;
   auto status = db_.insert(
-      "Leases", {hwdb::Value{rec.mac.to_string()}, hwdb::Value{ip},
-                 hwdb::Value{rec.hostname}, hwdb::Value{to_string(ev)},
-                 hwdb::Value{to_string(rec.state)}});
+      "Leases", {ValueRef::of_text(rec.mac.to_string()), ValueRef::of_text(ip),
+                 ValueRef::of_text(rec.hostname), ValueRef::of_text(to_string(ev)),
+                 ValueRef::of_text(to_string(rec.state))});
   if (status.ok()) metrics_.lease_rows.inc();
 }
 

@@ -25,12 +25,12 @@ Status Database::create_table(Schema schema, std::size_t capacity) {
   return {};
 }
 
-Table* Database::table(const std::string& name) {
+Table* Database::table(std::string_view name) {
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-const Table* Database::table(const std::string& name) const {
+const Table* Database::table(std::string_view name) const {
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();
 }
@@ -42,14 +42,15 @@ std::vector<std::string> Database::table_names() const {
   return out;
 }
 
-Status Database::insert(const std::string& table_name, std::vector<Value> values) {
+Status Database::insert(std::string_view table_name,
+                        std::span<const ValueRef> values) {
   const telemetry::ScopedTimer timer(metrics_.insert_ns);
   Table* t = table(table_name);
   if (t == nullptr) {
     metrics_.insert_errors.inc();
-    return Status::failure("no such table: " + table_name);
+    return Status::failure("no such table: " + std::string(table_name));
   }
-  auto status = t->insert(loop_.now(), std::move(values));
+  auto status = t->insert(loop_.now(), values);
   if (!status.ok()) {
     metrics_.insert_errors.inc();
     HW_LOG_WARN(kLog, "%s", status.error().message.c_str());

@@ -8,7 +8,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "hwdb/cql_parser.hpp"
 #include "hwdb/executor.hpp"
@@ -51,12 +53,18 @@ class Database final : public snapshot::Snapshottable {
 
   /// Creates a table over a bounded ring buffer. Fails if the name is taken.
   Status create_table(Schema schema, std::size_t capacity);
-  [[nodiscard]] Table* table(const std::string& name);
-  [[nodiscard]] const Table* table(const std::string& name) const;
+  [[nodiscard]] Table* table(std::string_view name);
+  [[nodiscard]] const Table* table(std::string_view name) const;
   [[nodiscard]] std::vector<std::string> table_names() const;
 
-  /// Inserts a row stamped with the current virtual time.
-  Status insert(const std::string& table_name, std::vector<Value> values);
+  /// Inserts a row stamped with the current virtual time. The cells are
+  /// views (text included): the table copies what it keeps.
+  Status insert(std::string_view table_name, std::span<const ValueRef> values);
+  Status insert(std::string_view table_name,
+                std::initializer_list<ValueRef> values) {
+    return insert(table_name,
+                  std::span<const ValueRef>(values.begin(), values.size()));
+  }
 
   /// Parses and runs a query text.
   Result<ResultSet> query(std::string_view text) const;
@@ -104,7 +112,7 @@ class Database final : public snapshot::Snapshottable {
   void fire(Subscription& sub);
 
   sim::EventLoop& loop_;
-  std::map<std::string, std::unique_ptr<Table>> tables_;
+  std::map<std::string, std::unique_ptr<Table>, std::less<>> tables_;
   std::map<SubscriptionId, std::unique_ptr<Subscription>> subs_;
   SubscriptionId next_sub_id_ = 1;
   // Mutable: query() is logically const but still counts.

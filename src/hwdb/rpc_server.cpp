@@ -69,7 +69,7 @@ Response RpcServer::process(ClientAddress from, const Request& req) {
       [&](const auto& body) {
         using T = std::decay_t<decltype(body)>;
         if constexpr (std::is_same_v<T, InsertRequest>) {
-          auto status = db_.insert(body.table, body.values);
+          auto status = db_.insert(body.table, refs(body.values));
           if (!status.ok()) {
             resp.ok = false;
             resp.error = status.error().message;

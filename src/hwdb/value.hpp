@@ -5,9 +5,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
+#include <vector>
 
 #include "util/result.hpp"
 #include "util/types.hpp"
@@ -168,5 +170,10 @@ class Value {
   }
   Storage v_;
 };
+
+/// Views of `values` (valid while they live), for a row held as Values.
+inline std::vector<ValueRef> refs(std::span<const Value> values) {
+  return {values.begin(), values.end()};
+}
 
 }  // namespace hw::hwdb

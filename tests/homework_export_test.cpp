@@ -1,10 +1,13 @@
 // EventExport: the measurement plane's three standard tables must fill with
 // deltas (Flows), samples (Links) and events (Leases) as traffic happens.
-// MetricsExport: the change-only Metrics export answers "latest value at t"
-// exactly like exporting every series every poll, and survives a checkpoint
-// row for row.
+// MetricsExport: the Metrics export answers "latest value at t" exactly like
+// exporting every series every poll for Exact series, and as of the latest
+// slow-poll, first-sight or guard write for slow ones; only Exact state
+// decides its rows, and it survives a checkpoint row for row.
 #include <map>
 #include <memory>
+#include <set>
+#include <string_view>
 #include <tuple>
 
 #include "router_fixture.hpp"
@@ -306,6 +309,34 @@ std::map<std::string, double> latest_values(const hwdb::Database& db) {
   return out;
 }
 
+/// The slow series of RandomSeries: the cache-warmth counter, every row of
+/// the cache-warmth histogram, and the wall-clock rows of each histogram.
+bool slow_series(std::string_view name) {
+  if (name == "test.rand.warm" || name.starts_with("test.rand.hwarm_ns.")) {
+    return true;
+  }
+  for (const char* stat : {".sum", ".mean", ".p50", ".p90", ".p99", ".max"}) {
+    if (name.ends_with(stat)) return true;
+  }
+  return false;
+}
+
+/// The wall-clock rows of RandomSeries' Exact histograms.
+bool exact_wall_series(std::string_view name) {
+  return slow_series(name) && name != "test.rand.warm" &&
+         !name.starts_with("test.rand.hwarm_ns.");
+}
+
+/// The `.count` series of the histogram a wall-clock row belongs to.
+std::string count_series(const std::string& wall_row) {
+  return wall_row.substr(0, wall_row.rfind('.')) + ".count";
+}
+
+// Each poll's rows hold the registry's values at that poll. An Exact series
+// reads back as the export-every-poll oracle after every poll. A slow series
+// reads back as the registry at its latest write, and that write is a slow
+// poll, its first sight, or an eviction-guard rewrite; no slow poll that is
+// due to write it is skipped.
 TEST(MetricsExportDifferential, LastValueMatchesExportEveryPollOracle) {
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     Rng rng(seed);
@@ -318,22 +349,77 @@ TEST(MetricsExportDifferential, LastValueMatchesExportEveryPollOracle) {
     MetricsExport::Config config;
     config.capacity = 80 + rng.uniform(200);
     ASSERT_TRUE(MetricsExport::create_table(db, config).ok());
+    const hwdb::Table& table = *db.table("Metrics");
     RandomSeries series(polled);
     MetricsExport exporter(config, db, polled);
 
+    std::vector<std::map<std::string, double>> oracles(1);  // by poll
+    std::vector<std::uint64_t> inserted_before(1);          // by poll
+    std::map<std::string, std::uint64_t> last_write;        // poll
     std::uint64_t every_poll_rows = 0;
     const std::uint64_t polls = 5 + rng.uniform(60);
     for (std::uint64_t k = 1; k <= polls; ++k) {
       series.step(rng);
       loop.run_until(k * kSecond);
-      const auto oracle = every_poll_oracle(polled);
+      const auto& oracle = oracles.emplace_back(every_poll_oracle(polled));
       every_poll_rows += oracle.size() + 2;
+      inserted_before.push_back(table.inserted());
       exporter.poll();
+      const bool slow_poll = k % MetricsExport::kSlowPolls == 0;
+
+      std::set<std::string> written;
+      std::size_t fresh = table.inserted() - inserted_before[k];
+      ASSERT_LE(fresh, table.size());
+      table.for_each_newest_first([&](const hwdb::RecordView& row) {
+        const std::string name(row.at(0).as_text());
+        written.insert(name);
+        if (describes_export(name)) return --fresh != 0;
+        EXPECT_EQ(row.ts(), k * kSecond);
+        EXPECT_EQ(row.at(2).as_real(), oracle.at(name))
+            << "seed " << seed << ", poll " << k << ", " << name;
+        if (slow_series(name)) {
+          const auto before = last_write.find(name);
+          const bool first = before == last_write.end();
+          const bool guard =
+              !first && inserted_before[k] - inserted_before[before->second] >=
+                            config.capacity / 2;
+          // A slow poll writes an Exact histogram's wall rows only if its
+          // count moved since their last write.
+          const bool news =
+              slow_poll &&
+              (first || !exact_wall_series(name) ||
+               oracle.at(count_series(name)) !=
+                   oracles[before->second].at(count_series(name)));
+          EXPECT_TRUE(first || guard || news)
+              << "seed " << seed << ": " << name << " written without news"
+              << " at poll " << k;
+        }
+        return --fresh != 0;
+      });
+      for (const auto& [name, value] : oracle) {
+        if (!slow_series(name) || !slow_poll || written.count(name) != 0) {
+          continue;
+        }
+        // A slow poll skips only an Exact histogram's wall rows, and only
+        // while its count stands where it was at their last write.
+        ASSERT_TRUE(last_write.count(name) != 0) << name;
+        const std::string count = count_series(name);
+        EXPECT_TRUE(exact_wall_series(name) &&
+                    oracle.at(count) == oracles[last_write[name]].at(count))
+            << "seed " << seed << ": slow poll " << k << " skipped " << name;
+      }
+      for (const std::string& name : written) last_write[name] = k;
+
       // Moves after the poll stay invisible until the next one.
       series.step(rng);
       if (rng.chance(0.5)) {
         loop.run_until(k * kSecond + rng.uniform(kSecond));
-        EXPECT_EQ(latest_values(db), oracle)
+        std::map<std::string, double> want;
+        for (const auto& [name, value] : oracle) {
+          want[name] = slow_series(name) ? oracles[last_write.at(name)].at(name)
+                                         : value;
+        }
+        EXPECT_EQ(latest_values(db), want)
             << "seed " << seed << ", query after poll " << k;
       }
     }
@@ -424,38 +510,6 @@ struct ExportHome {
   snapshot::TelemetryLayer tele{registry};
 };
 
-// Capture between two polls, restore into a fresh home (whose histograms
-// restart from zero: TELE carries no histograms), then drive both homes
-// through the same moves and polls: the exported rows agree row for row.
-TEST(MetricsExportDifferential, CheckpointMidIntervalKeepsRowsIdentical) {
-  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    Rng rng(seed);
-    const std::size_t capacity = 80 + rng.uniform(4000);
-    ExportHome first(capacity);
-    const std::uint64_t before = 2 + rng.uniform(10);
-    for (std::uint64_t k = 1; k <= before; ++k) first.poll_at(k * kSecond, rng);
-    first.series.step(rng);
-    const Timestamp at = before * kSecond + 1 + rng.uniform(kSecond - 1);
-    first.loop.run_until(at);
-    const snapshot::SnapshotImage image = first.snaps.capture();
-
-    ExportHome second(capacity);
-    second.loop.run_until(at);
-    const Status restored = second.snaps.restore(image);
-    ASSERT_TRUE(restored.ok()) << restored.error().message;
-    ASSERT_EQ(second.rows(), first.rows()) << "seed " << seed;
-
-    Rng moves_first(seed * 7919);
-    Rng moves_second(seed * 7919);
-    const std::uint64_t after = 1 + rng.uniform(20);
-    for (std::uint64_t k = before + 1; k <= before + after; ++k) {
-      first.poll_at(k * kSecond, moves_first);
-      second.poll_at(k * kSecond, moves_second);
-    }
-    EXPECT_EQ(second.rows(), first.rows()) << "seed " << seed;
-  }
-}
-
 /// The exporter's MEXP chunk as it saves it.
 Bytes baseline_chunk(const MetricsExport& exporter) {
   snapshot::Writer w;
@@ -472,6 +526,158 @@ Bytes image_with_baseline(const Bytes& chunk) {
   w.begin_chunk(snapshot::tag("MEXP")).raw(chunk);
   w.end_chunk();
   return std::move(w).finish();
+}
+
+// Capture between two polls, restore into a fresh home (whose histograms
+// restart from zero: TELE carries no histograms), then drive both homes
+// through the same moves and polls: the exported rows agree row for row.
+// The capture falls just after a slow poll, just before one, or anywhere,
+// and both homes run on through at least three slow-poll periods.
+TEST(MetricsExportDifferential, CheckpointMidIntervalKeepsRowsIdentical) {
+  constexpr std::uint64_t kPeriod = MetricsExport::kSlowPolls;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const std::size_t capacity = 80 + rng.uniform(4000);
+    ExportHome first(capacity);
+    const std::uint64_t grid = kPeriod * (1 + rng.uniform(3));
+    const std::uint64_t before = seed % 3 == 0   ? grid
+                                 : seed % 3 == 1 ? grid - 1
+                                                 : 2 + rng.uniform(3 * kPeriod);
+    for (std::uint64_t k = 1; k <= before; ++k) first.poll_at(k * kSecond, rng);
+    first.series.step(rng);
+    const Timestamp at = before * kSecond + 1 + rng.uniform(kSecond - 1);
+    first.loop.run_until(at);
+    const snapshot::SnapshotImage image = first.snaps.capture();
+
+    ExportHome second(capacity);
+    second.loop.run_until(at);
+    const Status restored = second.snaps.restore(image);
+    ASSERT_TRUE(restored.ok()) << restored.error().message;
+    ASSERT_EQ(second.rows(), first.rows()) << "seed " << seed;
+
+    Rng moves_first(seed * 7919);
+    Rng moves_second(seed * 7919);
+    const std::uint64_t after = 3 * kPeriod + rng.uniform(kPeriod);
+    for (std::uint64_t k = before + 1; k <= before + after; ++k) {
+      first.poll_at(k * kSecond, moves_first);
+      second.poll_at(k * kSecond, moves_second);
+      ASSERT_EQ(second.rows(), first.rows()) << "seed " << seed << ", poll " << k;
+    }
+    EXPECT_EQ(second.exporter.stats().polls.value(), before + after);
+  }
+}
+
+/// Moves two homes' series alike where they are Exact, and apart where they
+/// are not: the cache-warmth counter steps by different amounts, every
+/// histogram records different values (the same number of them, except in
+/// the cache-warmth histogram, whose count is not Exact either).
+void step_apart(Rng& rng, RandomSeries& a, RandomSeries& b) {
+  for (std::size_t i = 0; i < a.counters.size(); ++i) {
+    if (!rng.chance(0.3)) continue;
+    const std::uint64_t n = rng.uniform(4);
+    a.counters[i]->inc(n);
+    b.counters[i]->inc(i == 4 ? n + 1 + rng.uniform(5) : n);
+  }
+  for (std::size_t i = 0; i < a.gauges.size(); ++i) {
+    if (!rng.chance(0.4)) continue;
+    const std::int64_t v = rng.uniform_range(-2, 2);
+    a.gauges[i]->set(v);
+    b.gauges[i]->set(v);
+  }
+  for (std::size_t i = 0; i < a.histograms.size(); ++i) {
+    while (rng.chance(0.3)) {
+      a.histograms[i]->record(rng.uniform(5000));
+      b.histograms[i]->record(rng.uniform(5000));
+    }
+    if (i == 3 && rng.chance(0.5)) b.histograms[i]->record(rng.uniform(5000));
+  }
+}
+
+// Only Exact state decides which rows a poll writes: homes that differ in
+// everything else write the same (ts, name, kind) rows, in the same order,
+// and save baselines of the same size.
+TEST(MetricsExportDifferential, OnlyExactSeriesDecideTheRows) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const std::size_t capacity = 80 + rng.uniform(2000);
+    ExportHome a(capacity);
+    ExportHome b(capacity);
+    bool values_differ = false;
+    const std::uint64_t polls = 3 * MetricsExport::kSlowPolls + rng.uniform(30);
+    for (std::uint64_t k = 1; k <= polls; ++k) {
+      step_apart(rng, a.series, b.series);
+      a.loop.run_until(k * kSecond);
+      b.loop.run_until(k * kSecond);
+      a.exporter.poll();
+      b.exporter.poll();
+      ASSERT_EQ(a.rows(), b.rows()) << "seed " << seed << ", poll " << k;
+      ASSERT_EQ(baseline_chunk(a.exporter).size(),
+                baseline_chunk(b.exporter).size())
+          << "seed " << seed << ", poll " << k;
+      const auto last_a = a.db.table("Metrics")->newest().at(2).as_real();
+      const auto last_b = b.db.table("Metrics")->newest().at(2).as_real();
+      values_differ = values_differ || last_a != last_b;
+    }
+    EXPECT_TRUE(values_differ) << "seed " << seed;
+  }
+}
+
+// A ring smaller than one slow-poll period's rows, filled ten times over:
+// the eviction guard keeps a row of every series, slow ones included, so
+// `last(value)` still answers for each of them. Twenty counters move at
+// every poll; the slow series are a cache-warmth counter, the wall rows of
+// two busy histograms and all rows of a cache-warmth one.
+TEST(MetricsExportDifferential, EvictionGuardKeepsSlowSeriesPastTenRings) {
+  using telemetry::Determinism;
+  constexpr std::size_t kCapacity = 96;  // twice a first-sight poll's rows
+  sim::EventLoop loop;
+  telemetry::MetricRegistry polled;
+  telemetry::MetricRegistry db_metrics;
+  hwdb::Database db(loop, db_metrics);
+  MetricsExport::Config config;
+  config.capacity = kCapacity;
+  ASSERT_TRUE(MetricsExport::create_table(db, config).ok());
+  const hwdb::Table& table = *db.table("Metrics");
+  std::vector<std::unique_ptr<telemetry::Counter>> busy;
+  for (int i = 0; i < 20; ++i) {
+    busy.push_back(std::make_unique<telemetry::Counter>(
+        polled, "test.guard.c" + std::to_string(i)));
+  }
+  telemetry::Counter warm(polled, "test.guard.warm", Determinism::CacheWarmth);
+  telemetry::Histogram h0(polled, "test.guard.h0_ns");
+  telemetry::Histogram h1(polled, "test.guard.h1_ns");
+  telemetry::Histogram hwarm(polled, "test.guard.hwarm_ns",
+                             Determinism::CacheWarmth);
+  MetricsExport exporter(config, db, polled);
+
+  Rng rng(5);
+  std::uint64_t period_start = 0;
+  std::uint64_t fewest_period_rows = ~std::uint64_t{0};
+  for (std::uint64_t k = 1; table.inserted() < 10 * kCapacity; ++k) {
+    for (auto& c : busy) c->inc(1 + rng.uniform(3));
+    warm.inc(rng.uniform(3));
+    for (telemetry::Histogram* h : {&h0, &h1, &hwarm}) h->record(rng.uniform(5000));
+    loop.run_until(k * kSecond);
+    const auto oracle = every_poll_oracle(polled);
+    exporter.poll();
+    if (k % MetricsExport::kSlowPolls == 0) {
+      if (period_start != 0) {
+        fewest_period_rows =
+            std::min(fewest_period_rows, table.inserted() - period_start);
+      }
+      period_start = table.inserted();
+    }
+    const auto latest = latest_values(db);
+    for (const auto& [name, value] : oracle) {
+      ASSERT_EQ(latest.count(name), 1u) << name << " lost at poll " << k;
+      if (!name.starts_with("test.guard.hwarm_ns.") && name != "test.guard.warm" &&
+          (name.ends_with(".count") || !name.starts_with("test.guard.h"))) {
+        EXPECT_EQ(latest.at(name), value) << name << " at poll " << k;
+      }
+    }
+  }
+  EXPECT_GT(fewest_period_rows, kCapacity);
+  EXPECT_LT(fewest_period_rows, ~std::uint64_t{0});
 }
 
 // The baseline's names are front-coded and its write counts are varints.
@@ -491,8 +697,7 @@ TEST(MetricsExportSnapshot, DamagedBaselineIsRefusedWithTheBaselineKept) {
     return target.exporter.restore(reader.value());
   };
   ASSERT_TRUE(restore(saved).ok());
-  // A histogram that moved since its write is left unwritten by a restore,
-  // so the restored baseline is the fixed point.
+  // The restored baseline is the fixed point: it saves back to itself.
   const Bytes reference = baseline_chunk(target.exporter);
   ASSERT_GT(reference.size(), 200u);
   ASSERT_TRUE(restore(reference).ok());

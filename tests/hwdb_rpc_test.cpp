@@ -1,13 +1,11 @@
 // The UDP-based RPC interface: wire codec round-trips and its malformed-wire
 // property test, the in-process link (request/response + subscription push),
-// real-socket loopback transport, and the persistence sink.
+// and the real-socket loopback transport.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <new>
 
-#include "hwdb/persist.hpp"
 #include "hwdb/udp_transport.hpp"
 
 // Bytes requested from operator new while counting is on: the codec property
@@ -700,131 +698,6 @@ TEST(UdpTransport, WaitDrainsDueEventsBeforeBlocking) {
   EXPECT_FALSE(client.wait(10));
   EXPECT_TRUE(due_ran);
   EXPECT_FALSE(future_ran);
-}
-
-// ---------------------------------------------------------------------------
-// Persistence sink
-
-TEST(TableTsv, DumpLoadRoundTrip) {
-  sim::EventLoop loop;
-  Database db(loop);
-  ASSERT_TRUE(db.create_table(links_schema(), 64).ok());
-  for (int i = 0; i < 5; ++i) {
-    loop.run_for(kSecond);
-    ASSERT_TRUE(db.insert("Links", {Value{"m" + std::to_string(i)},
-                                    Value{-60.0 - i}, Value{i}})
-                    .ok());
-  }
-  const std::string path = ::testing::TempDir() + "/hwdb_table_test.tsv";
-  auto dumped = dump_table_tsv(*db.table("Links"), path);
-  ASSERT_TRUE(dumped.ok());
-  EXPECT_EQ(dumped.value(), 5u);
-
-  // Load into a fresh table with the same schema; timestamps preserved.
-  Table copy(links_schema(), 64);
-  auto loaded = load_table_tsv(copy, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-  EXPECT_EQ(loaded.value(), 5u);
-  EXPECT_EQ(copy.size(), 5u);
-  EXPECT_EQ(copy.oldest().ts(), kSecond);
-  EXPECT_EQ(copy.newest().at(0).as_text(), "m4");
-  EXPECT_DOUBLE_EQ(copy.newest().at(1).as_real(), -64.0);
-  std::remove(path.c_str());
-}
-
-TEST(TableTsv, TrailingEmptyTextRoundTrips) {
-  // The empty text ends its line with the tab before it, which the load
-  // must keep to count the fields.
-  const Schema schema("Notes", {{"n", ColumnType::Int}, {"note", ColumnType::Text}});
-  Table table(schema, 4);
-  ASSERT_TRUE(table.insert(kSecond, {Value{1}, Value{""}}).ok());
-  const std::string path = ::testing::TempDir() + "/hwdb_empty_text_test.tsv";
-  ASSERT_TRUE(dump_table_tsv(table, path).ok());
-
-  Table copy(schema, 4);
-  auto loaded = load_table_tsv(copy, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-  ASSERT_EQ(copy.size(), 1u);
-  EXPECT_EQ(copy.oldest().ts(), kSecond);
-  EXPECT_EQ(copy.oldest().at(0).as_int(), 1);
-  EXPECT_EQ(copy.oldest().at(1).as_text(), "");
-  std::remove(path.c_str());
-}
-
-TEST(TableTsv, LoadRejectsSchemaMismatch) {
-  const std::string path = ::testing::TempDir() + "/hwdb_bad_test.tsv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fprintf(f, "100\tonly-two-fields\n");
-  std::fclose(f);
-  Table table(links_schema(), 8);
-  EXPECT_FALSE(load_table_tsv(table, path).ok());
-  EXPECT_EQ(table.size(), 0u) << "rejected load must not partially mutate";
-  std::remove(path.c_str());
-  EXPECT_FALSE(load_table_tsv(table, "/no/such/file.tsv").ok());
-}
-
-TEST(TableTsv, LoadRejectsTruncationWithoutPartialMutation) {
-  // A file torn mid-line (no trailing newline) is a failed write, not a
-  // short table: the load reports an error and stages nothing. Valid rows
-  // ahead of the tear must not leak into the table either.
-  const std::string path = ::testing::TempDir() + "/hwdb_torn_test.tsv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fprintf(f, "1000000\tm0\t-60\t1\n");
-  std::fprintf(f, "2000000\tm1\t-61");  // torn: no newline
-  std::fclose(f);
-  Table table(links_schema(), 8);
-  const auto loaded = load_table_tsv(table, path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.error().message.find("truncated"), std::string::npos)
-      << loaded.error().message;
-  EXPECT_EQ(table.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(TableTsv, LoadRejectsNonMonotonicTimestamps) {
-  // Ring tables are time-ordered by construction; a dump with timestamps
-  // running backwards is corrupt input, not a reordering request.
-  const std::string path = ::testing::TempDir() + "/hwdb_backwards_test.tsv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fprintf(f, "2000000\tm0\t-60\t1\n");
-  std::fprintf(f, "1000000\tm1\t-61\t2\n");
-  std::fclose(f);
-  Table table(links_schema(), 8);
-  const auto loaded = load_table_tsv(table, path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.error().message.find("non-monotonic"), std::string::npos)
-      << loaded.error().message;
-  EXPECT_EQ(table.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(PersistSink, AppendsBatchesToFile) {
-  sim::EventLoop loop;
-  Database db(loop);
-  ASSERT_TRUE(db.create_table(links_schema(), 64).ok());
-  const std::string path = ::testing::TempDir() + "/hwdb_persist_test.tsv";
-  std::remove(path.c_str());
-
-  {
-    PersistSink sink(db, "SELECT mac, retries FROM Links [ROWS 4]",
-                     SubscriptionMode::OnInsert, 0, path);
-    ASSERT_TRUE(sink.ok());
-    db.insert("Links", {Value{"m"}, Value{-60.0}, Value{1}});
-    db.insert("Links", {Value{"m"}, Value{-61.0}, Value{2}});
-    EXPECT_EQ(sink.batches_written(), 2u);
-    EXPECT_EQ(sink.rows_written(), 3u);  // batch1: 1 row, batch2: 2 rows
-    sink.flush();
-  }
-
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[256];
-  std::string contents;
-  while (std::fgets(buf, sizeof buf, f) != nullptr) contents += buf;
-  std::fclose(f);
-  EXPECT_NE(contents.find("# batch"), std::string::npos);
-  EXPECT_NE(contents.find("m\t1"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

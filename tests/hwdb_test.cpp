@@ -501,7 +501,7 @@ struct JoinFixture : ::testing::Test {
 
   void insert_at(int second, const std::string& table, std::vector<Value> v) {
     loop.run_until(static_cast<Timestamp>(second) * kSecond);
-    ASSERT_TRUE(db.insert(table, std::move(v)).ok());
+    ASSERT_TRUE(db.insert(table, refs(v)).ok());
   }
 
   sim::EventLoop loop;
@@ -1790,7 +1790,7 @@ TEST(TableDifferential, MatchesRowVectorOracle) {
               values[rng.uniform(values.size())] = Value{"not-a-number"};
             }
           }
-          const Status got = db->insert(schema.name(), values);
+          const Status got = db->insert(schema.name(), refs(values));
           const Status expected = want.insert(loop.now(), values);
           ASSERT_EQ(got.ok(), expected.ok()) << schema.name() << " step " << step;
         } else if (op < 87) {
@@ -1906,7 +1906,7 @@ TEST(TableDifferential, RestoreOfV4MatchesRestoreOfV3Oracle) {
         for (const auto& col : schema.columns()) {
           values.push_back(edge_or_random_value(rng, col.type, unique));
         }
-        ASSERT_TRUE(db.insert(schema.name(), values).ok());
+        ASSERT_TRUE(db.insert(schema.name(), refs(values)).ok());
         ASSERT_TRUE(want.insert(loop.now(), values).ok());
       }
 
@@ -2031,7 +2031,7 @@ std::size_t restore_allocations(std::size_t rows) {
   sim::EventLoop loop;
   Database db(loop);
   EXPECT_TRUE(db.create_table(metrics_schema(), 4096).ok());
-  for (const auto& row : metrics_rows(rows)) EXPECT_TRUE(db.insert("Metrics", row).ok());
+  for (const auto& row : metrics_rows(rows)) EXPECT_TRUE(db.insert("Metrics", refs(row)).ok());
   snapshot::Writer w;
   db.save(w);
   const Bytes image = std::move(w).finish();
@@ -2074,7 +2074,7 @@ TEST(TableSnapshot, WallClockSeriesDoNotMoveTheChunkSize) {
           {Value{"hwdb.database.insert_ns.max"}, Value{"histogram"}, Value{2 * ns}},
       };
       for (const auto& row : rows) {
-        ASSERT_TRUE(db.insert("Metrics", row).ok());
+        ASSERT_TRUE(db.insert("Metrics", refs(row)).ok());
         ASSERT_TRUE(want.insert(loop.now(), row).ok());
       }
     }

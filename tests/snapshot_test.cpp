@@ -482,7 +482,7 @@ void fill_homework_tables(hwdb::Database& db, sim::EventLoop& loop) {
             break;
         }
       }
-      ASSERT_TRUE(db.insert(name, values).ok());
+      ASSERT_TRUE(db.insert(name, hwdb::refs(values)).ok());
     }
   }
 }
